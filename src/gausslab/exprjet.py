@@ -223,7 +223,11 @@ class _Parser:
             self.advance()
             exp_tok = self.peek()
             exp_node = self.unary()
-            value = _fold_constant(exp_node)
+            try:
+                value = _fold_constant(exp_node)
+            except (ArithmeticError, ValueError) as exc:
+                raise ExpressionError(f"bad constant exponent: {exc}",
+                                      exp_tok.offset) from exc
             if value is None:
                 raise ExpressionError("exponent must be a constant", exp_tok.offset)
             node = Pow(node, value)
@@ -239,7 +243,10 @@ class _Parser:
     def primary(self) -> ExprAst:
         tok = self.advance()
         if tok.kind == "NUMBER":
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExpressionError(f"number {tok.text} is not finite", tok.offset)
+            return Num(value)
         if tok.kind == "IDENT":
             name = tok.text
             nxt = self.peek()
@@ -275,7 +282,8 @@ class _Parser:
 
 
 def _fold_constant(node: ExprAst) -> float | None:
-    """Value of a variable-free subtree, else None."""
+    """Value of a variable-free subtree, else None. Raises ArithmeticError or
+    ValueError where a constant subtree is not a finite real number."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -289,23 +297,31 @@ def _fold_constant(node: ExprAst) -> float | None:
         if a is None or b is None:
             return None
         if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b
-    if isinstance(node, Pow):
+            value = a + b
+        elif node.op == "-":
+            value = a - b
+        elif node.op == "*":
+            value = a * b
+        else:
+            value = a / b
+    elif isinstance(node, Pow):
         v = _fold_constant(node.base)
-        return None if v is None else v ** node.exponent
-    if isinstance(node, Call):
+        if v is None:
+            return None
+        value = v ** node.exponent
+    elif isinstance(node, Call):
         v = _fold_constant(node.arg)
         if v is None:
             return None
         fn = {"cot": lambda x: math.cos(x) / math.sin(x)}.get(
             node.fn, getattr(math, node.fn))
-        return fn(v)
-    raise TypeError(node)
+        value = fn(v)
+    else:
+        raise TypeError(node)
+    # a negative base to a fractional power gives a complex number
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite real number")
+    return value
 
 
 def parse_expression(source: str, variables: tuple[str, ...] | list[str]) -> ExprAst:

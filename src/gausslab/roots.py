@@ -1,15 +1,24 @@
 """Exact univariate root counting and certified isolation.
 
-Polynomials carry `fractions.Fraction` coefficients so Sturm chains, sign
-variations and endpoint handling are exact. Counting uses the half-open
+Polynomials carry `fractions.Fraction` coefficients, so Sturm chains, square-
+free parts and endpoint handling are exact. Counting uses the half-open
 convention: count_real_roots_in(p, a, b) is the number of distinct real roots
 in (a, b]. Roots landing exactly on an endpoint are divided out by synthetic
 division before the chain is evaluated (exact, unlike an epsilon nudge) and
 re-added when the convention includes them; isolation reports such roots as
 degenerate [r, r] intervals.
 
-Isolation bisects on rational endpoints until each interval holds one root,
-refines to the requested width, then applies a single guarded Newton step.
+Every exact sign is evaluated on integers: q and each Sturm-chain member are
+scaled once by a positive integer to integer coefficients, and the sign at
+p/d is that of the homogeneous Horner sum of c_i p^i d^(n-i). Isolation
+bisects on integer endpoints over one power-of-two multiple of a common
+denominator per interval, carrying the sign variations of both ends so each
+split evaluates the chain only at the midpoint. Once an interval holds one
+root of the square-free q, refinement to the requested width needs only the
+sign of q at each midpoint against its sign just right of the left end (the
+sign of q' there when that end is itself a root). A single guarded Newton
+step polishes the float estimate; Fractions are built only for the returned
+intervals.
 """
 
 from __future__ import annotations
@@ -206,29 +215,71 @@ def sturm_sequence(p: Polynomial) -> list[Polynomial]:
     return chain
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _int_coeffs(poly: Polynomial) -> tuple[int, ...]:
+    """Integer coefficients of a positive multiple of `poly`, highest degree
+    first; the scale keeps every sign."""
+    den = math.lcm(*(c.denominator for c in poly.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in reversed(poly.coeffs)]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
 
 
-def _sign_at(poly: Polynomial, x) -> int:
-    if poly.is_zero:
-        return 0
+def _sign_at(cs: tuple[int, ...], p: int, d: int) -> int:
+    """Sign at p/d of the polynomial with integer coefficients `cs`, highest
+    degree first: the sign of sum c_i p^i d^(n-i), by Horner. d > 0, or d = 0
+    and p = +-1 for +-inf, where the sum is c_n (+-1)^n."""
+    acc = cs[0]
+    dk = 1
+    for c in cs[1:]:
+        dk *= d
+        acc = acc * p + c * dk
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain: Sequence[tuple[int, ...]], p: int, d: int) -> int:
+    """Sign variations of an integer Sturm chain at p/d."""
+    count = last = 0
+    for cs in chain:
+        s = _sign_at(cs, p, d)
+        if s:
+            count += s == -last
+            last = s
+    return count
+
+
+def _projective(x) -> tuple[int, int]:
+    """Integers (p, d) with x = p/d; +-inf is (+-1, 0)."""
     if x == POS_INF:
-        return _sign(poly.leading)
+        return 1, 0
     if x == NEG_INF:
-        return _sign(poly.leading) * (-1 if poly.degree % 2 else 1)
-    return _sign(poly.eval_exact(x))
-
-
-def _variations(chain: Sequence[Polynomial], x) -> int:
-    signs = [s for s in (_sign_at(q, x) for q in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        return -1, 0
+    return x.numerator, x.denominator
 
 
 def _as_endpoint(x):
     if x == POS_INF or x == NEG_INF:
         return x
     return _to_fraction(x)
+
+
+def _is_root(q: Polynomial, x: Fraction) -> bool:
+    return _sign_at(_int_coeffs(q), x.numerator, x.denominator) == 0
+
+
+def _open_part(p: Polynomial, a, b) -> tuple[Polynomial, bool]:
+    """Square-free part of p with roots at the finite endpoints a and b
+    divided out, and whether b was such a root."""
+    q = p.square_free_part()
+    if a != NEG_INF and _is_root(q, a):
+        q = q.deflate_root(a)  # a itself is excluded from (a, b]
+    b_is_root = b != POS_INF and _is_root(q, b)
+    if b_is_root:
+        q = q.deflate_root(b)  # b belongs to (a, b]; the caller re-adds it
+    return q, b_is_root
+
+
+def _int_chain(q: Polynomial) -> list[tuple[int, ...]]:
+    return [_int_coeffs(r) for r in sturm_sequence(q)]
 
 
 def count_real_roots_in(p: Polynomial, a, b) -> int:
@@ -241,17 +292,12 @@ def count_real_roots_in(p: Polynomial, a, b) -> int:
     b = _as_endpoint(b)
     if not a < b:
         raise ValueError("need a < b")
-    q = p.square_free_part()
-    extra = 0
-    if a != NEG_INF and q.eval_exact(a) == 0:
-        q = q.deflate_root(a)  # a itself is excluded from (a, b]
-    if b != POS_INF and q.eval_exact(b) == 0:
-        q = q.deflate_root(b)
-        extra += 1            # b belongs to (a, b]
+    q, b_is_root = _open_part(p, a, b)
     if q.degree <= 0:
-        return extra
-    chain = sturm_sequence(q)
-    return _variations(chain, a) - _variations(chain, b) + extra
+        return int(b_is_root)
+    chain = _int_chain(q)
+    return (_variations(chain, *_projective(a))
+            - _variations(chain, *_projective(b)) + b_is_root)
 
 
 @dataclass(frozen=True)
@@ -276,15 +322,10 @@ def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF,
     bisected to `width` and polished with one guarded Newton step."""
     if p.is_zero or p.degree == 0:
         return []
-    q = p.square_free_part()
     a = _as_endpoint(a)
     b = _as_endpoint(b)
-    results: list[RootInterval] = []
-    if a != NEG_INF and q.eval_exact(a) == 0:
-        q = q.deflate_root(a)
-    if b != POS_INF and q.eval_exact(b) == 0:
-        q = q.deflate_root(b)
-        results.append(RootInterval(b, b, float(b)))
+    q, b_is_root = _open_part(p, a, b)
+    results = [RootInterval(b, b, float(b))] if b_is_root else []
     if q.degree <= 0:
         return results
     bound = _cauchy_bound(q)
@@ -292,40 +333,48 @@ def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF,
     hi = b if b != POS_INF else bound
     if not lo < hi:
         return results
-    chain = sturm_sequence(q)
+    chain = _int_chain(q)
 
-    def count(x, y) -> int:
-        return _variations(chain, x) - _variations(chain, y)
-
-    width_fr = _to_fraction(width) if width > 0 else Fraction(1, 10 ** 12)
-    dq = q.derivative()
-    stack = [(lo, hi, count(lo, hi))]
-    isolated: list[tuple[Fraction, Fraction]] = []
+    # an endpoint x/d is kept as the integers (x, d), with d the common
+    # denominator of lo and hi times a power of two; bisecting doubles d
+    d = math.lcm(lo.denominator, hi.denominator)
+    x, y = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    stack = [(x, y, d, _variations(chain, x, d), _variations(chain, y, d))]
+    isolated: list[tuple[int, int, int]] = []
     while stack:
-        x, y, n = stack.pop()
+        x, y, d, vx, vy = stack.pop()
+        n = vx - vy
         if n == 0:
             continue
         if n == 1:
-            isolated.append((x, y))
+            isolated.append((x, y, d))
             continue
-        mid = (x + y) / 2
-        left = count(x, mid)
-        stack.append((x, mid, left))
-        stack.append((mid, y, n - left))
-    for x, y in isolated:
-        while y - x > width_fr:
-            mid = (x + y) / 2
-            if count(x, mid) == 1:
-                y = mid
-            else:
+        x, y, mid, d = 2 * x, 2 * y, x + y, 2 * d
+        vm = _variations(chain, mid, d)
+        stack.append((x, mid, d, vx, vm))
+        stack.append((mid, y, d, vm, vy))
+    w = _to_fraction(width) if width > 0 else Fraction(1, 10 ** 12)
+    dq = q.derivative()
+    q_cs, dq_cs = chain[0], _int_coeffs(dq)
+    for x, y, d in isolated:
+        # (x/d, y/d] holds one simple root, so q keeps the sign it has just
+        # right of x/d up to that root (the sign of q' if x/d is a root too)
+        s = _sign_at(q_cs, x, d) or _sign_at(dq_cs, x, d)
+        # bisection keeps y - x and doubles d, so the width is (y - x)/d
+        span = (y - x) * w.denominator
+        while span > w.numerator * d:
+            x, y, mid, d = 2 * x, 2 * y, x + y, 2 * d
+            if _sign_at(q_cs, mid, d) == s:
                 x = mid
-        est = float(x + y) / 2.0
+            else:
+                y = mid
+        est = (x + y) / d / 2.0  # int / int rounds correctly, as float(Fraction)
         deriv = dq.eval_float(est)
         if deriv != 0.0:
             newton = est - q.eval_float(est) / deriv
-            if float(x) <= newton <= float(y) and \
+            if x / d <= newton <= y / d and \
                     abs(q.eval_float(newton)) <= abs(q.eval_float(est)):
                 est = newton
-        results.append(RootInterval(x, y, est))
+        results.append(RootInterval(Fraction(x, d), Fraction(y, d), est))
     results.sort(key=lambda r: r.value)
     return results

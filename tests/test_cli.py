@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, payload schema, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -116,6 +117,22 @@ def test_verify_parse_error_in_component(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--config", path)
     assert code == 3
     assert "offset 7" in err
+
+
+@pytest.mark.parametrize("component", [
+    "u^(sqrt(0-1))",    # math domain error while folding the exponent
+    "u^((0-1)^0.5)",    # complex exponent
+    "u^(1/0)",          # division by zero while folding the exponent
+    "1e400*u",          # literal overflows to inf
+])
+def test_verify_non_finite_constant_is_parse_error(capsys, tmp_path, component):
+    path = write_config(tmp_path, name="constant",
+                        components=[component, "v", "0"])
+    code, out, err = run(capsys, "verify", "--config", path)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("expression error:")
+    assert "Traceback" not in err
 
 
 def test_verify_missing_file(capsys, tmp_path):
@@ -347,6 +364,22 @@ def test_report_csv_has_one_block_per_family(capsys):
     blocks = [b for b in out.split("\r\n\r\n") if b.strip()]
     assert len(blocks) == 6
     assert blocks[0].splitlines()[0].startswith("table,m,a")
+
+
+# SHA-256 of stdout, recorded before the exact root kernel moved to integer
+# arithmetic; any change in the catalog bytes between versions shows here
+@pytest.mark.parametrize("argv, digest", [
+    (("report", "--all"),
+     "383c56e41029e86ee6e3a1988f8ae574aa6f5c1811de4df0b06763bc11619fe3"),
+    (("report", "--all", "--format", "csv", "--n-max", "17"),
+     "b501e99c021c9810d6bb04b417319d4dee8c3d54a9072f3e15ef5104d496a658"),
+    (("roots", "--coeffs", "-6,11,-6,1", "--range", "0,5/2"),
+     "f76c98ad400fb3464376d1499c1c28fabf2aacad89f752d1ba3664e71fdaca8c"),
+])
+def test_catalog_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_report_is_deterministic(capsys):

@@ -118,3 +118,115 @@ def test_isolation_agrees_with_count(coeffs):
             scale = max(abs(float(c)) for c in p.coeffs)
             assert abs(p.eval_float(r.value)) <= 1e-6 * scale * (
                 1.0 + abs(r.value)) ** p.degree
+
+
+# ---------------------------------------------------------------------------
+# certified intervals, and agreement with bisection by Sturm counts
+
+WIDTH = Fraction(1, 10 ** 12)
+
+
+def reference_intervals(p, a=NEG_INF, b=POS_INF):
+    """(lo, hi] of every root in (a, b], bisected on Fractions by full Sturm
+    counts from the Cauchy bound down to WIDTH."""
+    q = p.square_free_part()
+    out = []
+    if a != NEG_INF and q.eval_exact(a) == 0:
+        q = q.deflate_root(a)
+    if b != POS_INF and q.eval_exact(b) == 0:
+        q = q.deflate_root(b)
+        out.append((b, b))
+    if q.degree <= 0:
+        return out
+    bound = 1 + max(abs(c) for c in q.coeffs[:-1]) / abs(q.leading)
+    chain = sturm_sequence(q)
+
+    def variations(x):
+        signs = [v > 0 for v in (r.eval_exact(x) for r in chain) if v != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    stack = [(-bound if a == NEG_INF else a, bound if b == POS_INF else b)]
+    while stack:
+        x, y = stack.pop()
+        n = variations(x) - variations(y)
+        if n > 1:
+            mid = (x + y) / 2
+            stack += [(x, mid), (mid, y)]
+        elif n == 1:
+            while y - x > WIDTH:
+                mid = (x + y) / 2
+                if variations(x) - variations(mid) == 1:
+                    y = mid
+                else:
+                    x = mid
+            out.append((x, y))
+    return sorted(out)
+
+
+def assert_certified(p, a=NEG_INF, b=POS_INF):
+    roots = isolate_and_refine(p, a, b)
+    for r in roots:
+        if r.lo != r.hi:
+            assert count_real_roots_in(p, r.lo, r.hi) == 1
+            assert r.hi - r.lo <= WIDTH
+    assert sorted((r.lo, r.hi) for r in roots) == reference_intervals(p, a, b)
+    return roots
+
+
+def test_midpoint_on_a_root_during_isolation():
+    # the whole-line search (-2, 2] splits at 0, a root; the interval right
+    # of it starts at that root
+    roots = assert_certified(poly(0, -1, 1))
+    assert len(roots) == 2
+    assert [r.value for r in roots] == pytest.approx([0.0, 1.0], abs=1e-12)
+    assert roots[1].lo > 0
+
+
+def test_root_at_a_dyadic_midpoint():
+    # 1/2 is the first refinement midpoint of (0, 1], so it stays the right end
+    roots = assert_certified(poly(-1, 2), 0, 1)
+    assert len(roots) == 1
+    assert roots[0].hi == Fraction(1, 2)
+    assert roots[0].lo < Fraction(1, 2)
+    # the same root found from the whole line, with a second root at 3/8
+    assert_certified(poly(-1, 2) * poly(-3, 8))
+
+
+def test_roots_at_range_endpoints():
+    p = poly(-6, 11, -6, 1)  # roots 1, 2, 3
+    roots = assert_certified(p, 1, 3)
+    assert [(r.lo == r.hi) for r in roots] == [False, True]
+    assert roots[1].lo == 3
+    assert roots[0].value == pytest.approx(2.0, abs=1e-12)
+    assert_certified(p, 2, Fraction(5, 2))
+    assert_certified(p, Fraction(1, 2), 1)
+
+
+def test_clifford_quadratics_match_the_reference(monkeypatch):
+    from gausslab import hypercone
+
+    calls = []
+
+    def recording(p, a, b):
+        calls.append((p, a, b))
+        return isolate_and_refine(p, a, b)
+
+    monkeypatch.setattr(hypercone, "isolate_and_refine", recording)
+    hypercone.clifford_link_solver(4, 1)
+    assert calls
+    for p, a, b in calls:
+        assert p.degree == 2
+        assert_certified(p, a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=6),
+       st.integers(-12, 12), st.integers(1, 12), st.booleans())
+def test_intervals_are_certified_and_match_the_reference(coeffs, lo, span, whole):
+    p = Polynomial.from_coeffs(coeffs)
+    if p.is_zero or p.degree < 1:
+        return
+    if whole:
+        assert_certified(p)
+    else:
+        assert_certified(p, Fraction(lo, 4), Fraction(lo + span, 4))
