@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,7 +59,6 @@ __all__ = [
     "gauss_tension_norm",
     "GrassmannTangent",
     "grassmann_curvature",
-    "LinkPointResidual",
     "LinkSystemReport",
     "link_residual_system",
     "corollary_necessary_condition",
@@ -116,26 +117,99 @@ def _map_points(fn: Callable, points: Sequence, workers: int | None) -> list:
             with ProcessPoolExecutor(max_workers=n) as pool:
                 chunk = max(1, len(points) // (4 * n))
                 return list(pool.map(fn, points, chunksize=chunk))
-        except Exception:
-            pass  # pickling or platform trouble: fall through to serial
+        except (OSError, NotImplementedError, pickle.PicklingError, BrokenProcessPool):
+            pass  # the pool could not start or ship work: run serially
     return [fn(p) for p in points]
 
 
+def _shape_data(chart: ImmersionChart, point, orientation: int,
+                fd: FundamentalData) -> ShapeData:
+    shape = shape_data_euclidean if chart.ambient == "euclidean" else shape_data_spherical
+    return shape(chart, point, orientation, fd)
+
+
 # ---------------------------------------------------------------------------
-# Hypersurface residual
+# Pointwise residuals: the bitension of the Gauss map, and the link system
 
 
 @dataclass
 class PointResidual:
+    """One sample point. On a euclidean chart `residual` is the bitension R;
+    on a sphere chart it is the vector link equation, and the scalar link
+    equation fills `scalar_residual` and `scalar_scale`."""
+
     point: tuple[float, ...]
     ok: bool
     f: float = math.nan
     grad_f_norm: float = math.nan
     residual: tuple[float, ...] = ()
     residual_norm: float = math.nan
-    scale_term: float = math.nan  # |A|^2 |grad f| + |Delta grad f|
+    scale_term: float = math.nan  # sum of the magnitudes of the terms of `residual`
     near_minimal: bool = False
     error: str | None = None
+    shape_norm_sq: float = math.nan
+    scalar_residual: float = math.nan
+    scalar_scale: float = math.nan
+
+
+class _PointWorker:
+    """Picklable per-point evaluator for the process pool."""
+
+    def __init__(self, chart, orientation, near_minimal_f):
+        self.chart = chart
+        self.orientation = orientation
+        self.near_minimal_f = near_minimal_f
+
+    def __call__(self, point) -> PointResidual:
+        point = tuple(point)
+        try:
+            return self._evaluate(point)
+        except (DomainError, GeometryError, FloatingPointError) as exc:
+            return PointResidual(point=point, ok=False, error=str(exc))
+
+    def _evaluate(self, point) -> PointResidual:
+        chart = self.chart
+        fd = fundamental_data(chart, point)
+        sd = _shape_data(chart, point, self.orientation, fd)
+        V = gradient_of_mean_curvature(fd, sd)
+        lap = rough_laplacian(fd, V)
+        A = sd.shape_operator_values()
+        v = V.values
+        AAv = A @ (A @ v)
+        norm_sq = sd.shape_norm_sq.value
+        f = sd.mean_curvature.value
+        row = PointResidual(point, True, f, fd.norm(v), shape_norm_sq=norm_sq,
+                            near_minimal=abs(f) < self.near_minimal_f)
+        if chart.ambient == "euclidean":
+            residual = lap + AAv - norm_sq * v
+            row.scale_term = abs(norm_sq) * fd.norm(v) + fd.norm(lap)
+        else:
+            m = chart.dim
+            coef = 2 * m - 3 - norm_sq
+            residual = lap + AAv + coef * v
+            row.scale_term = (fd.norm(lap) + abs(norm_sq) * fd.norm(v)
+                              + abs(coef) * fd.norm(v) + fd.norm(AAv))
+            lap_f = scalar_laplacian(fd, sd.mean_curvature)
+            row.scalar_residual = float(3.0 * lap_f + (3 * m - 6 - norm_sq) * f)
+            row.scalar_scale = 3.0 * abs(lap_f) + abs(3 * m - 6 - norm_sq) * abs(f)
+        row.residual = tuple(float(x) for x in residual)
+        row.residual_norm = fd.norm(residual)
+        return row
+
+
+def _sweep(chart: ImmersionChart, points: Sequence, orientation: int,
+           tol: Tolerances, workers: int | None):
+    """Rows over the sample, the rows that evaluated, the failed count, and
+    whether too many points failed to decide."""
+    rows = _map_points(_PointWorker(chart, orientation, tol.near_minimal_f),
+                       points, workers)
+    ok_rows = [r for r in rows if r.ok]
+    failed = len(rows) - len(ok_rows)
+    return rows, ok_rows, failed, failed > _FAIL_FRACTION * len(rows) or not ok_rows
+
+
+# ---------------------------------------------------------------------------
+# Hypersurface residual
 
 
 @dataclass
@@ -184,32 +258,6 @@ class ResidualReport:
         return out
 
 
-def _residual_at_point(chart: ImmersionChart, orientation: int,
-                       near_minimal_f: float, point) -> PointResidual:
-    try:
-        fd = fundamental_data(chart, point)
-        sd = shape_data_euclidean(chart, point, orientation, fd)
-        V = gradient_of_mean_curvature(fd, sd)
-        lap = rough_laplacian(fd, V)
-        A = sd.shape_operator_values()
-        v = V.values
-        norm_sq = sd.shape_norm_sq.value
-        residual = lap + A @ (A @ v) - norm_sq * v
-        f = sd.mean_curvature.value
-        return PointResidual(
-            point=tuple(point),
-            ok=True,
-            f=f,
-            grad_f_norm=fd.norm(v),
-            residual=tuple(float(x) for x in residual),
-            residual_norm=fd.norm(residual),
-            scale_term=abs(norm_sq) * fd.norm(v) + fd.norm(lap),
-            near_minimal=abs(f) < near_minimal_f,
-        )
-    except (DomainError, GeometryError, FloatingPointError) as exc:
-        return PointResidual(point=tuple(point), ok=False, error=str(exc))
-
-
 def hypersurface_residual(chart: ImmersionChart,
                           points: Sequence[tuple] | None = None,
                           orientation: int = 1,
@@ -224,27 +272,7 @@ def hypersurface_residual(chart: ImmersionChart,
         points = chart.sample_points()
     if not points:
         raise GeometryError("empty sample set")
-    rows = _map_points(
-        _PointWorker(chart, orientation, tol.near_minimal_f), points, workers)
-    return _classify(chart.name, rows, tol)
-
-
-class _PointWorker:
-    """Picklable per-point evaluator for the process pool."""
-
-    def __init__(self, chart, orientation, near_minimal_f):
-        self.chart = chart
-        self.orientation = orientation
-        self.near_minimal_f = near_minimal_f
-
-    def __call__(self, point):
-        return _residual_at_point(self.chart, self.orientation,
-                                  self.near_minimal_f, point)
-
-
-def _classify(name: str, rows: list[PointResidual], tol: Tolerances) -> ResidualReport:
-    ok_rows = [r for r in rows if r.ok]
-    failed = len(rows) - len(ok_rows)
+    rows, ok_rows, failed, inconclusive = _sweep(chart, points, orientation, tol, workers)
     classified = [r for r in ok_rows if not r.near_minimal]
     scale = max((r.scale_term for r in ok_rows), default=0.0)
     max_res = max((r.residual_norm for r in classified), default=0.0)
@@ -252,7 +280,7 @@ def _classify(name: str, rows: list[PointResidual], tol: Tolerances) -> Residual
     max_f = max((abs(r.f) for r in ok_rows), default=0.0)
     res_thr = tol.eps_abs + tol.eps_rel * scale
     grad_thr = tol.grad_rel * (1.0 + max_f)
-    if failed > _FAIL_FRACTION * len(rows) or not ok_rows:
+    if inconclusive:
         verdict = INCONCLUSIVE
     elif max_grad < grad_thr:
         verdict = HARMONIC
@@ -262,7 +290,7 @@ def _classify(name: str, rows: list[PointResidual], tol: Tolerances) -> Residual
         verdict = PROPER_BIHARMONIC
     else:
         verdict = NOT_BIHARMONIC
-    return ResidualReport(name, verdict, tol, scale, res_thr, grad_thr,
+    return ResidualReport(chart.name, verdict, tol, scale, res_thr, grad_thr,
                           max_res, max_grad, max_f, rows, failed,
                           len(ok_rows) - len(classified))
 
@@ -271,9 +299,7 @@ def gauss_tension_norm(chart: ImmersionChart, point, orientation: int = 1) -> fl
     """Tension-field norm of the Gauss map: m * |grad f|_g (vanishes exactly
     for CMC, matching harmonicity of the Gauss map)."""
     fd = fundamental_data(chart, point)
-    sd = (shape_data_euclidean if chart.ambient == "euclidean"
-          else shape_data_spherical)(chart, point, orientation, fd)
-    V = gradient_of_mean_curvature(fd, sd)
+    V = gradient_of_mean_curvature(fd, _shape_data(chart, point, orientation, fd))
     return chart.dim * fd.norm(V.values)
 
 
@@ -325,21 +351,6 @@ def grassmann_curvature(r1: GrassmannTangent, r2: GrassmannTangent,
 
 
 @dataclass
-class LinkPointResidual:
-    point: tuple[float, ...]
-    ok: bool
-    f: float = math.nan
-    grad_f_norm: float = math.nan
-    shape_norm_sq: float = math.nan
-    vector_residual: tuple[float, ...] = ()
-    vector_norm: float = math.nan
-    scalar_residual: float = math.nan
-    vector_scale: float = math.nan
-    scalar_scale: float = math.nan
-    error: str | None = None
-
-
-@dataclass
 class LinkSystemReport:
     chart: str
     verdict: str
@@ -349,7 +360,7 @@ class LinkSystemReport:
     max_vector_residual: float
     max_scalar_residual: float
     max_abs_f: float
-    points: list[LinkPointResidual]
+    points: list[PointResidual]
     failed_points: int
 
     def as_dict(self, include_points: bool = True) -> dict:
@@ -371,54 +382,13 @@ class LinkSystemReport:
                     "point": list(p.point),
                     "ok": p.ok,
                     "f": p.f,
-                    "vector_norm": p.vector_norm,
+                    "vector_norm": p.residual_norm,
                     "scalar_residual": p.scalar_residual,
                     "error": p.error,
                 }
                 for p in self.points
             ]
         return out
-
-
-def _link_residual_at_point(chart, orientation, point) -> LinkPointResidual:
-    try:
-        m = chart.dim
-        fd = fundamental_data(chart, point)
-        sd = shape_data_spherical(chart, point, orientation, fd)
-        V = gradient_of_mean_curvature(fd, sd)
-        lap_v = rough_laplacian(fd, V)
-        A = sd.shape_operator_values()
-        v = V.values
-        norm_sq = sd.shape_norm_sq.value
-        coef = 2 * m - 3 - norm_sq
-        vec = lap_v + A @ (A @ v) + coef * v
-        f = sd.mean_curvature.value
-        lap_f = scalar_laplacian(fd, sd.mean_curvature)
-        scal = 3.0 * lap_f + (3 * m - 6 - norm_sq) * f
-        return LinkPointResidual(
-            point=tuple(point),
-            ok=True,
-            f=f,
-            grad_f_norm=fd.norm(v),
-            shape_norm_sq=norm_sq,
-            vector_residual=tuple(float(x) for x in vec),
-            vector_norm=fd.norm(vec),
-            scalar_residual=float(scal),
-            vector_scale=fd.norm(lap_v) + abs(norm_sq) * fd.norm(v)
-            + abs(coef) * fd.norm(v) + fd.norm(A @ (A @ v)),
-            scalar_scale=3.0 * abs(lap_f) + abs(3 * m - 6 - norm_sq) * abs(f),
-        )
-    except (DomainError, GeometryError, FloatingPointError) as exc:
-        return LinkPointResidual(point=tuple(point), ok=False, error=str(exc))
-
-
-class _LinkWorker:
-    def __init__(self, chart, orientation):
-        self.chart = chart
-        self.orientation = orientation
-
-    def __call__(self, point):
-        return _link_residual_at_point(self.chart, self.orientation, point)
 
 
 def link_residual_system(chart: ImmersionChart,
@@ -438,16 +408,14 @@ def link_residual_system(chart: ImmersionChart,
     tol = tolerances or Tolerances()
     if points is None:
         points = chart.sample_points(default_count=5)
-    rows = _map_points(_LinkWorker(chart, orientation), points, workers)
-    ok_rows = [r for r in rows if r.ok]
-    failed = len(rows) - len(ok_rows)
-    max_vec = max((r.vector_norm for r in ok_rows), default=0.0)
+    rows, ok_rows, failed, inconclusive = _sweep(chart, points, orientation, tol, workers)
+    max_vec = max((r.residual_norm for r in ok_rows), default=0.0)
     max_scal = max((abs(r.scalar_residual) for r in ok_rows), default=0.0)
     max_f = max((abs(r.f) for r in ok_rows), default=0.0)
     shape_scale = math.sqrt(max((r.shape_norm_sq for r in ok_rows), default=0.0))
-    vec_thr = tol.eps_abs + tol.eps_rel * max((r.vector_scale for r in ok_rows), default=0.0)
+    vec_thr = tol.eps_abs + tol.eps_rel * max((r.scale_term for r in ok_rows), default=0.0)
     scal_thr = tol.eps_abs + tol.eps_rel * max((r.scalar_scale for r in ok_rows), default=0.0)
-    if failed > _FAIL_FRACTION * len(rows) or not ok_rows:
+    if inconclusive:
         verdict = INCONCLUSIVE
     elif max_f < tol.grad_rel * (1.0 + shape_scale):
         verdict = HARMONIC

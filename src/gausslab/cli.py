@@ -218,8 +218,9 @@ def _require_workers_valid():
 
 
 def _sanitize(obj):
-    """JSON-safe copy: fractions to exact strings, non-finite floats to null,
-    tuples to lists. Output ordering is left to the sorted-keys dump."""
+    """JSON-safe copy: dataclasses to dicts of their fields, fractions to
+    exact strings, non-finite floats to null, tuples to lists. Output
+    ordering is left to the sorted-keys dump."""
     if hasattr(obj, "item") and not isinstance(obj, (list, tuple, dict)):
         obj = obj.item()  # numpy scalar
     if obj is None or isinstance(obj, (bool, int, str)):
@@ -229,7 +230,7 @@ def _sanitize(obj):
     if isinstance(obj, Fraction):
         return str(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _sanitize(dataclasses.asdict(obj))
+        return {f.name: _sanitize(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -325,7 +326,7 @@ def _cmd_sphere_cone(args) -> _Outcome:
         results = {"m": args.m, "solution": None,
                    "note": "no admissible radius: the condition needs m > 2"}
     else:
-        results = dataclasses.asdict(sol)
+        results = sol
     return _Outcome("solve sphere-cone", {"m": args.m}, results)
 
 
@@ -339,7 +340,7 @@ def _cmd_clifford_cone(args) -> _Outcome:
                              "roots": [], "note": str(exc)})
         raise ConfigError(str(exc)) from exc
     results = {"m": args.m, "m1": args.m1, "m2": args.m - args.m1,
-               "roots": [dataclasses.asdict(r) for r in roots]}
+               "roots": roots}
     return _Outcome("solve clifford-cone", {"m": args.m, "m1": args.m1}, results)
 
 
@@ -383,7 +384,7 @@ def _cmd_isoparametric(args) -> _Outcome:
         else:
             raise ConfigError(str(exc)) from exc
     results = {"ell": spec.ell, "multiplicities": list(spec.multiplicities),
-               "m": spec.m, "roots": [dataclasses.asdict(r) for r in roots]}
+               "m": spec.m, "roots": roots}
     if spec.ell in (3, 4, 6):
         poly = condition_polynomial(spec).content_normalized()
         results["condition_coefficients"] = [str(c) for c in poly.coeffs]
@@ -399,7 +400,7 @@ def _cmd_takagi(args) -> _Outcome:
         raise ConfigError(str(exc)) from exc
     results = {"n": args.n,
                "sin_sq_2theta": [s.sin_sq_2theta for s in sols],
-               "solutions": [dataclasses.asdict(s) for s in sols]}
+               "solutions": sols}
     if not sols:
         results["note"] = "no real roots"
     return _Outcome("solve takagi", {"n": args.n}, results)
@@ -425,7 +426,7 @@ def _cmd_check_r3(args) -> _Outcome:
     probes = [r3_ode_check(k0, k0_dot) for k0, k0_dot in _R3_PROBES]
     only_trivial = probes[0].consistent and not any(p.consistent for p in probes[1:])
     results = {"certificate": certificate,
-               "probes": [dataclasses.asdict(p) for p in probes],
+               "probes": probes,
                "only_trivial_consistent": only_trivial}
     code = EXIT_OK if only_trivial else EXIT_NUMERIC
     return _Outcome("check cone-r3", {}, results, code)
@@ -511,12 +512,12 @@ def _cmd_report(args) -> _Outcome:
     l6 = [r for mult in (1, 2)
           for r in classify_type(IsoparametricSpec.type6(mult)) if not r.minimal]
     results = {
-        "sphere_links": [dataclasses.asdict(s) for s in sphere],
-        "clifford_links": [dataclasses.asdict(r) for r in clifford],
-        "isoparametric_l3": [dataclasses.asdict(r) for r in l3],
-        "isoparametric_l4_homogeneous": [dataclasses.asdict(r) for r in l4_homogeneous],
-        "isoparametric_l4_takagi": [dataclasses.asdict(s) for s in l4_takagi],
-        "isoparametric_l6": [dataclasses.asdict(r) for r in l6],
+        "sphere_links": sphere,
+        "clifford_links": clifford,
+        "isoparametric_l3": l3,
+        "isoparametric_l4_homogeneous": l4_homogeneous,
+        "isoparametric_l4_takagi": l4_takagi,
+        "isoparametric_l6": l6,
     }
     tables = {
         "sphere_links": (_SPHERE_HEADERS, _rows(sphere, _SPHERE_HEADERS)),

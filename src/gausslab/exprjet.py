@@ -695,12 +695,18 @@ class JetValue:
         return self._horner(_series(fn, self.value, self.order))
 
     def ipow(self, n: int) -> "JetValue":
+        """Binary powering from the top bit down, O(log |n|) products; raises
+        DomainError once a coefficient is no longer finite."""
         if n == 0:
             return JetValue.constant(1.0, self.m, self.order)
         base = self if n > 0 else self.__rtruediv__(1.0)
         result = base
-        for _ in range(abs(n) - 1):
-            result = result * base
+        for bit in bin(abs(n))[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * base
+            if not np.isfinite(result.coeffs).all():
+                raise DomainError("integer power overflows")
         return result
 
     def __repr__(self):

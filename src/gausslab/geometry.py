@@ -189,16 +189,6 @@ def generalized_cylinder(chart: ImmersionChart,
 # Jet linear algebra helpers (matrices of jets as nested lists)
 
 
-def _jet_mat_vec(mat: list[list[JetValue]], vec: list[JetValue]) -> list[JetValue]:
-    out = []
-    for row in mat:
-        acc = row[0] * vec[0]
-        for a, b in zip(row[1:], vec[1:]):
-            acc = acc + a * b
-        out.append(acc)
-    return out
-
-
 def _jet_det(mat: list[list[JetValue]]) -> JetValue:
     n = len(mat)
     if n == 1:
@@ -229,20 +219,14 @@ def _jet_matrix_inverse(g: list[list[JetValue]], g0_inv: np.ndarray) -> list[lis
         P = [[_dot(P[i], [M[l][j] for l in range(m)]) for j in range(m)]
              for i in range(m)]
         S = [[S[i][j] + P[i][j] for j in range(m)] for i in range(m)]
-    return [[_dot_scalars(S[i], g0_inv[:, j]) for j in range(m)] for i in range(m)]
+    return [[_dot(S[i], g0_inv[:, j]) for j in range(m)] for i in range(m)]
 
 
-def _dot(row: list[JetValue], col: list[JetValue]) -> JetValue:
+def _dot(row: list[JetValue], col) -> JetValue:
+    """Sum of row[i] * col[i], left to right; col holds jets or floats."""
     acc = row[0] * col[0]
     for a, b in zip(row[1:], col[1:]):
         acc = acc + a * b
-    return acc
-
-
-def _dot_scalars(row: list[JetValue], scalars: np.ndarray) -> JetValue:
-    acc = row[0] * float(scalars[0])
-    for a, s in zip(row[1:], scalars[1:]):
-        acc = acc + a * float(s)
     return acc
 
 
@@ -504,8 +488,8 @@ def ricci_via_gauss_equation(sd: ShapeData, X: TangentField) -> TangentField:
     """Ricci operator of a link in the unit sphere applied to X:
     Ric(X) = (m-1) X + m f A(X) - A^2(X)."""
     m = sd.dim
-    AX = _jet_mat_vec(sd.shape_operator, list(X.components))
-    AAX = _jet_mat_vec(sd.shape_operator, AX)
+    AX = [_dot(row, X.components) for row in sd.shape_operator]
+    AAX = [_dot(row, AX) for row in sd.shape_operator]
     f = sd.mean_curvature
     comps = []
     for i in range(m):

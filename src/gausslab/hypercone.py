@@ -20,13 +20,13 @@ falling outside the m > 3 range of the catalog statement, so it is flagged
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .exprjet import (
     BinOp,
@@ -325,37 +325,46 @@ def build_cone_chart(link: ImmersionChart, t_interval: tuple[float, float] = (0.
 # Quadratic-curvature cylinders
 
 
-@dataclass(eq=False)
+_GAUSS_NODES = 20
+_QUADRATURE_TOL = 1e-13
+_MAX_DOUBLINGS = 12
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_GAUSS_NODES)
+
+
+@dataclass(frozen=True)
 class _QuadratureCurveComponent:
     """Plane-curve coordinate of the arc-length curve with polynomial signed
     curvature: tangent angle theta(s) = sum k_i s^(i+1)/(i+1). Derivatives
-    come from jets of cos/sin(theta); the position value from adaptive
-    quadrature (abs tol 1e-13)."""
+    come from jets of cos/sin(theta); the position value from composite
+    20-node Gauss-Legendre quadrature, with the panel count doubled until two
+    successive sums agree to 1e-13."""
 
     kind: str  # "cos" | "sin"
     k_coeffs: tuple[float, ...]  # curvature coefficients, low degree first
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def _theta_coeffs(self) -> tuple[float, ...]:
         return tuple(k / (i + 1) for i, k in enumerate(self.k_coeffs))
 
-    def _theta(self, s: float) -> float:
-        acc = 0.0
-        for i, t in enumerate(self._theta_coeffs):
-            acc += t * s ** (i + 1)
-        return acc
-
-    def _integrand(self, s: float) -> float:
-        t = self._theta(s)
-        return math.cos(t) if self.kind == "cos" else math.sin(t)
+    def _integrand(self, s: np.ndarray) -> np.ndarray:
+        theta = sum(t * s ** (i + 1) for i, t in enumerate(self._theta_coeffs))
+        return np.cos(theta) if self.kind == "cos" else np.sin(theta)
 
     def _position(self, s: float) -> float:
-        if s not in self._cache:
-            val, _ = quad(self._integrand, 0.0, s, epsabs=1e-13, epsrel=1e-13,
-                          limit=500)
-            self._cache[s] = val
-        return self._cache[s]
+        nodes, weights = _gauss_legendre()
+        previous = math.nan
+        for doubling in range(_MAX_DOUBLINGS):
+            half = 0.5 * s / 2 ** doubling
+            mids = half * (2 * np.arange(2 ** doubling) + 1)
+            total = float(half * np.sum(weights * self._integrand(mids[:, None] + half * nodes)))
+            if abs(total - previous) <= _QUADRATURE_TOL:
+                return total
+            previous = total
+        raise GeometryError(f"curve position at s = {s!r} did not converge")
 
     def jet(self, point: tuple[float, ...], dim: int, order: int) -> JetValue:
         names = tuple(f"_x{i}" for i in range(dim))

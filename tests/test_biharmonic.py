@@ -2,6 +2,7 @@
 obstructions."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from gausslab.biharmonic import (
 from gausslab.exprjet import JetValue
 from gausslab.geometry import (
     GeometryError,
+    ImmersionChart,
     SamplingSpec,
     TangentField,
     chart_from_strings,
@@ -132,6 +134,42 @@ def test_worker_count_env(monkeypatch):
         worker_count()
     monkeypatch.delenv("GAUSSLAB_THREADS")
     assert worker_count() >= 1
+
+
+# number of FailingComponent.jet calls made in this (the parent) process
+_PARENT_JET_CALLS = 0
+
+
+@dataclass(frozen=True)
+class FailingComponent:
+    """Picklable chart component whose jet raises a non-numerical error."""
+
+    def jet(self, point, dim, order):
+        global _PARENT_JET_CALLS
+        _PARENT_JET_CALLS += 1
+        raise RuntimeError("component bug")
+
+
+def test_worker_exception_propagates_without_serial_rerun():
+    chart = ImmersionChart("failing", 2, "euclidean", ("u", "v"),
+                           (FailingComponent(),) * 3, ((-1.0, 1.0), (-1.0, 1.0)),
+                           SamplingSpec(counts=(8, 8)))
+    with pytest.raises(RuntimeError, match="component bug"):
+        hypersurface_residual(chart, workers=2)
+    assert _PARENT_JET_CALLS == 0
+
+
+@pytest.mark.parametrize("check, chart", [
+    (hypersurface_residual, unit_sphere_chart(counts=(8, 8))),
+    (link_residual_system, sphere_link_chart(2, 0.64)),
+])
+def test_pool_rows_equal_serial_rows(check, chart):
+    points = chart.sample_points(default_count=8)
+    assert len(points) == 64
+    pooled = check(chart, points=points, workers=2)
+    serial = check(chart, points=points, workers=1)
+    assert repr(pooled.points) == repr(serial.points)
+    assert pooled.as_dict() == serial.as_dict()
 
 
 # ---------------------------------------------------------------------------

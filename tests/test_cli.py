@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,8 @@ import pytest
 from gausslab.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -133,6 +137,56 @@ def test_verify_non_finite_constant_is_parse_error(capsys, tmp_path, component):
     assert out == ""
     assert err.startswith("expression error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("component", ["u^1e10", "u^(0-1e300)", "u^40000"])
+def test_verify_huge_integer_power_finishes(tmp_path, component):
+    path = write_config(tmp_path, name="power", components=["u", "v", component],
+                        domain={"u": [0.1, 0.9], "v": [-1.0, 1.0]},
+                        samples={"u": 2, "v": 2})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "gausslab.cli", "verify", "--config", path],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode in (0, 3, 4)
+    assert "Traceback" not in proc.stderr
+
+
+# JSON stdout recorded with GAUSSLAB_THREADS=1 before the hypersurface and
+# link residuals shared one kernel; the torus link is NotBiharmonic, so its
+# scalar link residuals are non-zero
+@pytest.mark.parametrize("command, config, recorded", [
+    ("verify", "sphere_S2.json", "verify_sphere_S2.json"),
+    ("verify-link", "sphere_link_S3.json", "verify_link_sphere_link_S3.json"),
+    ("verify-link", "torus_link.json", "verify_link_torus_link.json"),
+])
+def test_verify_output_matches_recorded(capsys, monkeypatch, command, config, recorded):
+    monkeypatch.setenv("GAUSSLAB_THREADS", "1")
+    code, payload, _ = run_json(capsys, command, "--config", str(CONFIGS / config))
+    assert code == 0
+    expected = json.loads((DATA / recorded).read_text())
+    _assert_close(payload, expected, "$")
+
+
+def _assert_close(new, old, where):
+    """Same keys and lengths everywhere; floats to 1e-12 relative, with two
+    values both below 1e-10 in magnitude counted as equal."""
+    if isinstance(old, dict):
+        assert isinstance(new, dict) and sorted(new) == sorted(old), where
+        for key in old:
+            _assert_close(new[key], old[key], f"{where}.{key}")
+    elif isinstance(old, list):
+        assert isinstance(new, list) and len(new) == len(old), where
+        for i, (a, b) in enumerate(zip(new, old)):
+            _assert_close(a, b, f"{where}[{i}]")
+    elif isinstance(old, float):
+        assert isinstance(new, (int, float)) and not isinstance(new, bool), where
+        if max(abs(new), abs(old)) >= 1e-10:
+            assert abs(new - old) <= 1e-12 * max(abs(new), abs(old)), (where, new, old)
+    else:
+        assert new == old, where
 
 
 def test_verify_missing_file(capsys, tmp_path):

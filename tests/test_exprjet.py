@@ -91,6 +91,25 @@ def test_domain_errors(src, msg):
         jet_of(src, ("x",), (2.0,), order=2)
 
 
+@pytest.mark.parametrize("n", range(-4, 8))
+def test_integer_power_matches_repeated_products(n):
+    x = jet_of("1.3 + sin(u) - 0.5*u*v", ("u", "v"), (0.4, -0.3))
+    base = x if n > 0 else 1.0 / x
+    expected = base if n != 0 else JetValue.constant(1.0, 2, 5)
+    for _ in range(abs(n) - 1):
+        expected = expected * base
+    got = x.ipow(n)
+    assert np.max(np.abs(got.coeffs - expected.coeffs)) <= 1e-13 * np.max(np.abs(expected.coeffs))
+    if abs(n) <= 3:  # the same products in the same order
+        assert np.array_equal(got.coeffs, expected.coeffs)
+
+
+def test_integer_power_overflow_is_domain_error():
+    with pytest.raises(DomainError, match="overflows"):
+        jet_of("x^(0-1e300)", ("x",), (0.5,))
+    assert jet_of("x^1e10", ("x",), (0.5,)).value == 0.0
+
+
 def test_to_source_round_trip():
     src = "u^2*cos(v) - 3/(1 + sin(u*v)) + sqrt(1 + u^2)"
     a1 = parse_expression(src, ("u", "v"))

@@ -1,7 +1,11 @@
 """Cone catalog: link solvers, cone charts, cylinders, composition energy."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +215,34 @@ def test_unit_speed_directrix():
     for s in (0.0, 0.4, -0.8):
         g = fundamental_data(cyl, (s, 0.2)).metric_values()
         assert np.max(np.abs(g - np.eye(2))) < 1e-10
+
+
+def test_constant_curvature_directrix_position_is_the_circle():
+    # k = 2: the curve is (sin 2s / 2, (1 - cos 2s) / 2), radius 1/2
+    cyl = polynomial_curvature_cylinder((2.0,), s_interval=(-3.0, 3.0))
+    for s in (-3.0, -1.0, -0.3, 0.0, 0.5, 1.0, 3.0):
+        x, y, _ = (j.value for j in cyl.component_jets((s, 0.0), order=1))
+        assert abs(x - math.sin(2 * s) / 2) <= 1e-13
+        assert abs(y - (1 - math.cos(2 * s)) / 2) <= 1e-13
+
+
+def test_cylinder_check_runs_without_scipy():
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import gausslab.cli\n"
+        "from gausslab.biharmonic import hypersurface_residual\n"
+        "from gausslab.hypercone import polynomial_curvature_cylinder\n"
+        "rep = hypersurface_residual(polynomial_curvature_cylinder((1.0, 1.0, 1.0)),\n"
+        "                            points=[(0.0, 0.0), (0.3, 0.1), (-0.5, 0.4)])\n"
+        "print(rep.verdict)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == PROPER_BIHARMONIC
 
 
 def test_clothoid_delegates_to_polynomial_cylinder():
