@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
-"""Verdict table for a gallery of cones and cylinders: the catalog solutions
-should come out ProperBiharmonicGauss, the controls should not.
+"""Verdict table for a gallery of cones and cylinders: every catalog cone of
+`report --all` with link dimension m <= 7 (sphere links m = 3..7, valid
+Clifford roots m = 4..7) should come out ProperBiharmonicGauss, the
+wrong-radius controls should not. Exits 1 when a row has the wrong verdict.
 
 Usage: python3 scripts/verify_cone_gallery.py
 """
 
-import math
+import sys
 
-from gausslab.biharmonic import hypersurface_residual, link_residual_system
+from gausslab.biharmonic import (
+    PROPER_BIHARMONIC,
+    hypersurface_residual,
+    link_residual_system,
+)
 from gausslab.hypercone import (
     build_cone_chart,
     clifford_link_chart,
@@ -19,6 +25,11 @@ from gausslab.hypercone import (
 
 
 def cone_points(dim, t_values=(0.6, 1.0, 1.6)):
+    """Corners of a box at three radii up to cone dimension 5; three fixed
+    points above that, where the corner count doubles with each dimension."""
+    if dim >= 6:
+        return [(t,) + tuple(x * (-1) ** (i + k) for i in range(dim - 1))
+                for k, (t, x) in enumerate(zip(t_values, (-0.3, 0.25, 0.15)))]
     box = [(-0.3, 0.25)] * (dim - 1)
     pts = [()]
     for lo_hi in box:
@@ -26,51 +37,59 @@ def cone_points(dim, t_values=(0.6, 1.0, 1.6)):
     return [(t,) + p for t in t_values for p in pts]
 
 
+def cone_row(label, link, proper):
+    cone = build_cone_chart(link, t_count=3)
+    rep = hypersurface_residual(cone, points=cone_points(cone.dim))
+    return label, rep.verdict, rep.max_residual, (rep.verdict == PROPER_BIHARMONIC) == proper
+
+
 def main():
     rows = []
 
-    for m in (3, 4, 5):
+    for m in range(3, 8):
         sol = sphere_link_solver(m)
-        cone = build_cone_chart(sphere_link_chart(m, sol.a_sq_exact),
-                                t_count=3)
-        rep = hypersurface_residual(cone, points=cone_points(m + 1))
-        rows.append((f"cone over S^{m}(sqrt({sol.a_sq_exact}))", rep.verdict,
-                     rep.max_residual))
+        rows.append(cone_row(f"cone over S^{m}(sqrt({sol.a_sq_exact}))",
+                             sphere_link_chart(m, sol.a_sq_exact), True))
 
-    # control: wrong sphere radius
-    off = build_cone_chart(sphere_link_chart(3, 0.64), t_count=3)
-    rep = hypersurface_residual(off, points=cone_points(4))
-    rows.append(("cone over S^3(0.8)", rep.verdict, rep.max_residual))
+    # controls: wrong sphere radius
+    rows.append(cone_row("cone over S^3(0.8)", sphere_link_chart(3, 0.64), False))
+    rows.append(cone_row("cone over S^7(sqrt(0.5))", sphere_link_chart(7, 0.5), False))
 
-    for m, m1 in ((4, 1), (4, 2)):
-        for root in clifford_link_solver(m, m1):
-            if root.flag != "valid":
-                continue
-            link = clifford_link_chart(m1, m - m1, root.r1_sq)
-            cone = build_cone_chart(link, t_count=3)
-            rep = hypersurface_residual(cone, points=cone_points(m + 1))
-            rows.append((f"cone over S^{m1} x S^{m - m1}, r1^2={root.r1_sq:.6f}",
-                         rep.verdict, rep.max_residual))
+    for m in range(4, 8):
+        for m1 in range(1, m):
+            for root in clifford_link_solver(m, m1):
+                if root.flag != "valid":
+                    continue
+                rows.append(cone_row(
+                    f"cone over S^{m1} x S^{m - m1}, r1^2={root.r1_sq:.6f}",
+                    clifford_link_chart(m1, m - m1, root.r1_sq), True))
 
     # link-level confirmation for the first Clifford case
     link = clifford_link_chart(1, 3, clifford_link_solver(4, 1)[0].r1_sq)
     rep = link_residual_system(link)
-    rows.append(("  link system for the above", rep.verdict,
-                 max(rep.max_vector_residual, rep.max_scalar_residual)))
+    rows.append(("  link system for S^1 x S^3", rep.verdict,
+                 max(rep.max_vector_residual, rep.max_scalar_residual),
+                 rep.verdict == PROPER_BIHARMONIC))
 
     cyl_pts = [(0.0, 0.0), (0.4, 0.3), (-0.6, -0.2)]
-    for coeffs, label in (((1.0, 1.0, 1.0), "cylinder, k = 1 + s + s^2"),
-                          ((2.0,), "cylinder, k = 2"),
-                          ((0.0, 0.0, 0.0, 1.0), "cylinder, k = s^3")):
+    for coeffs, label, proper in (((1.0, 1.0, 1.0), "cylinder, k = 1 + s + s^2", True),
+                                  ((2.0,), "cylinder, k = 2", False),
+                                  ((0.0, 0.0, 0.0, 1.0), "cylinder, k = s^3", False)):
         rep = hypersurface_residual(polynomial_curvature_cylinder(coeffs),
                                     points=cyl_pts)
-        rows.append((label, rep.verdict, rep.max_residual))
+        rows.append((label, rep.verdict, rep.max_residual,
+                     (rep.verdict == PROPER_BIHARMONIC) == proper))
 
     width = max(len(r[0]) for r in rows)
     print(f"{'surface':<{width}}  {'verdict':<22}  max residual")
-    for name, verdict, res in rows:
-        print(f"{name:<{width}}  {verdict:<22}  {res:.3e}")
+    for name, verdict, res, ok in rows:
+        print(f"{name:<{width}}  {verdict:<22}  {res:.3e}{'' if ok else '  UNEXPECTED'}")
+    wrong = sum(1 for r in rows if not r[3])
+    if wrong:
+        print(f"{wrong} row(s) with an unexpected verdict", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -701,12 +701,14 @@ class JetValue:
             return JetValue.constant(1.0, self.m, self.order)
         base = self if n > 0 else self.__rtruediv__(1.0)
         result = base
-        for bit in bin(abs(n))[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * base
-            if not np.isfinite(result.coeffs).all():
-                raise DomainError("integer power overflows")
+        # an overflow is reported as DomainError below, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for bit in bin(abs(n))[3:]:
+                result = result * result
+                if bit == "1":
+                    result = result * base
+                if not np.isfinite(result.coeffs).all():
+                    raise DomainError("integer power overflows")
         return result
 
     def __repr__(self):

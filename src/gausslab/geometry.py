@@ -7,6 +7,15 @@ mean curvature) are carried as truncated jets so that the rough Laplacian of
 the mean-curvature gradient can be evaluated pointwise without any finite
 differencing.
 
+Each quantity is carried only to the jet order the residual reads (a Taylor
+order budget; Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).
+From component jets at order p (5 by default): tangents at p - 1, metric,
+inverse metric and unit normal at p - 2, Christoffel symbols at order 1,
+second fundamental form, shape operator and f at p - 2. The unit normal is
+the numeric normal e at the base point projected off the tangent frame,
+e - T^T g^(-1) T e (and off the position on a sphere), so it costs O(m^2)
+jet products.
+
 Index conventions: i, j, k, l label chart variables (0..m-1); a, b label
 ambient coordinates. The shape operator A = g^(-1) h is stored as A[i][j]
 meaning A^i_j, and the mean curvature is the signed trace f = (1/m) tr A.
@@ -189,22 +198,6 @@ def generalized_cylinder(chart: ImmersionChart,
 # Jet linear algebra helpers (matrices of jets as nested lists)
 
 
-def _jet_det(mat: list[list[JetValue]]) -> JetValue:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    acc = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = mat[0][j] * _jet_det(minor)
-        if j % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def _jet_matrix_inverse(g: list[list[JetValue]], g0_inv: np.ndarray) -> list[list[JetValue]]:
     """Truncated Neumann series around the numeric inverse of the value part."""
     m = len(g)
@@ -212,10 +205,9 @@ def _jet_matrix_inverse(g: list[list[JetValue]], g0_inv: np.ndarray) -> list[lis
     # M = I - g0_inv @ g has zero constant part, so M^(order+1) truncates away.
     M = [[(-sum(g0_inv[i, l] * g[l][j] for l in range(m))) + (1.0 if i == j else 0.0)
           for j in range(m)] for i in range(m)]
-    S = [[JetValue.constant(1.0 if i == j else 0.0, g[0][0].m, order)
-          for j in range(m)] for i in range(m)]
-    P = [row[:] for row in S]
-    for _ in range(order):
+    S = [[M[i][j] + (1.0 if i == j else 0.0) for j in range(m)] for i in range(m)]
+    P = M
+    for _ in range(order - 1):
         P = [[_dot(P[i], [M[l][j] for l in range(m)]) for j in range(m)]
              for i in range(m)]
         S = [[S[i][j] + P[i][j] for j in range(m)] for i in range(m)]
@@ -228,20 +220,6 @@ def _dot(row: list[JetValue], col) -> JetValue:
     for a, b in zip(row[1:], col[1:]):
         acc = acc + a * b
     return acc
-
-
-def _generalized_cross(rows: list[list[JetValue]]) -> list[JetValue]:
-    """Hodge dual of the wedge of n-1 vectors in R^n: components are signed
-    maximal minors, giving a vector orthogonal to every row."""
-    n = len(rows) + 1
-    out = []
-    for a in range(n):
-        minor = [[row[b] for b in range(n) if b != a] for row in rows]
-        det = _jet_det(minor)
-        if a % 2 == 1:
-            det = -det
-        out.append(det)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +304,10 @@ def fundamental_data(chart: ImmersionChart, point: Sequence[float],
                      order: int = 5) -> FundamentalData:
     """Metric, inverse metric and Christoffel symbols at `point`.
 
+    Each quantity is carried only to the jet order the residual reads:
+    component jets at `order`, tangents at `order - 1`, the metric and its
+    inverse at `order - 2`, the Christoffel symbols at order 1.
+
     Raises SingularImmersionError when g fails the positive-definiteness or
     conditioning check, SphereConstraintError when a sphere-ambient chart is
     off the unit sphere by more than 1e-10.
@@ -339,7 +321,11 @@ def fundamental_data(chart: ImmersionChart, point: Sequence[float],
                 f"|X|^2 = {radius_sq!r} at {pt} (must be 1 within {_SPHERE_TOL})")
     m = chart.dim
     tangents = [[j.derivative(i) for j in cjets] for i in range(m)]
-    metric = [[_dot(tangents[i], tangents[j]) for j in range(m)] for i in range(m)]
+    low = [[t.truncate(order - 2) for t in row] for row in tangents]
+    metric = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            metric[i][j] = metric[j][i] = _dot(low[i], low[j])
     g0 = np.array([[metric[i][j].value for j in range(m)] for i in range(m)])
     eigs = np.linalg.eigvalsh(g0)
     if eigs[0] <= _METRIC_EIG_FLOOR * max(eigs[-1], 1.0) or eigs[0] <= 0.0:
@@ -347,29 +333,30 @@ def fundamental_data(chart: ImmersionChart, point: Sequence[float],
     if eigs[-1] / eigs[0] > _METRIC_COND_CEIL:
         raise SingularImmersionError(f"metric condition number exceeds 1e10 at {pt}")
     ginv = _jet_matrix_inverse(metric, np.linalg.inv(g0))
-    dg = [[[metric[i][j].derivative(l) for j in range(m)] for i in range(m)]
-          for l in range(m)]
-    christoffels = []
+    # the Laplacians read only the values and first derivatives of Gamma
+    c_order = min(1, order - 3)
+    ginv_c = [[x.truncate(c_order) for x in row] for row in ginv]
+    dg = [[[metric[i][j].derivative(l).truncate(c_order) for j in range(m)]
+           for i in range(m)] for l in range(m)]
+    # first-kind symbols [ij, l] = d_i g_jl + d_j g_il - d_l g_ij
+    first = [[[dg[i][j][l] + dg[j][i][l] - dg[l][i][j] for j in range(m)]
+              for i in range(m)] for l in range(m)]
+    christoffels = [[[None] * m for _ in range(m)] for _ in range(m)]
     for k in range(m):
-        rows = []
         for i in range(m):
-            row = []
-            for j in range(m):
-                acc = None
-                for l in range(m):
-                    term = ginv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                    acc = term if acc is None else acc + term
-                row.append(acc * 0.5)
-            rows.append(row)
-        christoffels.append(rows)
+            for j in range(i, m):
+                gam = _dot(ginv_c[k], [first[l][i][j] for l in range(m)]) * 0.5
+                christoffels[k][i][j] = christoffels[k][j][i] = gam
     return FundamentalData(pt, metric, ginv, christoffels, cjets, tangents)
 
 
 def _shape_from_normal(chart: ImmersionChart, fd: FundamentalData,
                        normal: list[JetValue], orientation: int) -> ShapeData:
     m = chart.dim
-    h = [[_dot([t.derivative(j) for t in fd.tangents[i]], normal)
-          for j in range(m)] for i in range(m)]
+    h = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            h[i][j] = h[j][i] = _dot([t.derivative(j) for t in fd.tangents[i]], normal)
     A = [[_dot(fd.inverse_metric[i], [h[l][j] for l in range(m)])
           for j in range(m)] for i in range(m)]
     f = A[0][0]
@@ -387,34 +374,65 @@ def _shape_from_normal(chart: ImmersionChart, fd: FundamentalData,
 def shape_data_euclidean(chart: ImmersionChart, point: Sequence[float],
                          orientation: int = 1,
                          fd: FundamentalData | None = None) -> ShapeData:
-    """Shape data with unit normal from the Hodge dual of the tangent frame."""
+    """Shape data with the unit normal projected off the tangent frame and
+    oriented so that det([n; X_1; ...; X_m]) > 0."""
     if chart.ambient != "euclidean":
         raise GeometryError("chart is not euclidean-ambient")
     if fd is None:
         fd = fundamental_data(chart, point)
-    w = _generalized_cross(fd.tangents)
-    return _finish_normal(chart, fd, w, orientation)
+    return _finish_normal(chart, fd, _normal_direction(fd, None), orientation)
 
 
 def shape_data_spherical(chart: ImmersionChart, point: Sequence[float],
                          orientation: int = 1,
                          fd: FundamentalData | None = None) -> ShapeData:
-    """Shape data of a link inside the unit sphere: the normal is orthogonal
-    to the tangent frame and to the position vector."""
+    """Shape data of a link inside the unit sphere: the unit normal is
+    projected off the tangent frame and the position X, and oriented so that
+    det([n; X; X_1; ...; X_m]) > 0."""
     if chart.ambient != "sphere":
         raise GeometryError("chart is not sphere-ambient")
     if fd is None:
         fd = fundamental_data(chart, point)
-    w = _generalized_cross([fd.component_jets] + fd.tangents)
-    return _finish_normal(chart, fd, w, orientation)
+    return _finish_normal(chart, fd, _normal_direction(fd, fd.component_jets),
+                          orientation)
+
+
+def _off_tangents(T: list[list[JetValue]], ginv: list[list[JetValue]], v: list) -> list[JetValue]:
+    """v - T^T g^(-1) (T v): the part of v orthogonal to the rows of T, with
+    g = T T^T; v holds floats or jets."""
+    Tv = [_dot(t, v) for t in T]
+    c = [_dot(row, Tv) for row in ginv]
+    return [va - _dot([t[a] for t in T], c) for a, va in enumerate(v)]
+
+
+def _normal_direction(fd: FundamentalData, position: list[JetValue] | None) -> list[JetValue]:
+    """A normal field w at the order of g^(-1): the numeric unit normal e at
+    the base point, projected off the tangents (and off X on a sphere)."""
+    k = fd.inverse_metric[0][0].order
+    T = [[t.truncate(k) for t in row] for row in fd.tangents]
+    frame = fd.tangents if position is None else [position] + fd.tangents
+    R0 = np.array([[x.value for x in row] for row in frame])
+    try:
+        e = np.linalg.svd(R0)[2][-1]
+    except np.linalg.LinAlgError as exc:
+        raise SingularImmersionError(f"no normal at {fd.point}: {exc}") from exc
+    # the orientation of the Hodge dual of the frame
+    if np.linalg.det(np.vstack([e, R0])) < 0.0:
+        e = -e
+    w = _off_tangents(T, fd.inverse_metric, [float(x) for x in e])
+    if position is not None:
+        X = _off_tangents(T, fd.inverse_metric, [x.truncate(k) for x in position])
+        s = _dot(X, w) / _dot(X, X)
+        w = [wa - xa * s for wa, xa in zip(w, X)]
+    return w
 
 
 def _finish_normal(chart, fd, w, orientation):
     norm_sq = _dot(w, w)
     if norm_sq.value <= 0.0:
         raise SingularImmersionError(f"degenerate tangent frame at {fd.point}")
-    inv_norm = norm_sq.compose("sqrt")
-    normal = [wi / inv_norm for wi in w]
+    inv_norm = 1.0 / norm_sq.compose("sqrt")
+    normal = [wi * inv_norm for wi in w]
     if orientation == -1:
         normal = [-n for n in normal]
     elif orientation != 1:

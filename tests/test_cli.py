@@ -154,6 +154,20 @@ def test_verify_huge_integer_power_finishes(tmp_path, component):
     assert "Traceback" not in proc.stderr
 
 
+def test_verify_overflowing_power_fails_points_without_numpy_warning(tmp_path):
+    path = write_config(tmp_path, name="power", components=["u", "v", "u^(0-1e300)"],
+                        domain={"u": [0.1, 0.9], "v": [-1.0, 1.0]},
+                        samples={"u": 2, "v": 2})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "gausslab.cli", "verify", "--config", path],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 4
+    assert json.loads(proc.stdout)["results"]["verdict"] == "Inconclusive"
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # JSON stdout recorded with GAUSSLAB_THREADS=1 before the hypersurface and
 # link residuals shared one kernel; the torus link is NotBiharmonic, so its
 # scalar link residuals are non-zero

@@ -100,6 +100,19 @@ def test_singular_immersion_rejected():
         fundamental_data(sing, (0.0, 0.0))
 
 
+def test_failed_normal_svd_is_a_singular_immersion(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(SingularImmersionError, match="SVD did not converge"):
+        shape_data_euclidean(unit_sphere_chart(), (0.7, 0.4))
+    circle = chart_from_strings("circle", ("u",), ("cos(u)", "sin(u)", "0"),
+                                ((0.0, TWO_PI),), ambient="sphere")
+    with pytest.raises(SingularImmersionError, match="SVD did not converge"):
+        shape_data_spherical(circle, (0.3,))
+
+
 def test_sphere_constraint_enforced():
     bad = chart_from_strings("bad", ("u",),
                              ("0.9*cos(u)", "0.9*sin(u)", "0.1"),
