@@ -24,20 +24,19 @@ from __future__ import annotations
 import math
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprjet import DomainError
+from .exprjet import DomainError, _mul_tables
 from .geometry import (
     FundamentalData,
     GeometryError,
     ImmersionChart,
     ShapeData,
     TangentField,
+    _points_first,
     fundamental_data,
     gradient_of_mean_curvature,
     ricci_via_gauss_equation,
@@ -110,16 +109,56 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _map_points(fn: Callable, points: Sequence, workers: int | None) -> list:
+def _batch_size(dim: int, order: int) -> int:
+    """Points per jet pass: the gathered pairs of one product at this
+    dimension and order (8 bytes a pair and point) stay within 128 KiB. That
+    is 130 points at dimension 2 and one at dimension 7, where order-5
+    products cost the same per point batched or not."""
+    return max(1, 16384 // len(_mul_tables(dim, order)[0]))
+
+
+def _map_points(fn: Callable, points: Sequence, workers: int | None,
+                batch: int) -> list:
+    """Rows of `fn` over the sample, in sample order. The sample is cut into
+    batches of `batch` points first; `fn` maps a batch to its rows. The
+    batches then run serially or, with n > 1 workers and at least
+    _POOL_MIN_POINTS points, through a process pool (concurrent.futures is
+    imported only then). The batch boundaries are the same either way, so
+    pooled rows equal serial rows. A pool that cannot start or ship work
+    falls back to the serial path; an exception raised by `fn` propagates
+    once."""
+    batches = [points[i:i + batch] for i in range(0, len(points), batch)]
     n = workers if workers is not None else worker_count()
     if n > 1 and len(points) >= _POOL_MIN_POINTS:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             with ProcessPoolExecutor(max_workers=n) as pool:
-                chunk = max(1, len(points) // (4 * n))
-                return list(pool.map(fn, points, chunksize=chunk))
+                chunk = max(1, len(batches) // (4 * n))
+                return [row for rows in pool.map(fn, batches, chunksize=chunk)
+                        for row in rows]
         except (OSError, NotImplementedError, pickle.PicklingError, BrokenProcessPool):
             pass  # the pool could not start or ship work: run serially
-    return [fn(p) for p in points]
+    return [row for b in batches for row in fn(b)]
+
+
+class _BatchWorker:
+    """Picklable worker over one batch of sample points. It evaluates the
+    whole batch in one jet pass; when that raises a numerical error, it
+    evaluates the batch again one point at a time, so that rows and errors
+    are exactly those of one-point evaluation. A single point runs on
+    one-point jets."""
+
+    def __call__(self, points) -> list:
+        points = [tuple(p) for p in points]
+        if len(points) > 1:
+            try:
+                batch = tuple(np.array(points, dtype=float).T.copy())
+                return self._rows(points, self._evaluate(batch))
+            except (DomainError, GeometryError, FloatingPointError):
+                pass
+        return [self._single(p) for p in points]
 
 
 def _shape_data(chart: ImmersionChart, point, orientation: int,
@@ -152,22 +191,25 @@ class PointResidual:
     scalar_scale: float = math.nan
 
 
-class _PointWorker:
-    """Picklable per-point evaluator for the process pool."""
+class _PointWorker(_BatchWorker):
+    """Residual rows of a batch of sample points."""
 
     def __init__(self, chart, orientation, near_minimal_f):
         self.chart = chart
         self.orientation = orientation
         self.near_minimal_f = near_minimal_f
 
-    def __call__(self, point) -> PointResidual:
-        point = tuple(point)
+    def _single(self, point) -> PointResidual:
         try:
-            return self._evaluate(point)
+            fields = self._evaluate(point)
         except (DomainError, GeometryError, FloatingPointError) as exc:
             return PointResidual(point=point, ok=False, error=str(exc))
+        residual = tuple(float(x) for x in fields.pop("residual"))
+        return PointResidual(point, True, residual=residual, **fields)
 
-    def _evaluate(self, point) -> PointResidual:
+    def _evaluate(self, point) -> dict:
+        """The fields of the residual rows: floats at one point, arrays over
+        a batch (the residual vectors then have shape (m, N))."""
         chart = self.chart
         fd = fundamental_data(chart, point)
         sd = _shape_data(chart, point, self.orientation, fd)
@@ -175,26 +217,40 @@ class _PointWorker:
         lap = rough_laplacian(fd, V)
         A = sd.shape_operator_values()
         v = V.values
-        AAv = A @ (A @ v)
+        AAv = _apply(A, _apply(A, v))
         norm_sq = sd.shape_norm_sq.value
         f = sd.mean_curvature.value
-        row = PointResidual(point, True, f, fd.norm(v), shape_norm_sq=norm_sq,
-                            near_minimal=abs(f) < self.near_minimal_f)
+        grad_norm = fd.norm(v)
+        out = {"f": f, "grad_f_norm": grad_norm, "shape_norm_sq": norm_sq,
+               "near_minimal": abs(f) < self.near_minimal_f}
         if chart.ambient == "euclidean":
             residual = lap + AAv - norm_sq * v
-            row.scale_term = abs(norm_sq) * fd.norm(v) + fd.norm(lap)
+            out["scale_term"] = abs(norm_sq) * grad_norm + fd.norm(lap)
         else:
             m = chart.dim
             coef = 2 * m - 3 - norm_sq
             residual = lap + AAv + coef * v
-            row.scale_term = (fd.norm(lap) + abs(norm_sq) * fd.norm(v)
-                              + abs(coef) * fd.norm(v) + fd.norm(AAv))
+            out["scale_term"] = (fd.norm(lap) + abs(norm_sq) * grad_norm
+                                 + abs(coef) * grad_norm + fd.norm(AAv))
             lap_f = scalar_laplacian(fd, sd.mean_curvature)
-            row.scalar_residual = float(3.0 * lap_f + (3 * m - 6 - norm_sq) * f)
-            row.scalar_scale = 3.0 * abs(lap_f) + abs(3 * m - 6 - norm_sq) * abs(f)
-        row.residual = tuple(float(x) for x in residual)
-        row.residual_norm = fd.norm(residual)
-        return row
+            out["scalar_residual"] = 3.0 * lap_f + (3 * m - 6 - norm_sq) * f
+            out["scalar_scale"] = 3.0 * abs(lap_f) + abs(3 * m - 6 - norm_sq) * abs(f)
+        out["residual"] = residual
+        out["residual_norm"] = fd.norm(residual)
+        return out
+
+    @staticmethod
+    def _rows(points, fields: dict) -> list[PointResidual]:
+        residual = fields.pop("residual")
+        columns = {k: v.tolist() for k, v in fields.items()}
+        return [PointResidual(p, True, residual=tuple(r),
+                              **{k: col[i] for k, col in columns.items()})
+                for i, (p, r) in enumerate(zip(points, residual.T.tolist()))]
+
+
+def _apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v for one point; over a batch, per point (A of shape (m, m, N))."""
+    return A @ v if v.ndim == 1 else np.einsum("ij...,j...->i...", A, v)
 
 
 def _sweep(chart: ImmersionChart, points: Sequence, orientation: int,
@@ -202,7 +258,7 @@ def _sweep(chart: ImmersionChart, points: Sequence, orientation: int,
     """Rows over the sample, the rows that evaluated, the failed count, and
     whether too many points failed to decide."""
     rows = _map_points(_PointWorker(chart, orientation, tol.near_minimal_f),
-                       points, workers)
+                       points, workers, _batch_size(chart.dim, 5))
     ok_rows = [r for r in rows if r.ok]
     failed = len(rows) - len(ok_rows)
     return rows, ok_rows, failed, failed > _FAIL_FRACTION * len(rows) or not ok_rows
@@ -568,21 +624,18 @@ def r4_obstruction(chart: ImmersionChart, grid: tuple[int, int] = (24, 24),
     closures = (_closure_kind(chart, 0), _closure_kind(chart, 1))
     du = (u_hi - u_lo) / nu
     dv = (v_hi - v_lo) / nv
+    cells = [(u_lo + (i + 0.5) * du, v_lo + (j + 0.5) * dv)
+             for i in range(nu) for j in range(nv)]
     lap_sum = 0.0
     weighted_sum = 0.0
     f_sum = 0.0
     area = 0.0
-    for i in range(nu):
-        for j in range(nv):
-            p = (u_lo + (i + 0.5) * du, v_lo + (j + 0.5) * dv)
-            fd = fundamental_data(chart, p, order=4)
-            sd = shape_data_spherical(chart, p, 1, fd)
-            w = math.sqrt(max(np.linalg.det(fd.metric_values()), 0.0)) * du * dv
-            f = sd.mean_curvature.value
-            lap_sum += 3.0 * scalar_laplacian(fd, sd.mean_curvature) * w
-            weighted_sum += sd.shape_norm_sq.value * f * w
-            f_sum += f * w
-            area += w
+    for lap, weighted, fw, w in _map_points(_R4Worker(chart, du, dv), cells, None,
+                                            _batch_size(2, 4)):
+        lap_sum += lap
+        weighted_sum += weighted
+        f_sum += fw
+        area += w
     flipped = f_sum < 0.0
     if flipped:
         lap_sum, weighted_sum, f_sum = -lap_sum, -weighted_sum, -f_sum
@@ -593,6 +646,32 @@ def r4_obstruction(chart: ImmersionChart, grid: tuple[int, int] = (24, 24),
     return R4Obstruction(chart.name, (nu, nv), closures, float(area),
                          float(lap_sum), float(weighted_sum),
                          float(f_sum / area), flipped, holds)
+
+
+class _R4Worker(_BatchWorker):
+    """Per grid cell of the R^4 obstruction: (3 Delta f w, |A|^2 f w, f w, w)
+    with w = sqrt(det g) du dv. A failing cell raises its own error."""
+
+    def __init__(self, chart, du, dv):
+        self.chart = chart
+        self.du = du
+        self.dv = dv
+
+    def _single(self, point) -> tuple:
+        return tuple(float(c) for c in self._evaluate(point))
+
+    def _evaluate(self, point) -> tuple:
+        fd = fundamental_data(self.chart, point, order=4)
+        sd = shape_data_spherical(self.chart, point, 1, fd)
+        det = np.linalg.det(_points_first(fd.metric_values(), 2))
+        w = np.sqrt(np.maximum(det, 0.0)) * self.du * self.dv
+        f = sd.mean_curvature.value
+        return (3.0 * scalar_laplacian(fd, sd.mean_curvature) * w,
+                sd.shape_norm_sq.value * f * w, f * w, w)
+
+    @staticmethod
+    def _rows(points, columns) -> list[tuple]:
+        return list(zip(*(c.tolist() for c in columns)))
 
 
 def _edge_points(chart, var: int, at_hi: bool, count: int = 5):

@@ -436,6 +436,7 @@ def _cmd_check_r4(args) -> _Outcome:
     raw, cfg = load_config(args.config)
     if cfg.ambient != "sphere" or cfg.dim != 2:
         raise ConfigError("cone-r4 needs a 2d sphere-ambient link chart")
+    _require_workers_valid()
     chart = build_chart(cfg)
     obstruction = r4_obstruction(chart)
     return _Outcome("check cone-r4", {"config": raw}, obstruction.as_dict())

@@ -4,7 +4,8 @@ Charts are declared as elementary expressions in named variables. This module
 turns an expression string into a small AST and evaluates it to a `JetValue`:
 a dense truncated Taylor expansion at a base point, storing normalized
 coefficients c_alpha = d^alpha F / alpha! for all multi-indices with
-|alpha| <= order. Order 5 suffices for every downstream quantity (the
+|alpha| <= order, at one base point or at each point of a batch. Order 5
+suffices for every downstream quantity (the
 bitension field consumes three derivatives of the mean curvature, which
 itself consumes two derivatives of the immersion).
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Iterator, Union
 
 import numpy as np
@@ -430,50 +432,45 @@ def _mul_tables(m: int, order: int):
             np.asarray(lo, dtype=np.intp))
 
 
+@lru_cache(maxsize=64)  # one entry per (dimension, order, batch length) in use
+def _batch_slots(m: int, order: int, points: int) -> np.ndarray:
+    """Output slot of every (pair, point) of a product over a batch, in the
+    row-major layout of the gathered pairs."""
+    _, _, lo = _mul_tables(m, order)
+    return (lo[:, None] * points + np.arange(points)).ravel()
+
+
 @lru_cache(maxsize=None)
 def _deriv_tables(m: int, order: int, var: int):
-    """Maps an order-k jet to the order-(k-1) jet of its `var` partial."""
-    ordered, pos = _index_tables(m, order)
-    lowered, low_pos = _index_tables(m, order - 1)
-    src, dst, fac = [], [], []
+    """Maps an order-k jet to the order-(k-1) jet of its `var` partial: the
+    source coefficient and factor of each lowered coefficient, in order."""
+    _, pos = _index_tables(m, order)
+    lowered, _ = _index_tables(m, order - 1)
+    src, fac = [], []
     for beta in lowered:
         alpha = tuple(b + (1 if i == var else 0) for i, b in enumerate(beta))
         src.append(pos[alpha])
-        dst.append(low_pos[beta])
         fac.append(beta[var] + 1)
-    return (np.asarray(src, dtype=np.intp),
-            np.asarray(dst, dtype=np.intp),
-            np.asarray(fac, dtype=np.float64))
+    return np.asarray(src, dtype=np.intp), np.asarray(fac, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
 # Univariate Taylor coefficient recurrences at a point
 
 
-def _poly_mul(a: list[float], b: list[float], n: int) -> list[float]:
-    out = [0.0] * (n + 1)
-    for i, ai in enumerate(a):
-        if i > n or ai == 0.0:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > n:
-                break
-            out[i + j] += ai * bj
-    return out
-
-def _poly_div(a: list[float], b: list[float], n: int) -> list[float]:
-    if b[0] == 0.0:
+def _poly_div(a: list, b: list, n: int) -> list:
+    if np.any(b[0] == 0.0):
         raise DomainError("division by zero constant term")
     out = [0.0] * (n + 1)
     for k in range(n + 1):
         acc = a[k] if k < len(a) else 0.0
         for j in range(k):
-            acc -= out[j] * (b[k - j] if k - j < len(b) else 0.0)
+            acc = acc - out[j] * (b[k - j] if k - j < len(b) else 0.0)
         out[k] = acc / b[0]
     return out
 
-def _poly_pow(s: list[float], a: float, n: int) -> list[float]:
-    if s[0] <= 0.0:
+def _poly_pow(s: list, a: float, n: int) -> list:
+    if np.any(s[0] <= 0.0):
         raise DomainError("fractional power of non-positive value")
     out = [0.0] * (n + 1)
     out[0] = s[0] ** a
@@ -481,61 +478,86 @@ def _poly_pow(s: list[float], a: float, n: int) -> list[float]:
         acc = 0.0
         for j in range(1, k + 1):
             sj = s[j] if j < len(s) else 0.0
-            acc += (a * j - (k - j)) * sj * out[k - j]
+            acc = acc + (a * j - (k - j)) * sj * out[k - j]
         out[k] = acc / (k * s[0])
     return out
 
 
-def _series(fn: str, c: float, n: int) -> list[float]:
-    """Taylor coefficients a_j = fn^(j)(c)/j! for j = 0..n."""
+# elementary functions of an array of base values, one value per point
+_ARRAY_FUNCTIONS = SimpleNamespace(
+    exp=np.exp, log=np.log, sin=np.sin, cos=np.cos, sinh=np.sinh, cosh=np.cosh,
+    atan=np.arctan, asin=np.arcsin, acos=np.arccos)
+
+
+def _series(fn: str, c, n: int) -> list:
+    """Taylor coefficients a_j = fn^(j)(c)/j! for j = 0..n. The base value c
+    is a float (math functions) or an array of per-point values (numpy
+    functions); a value that is not finite raises DomainError."""
+    if isinstance(c, float):
+        if not math.isfinite(c):
+            raise DomainError(f"{fn} of a value that is not finite")
+        try:
+            return _series_of(fn, c, n, math)
+        except OverflowError:
+            raise DomainError(f"{fn}({c!r}) is not finite") from None
+    if not np.isfinite(c).all():
+        raise DomainError(f"{fn} of a value that is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _series_of(fn, c, n, _ARRAY_FUNCTIONS)
+    if not np.isfinite(v[0]).all():
+        raise DomainError(f"{fn} is not finite at some point")
+    return v
+
+
+def _series_of(fn: str, c, n: int, lib) -> list:
     if fn == "exp":
-        v = [math.exp(c)]
+        v = [lib.exp(c)]
         for k in range(1, n + 1):
             v.append(v[k - 1] / k)
         return v
     if fn == "log":
-        if c <= 0.0:
+        if np.any(c <= 0.0):
             raise DomainError("log of non-positive value")
-        v = [math.log(c), 1.0 / c]
+        v = [lib.log(c), 1.0 / c]
         for k in range(2, n + 1):
             v.append(-(k - 1) * v[k - 1] / (k * c))
         return v[: n + 1]
     if fn == "sqrt":
-        if c <= 0.0:
+        if np.any(c <= 0.0):
             raise DomainError("sqrt of non-positive value")
         return _poly_pow([c, 1.0], 0.5, n)
     if fn in ("sin", "cos"):
-        s, co = [math.sin(c)], [math.cos(c)]
+        s, co = [lib.sin(c)], [lib.cos(c)]
         for k in range(1, n + 1):
             s.append(co[k - 1] / k)
             co.append(-s[k - 1] / k)
         return s if fn == "sin" else co
     if fn in ("sinh", "cosh"):
-        s, co = [math.sinh(c)], [math.cosh(c)]
+        s, co = [lib.sinh(c)], [lib.cosh(c)]
         for k in range(1, n + 1):
             s.append(co[k - 1] / k)
             co.append(s[k - 1] / k)
         return s if fn == "sinh" else co
     if fn == "tan":
-        return _poly_div(_series("sin", c, n), _series("cos", c, n), n)
+        return _poly_div(_series_of("sin", c, n, lib), _series_of("cos", c, n, lib), n)
     if fn == "cot":
-        return _poly_div(_series("cos", c, n), _series("sin", c, n), n)
+        return _poly_div(_series_of("cos", c, n, lib), _series_of("sin", c, n, lib), n)
     if fn == "tanh":
-        return _poly_div(_series("sinh", c, n), _series("cosh", c, n), n)
+        return _poly_div(_series_of("sinh", c, n, lib), _series_of("cosh", c, n, lib), n)
     if fn == "atan":
         w = [1.0 + c * c, 2.0 * c, 1.0]
         g = _poly_div([1.0], w, max(n - 1, 0))
-        v = [math.atan(c)]
+        v = [lib.atan(c)]
         for k in range(1, n + 1):
             v.append(g[k - 1] / k)
         return v
     if fn in ("asin", "acos"):
-        if abs(c) >= 1.0:
+        if np.any(abs(c) >= 1.0):
             raise DomainError(f"{fn} outside (-1, 1)")
         w = _poly_pow([1.0 - c * c, -2.0 * c, -1.0], 0.5, max(n - 1, 0))
         g = _poly_div([1.0], w, max(n - 1, 0))
         sign = 1.0 if fn == "asin" else -1.0
-        v = [math.asin(c) if fn == "asin" else math.acos(c)]
+        v = [lib.asin(c) if fn == "asin" else lib.acos(c)]
         for k in range(1, n + 1):
             v.append(sign * g[k - 1] / k)
         return v
@@ -549,11 +571,18 @@ def _series(fn: str, c: float, n: int) -> list[float]:
 class JetValue:
     """Dense truncated Taylor expansion: coeffs[i] = d^alpha F / alpha!.
 
-    Binary operations between jets of different orders truncate to the lower
-    order; mixing dimensions is an error.
+    `coeffs` has shape (ncoef,) for one base point, or (ncoef, N) for a batch
+    of N base points carried through one pass (the vector forward mode of
+    Griewank & Walther, Evaluating Derivatives, 2nd ed.). A one-point jet
+    combined with a batch acts as a constant across the batch; so does a
+    float, and an array of shape (N,) holds one constant per point. Binary
+    operations between jets of different orders truncate to the lower order;
+    mixing dimensions is an error. `value` and `partial` return a float for
+    one point and an array for a batch.
     """
 
     __slots__ = ("m", "order", "coeffs")
+    __array_ufunc__ = None  # ndarray <op> jet defers to the jet's operator
 
     def __init__(self, m: int, order: int, coeffs: np.ndarray):
         self.m = m
@@ -563,18 +592,18 @@ class JetValue:
     # construction ----------------------------------------------------------
 
     @classmethod
-    def constant(cls, value: float, m: int, order: int) -> "JetValue":
+    def constant(cls, value, m: int, order: int) -> "JetValue":
         ordered, _ = _index_tables(m, order)
-        coeffs = np.zeros(len(ordered))
+        coeffs = np.zeros((len(ordered),) + getattr(value, "shape", ()))
         coeffs[0] = value
         return cls(m, order, coeffs)
 
     @classmethod
-    def variable(cls, index: int, value: float, m: int, order: int) -> "JetValue":
+    def variable(cls, index: int, value, m: int, order: int) -> "JetValue":
         if not 0 <= index < m:
             raise ValueError(f"variable index {index} out of range for dimension {m}")
         ordered, pos = _index_tables(m, order)
-        coeffs = np.zeros(len(ordered))
+        coeffs = np.zeros((len(ordered),) + getattr(value, "shape", ()))
         coeffs[0] = value
         if order >= 1:
             unit = tuple(1 if i == index else 0 for i in range(m))
@@ -584,8 +613,9 @@ class JetValue:
     # helpers ----------------------------------------------------------------
 
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def value(self):
+        c = self.coeffs[0]
+        return float(c) if self.coeffs.ndim == 1 else c
 
     def truncate(self, order: int) -> "JetValue":
         if order == self.order:
@@ -595,13 +625,29 @@ class JetValue:
         ordered, _ = _index_tables(self.m, order)
         return JetValue(self.m, order, self.coeffs[: len(ordered)].copy())
 
-    def _align(self, other: "JetValue") -> tuple["JetValue", "JetValue"]:
+    def _align(self, other: "JetValue") -> tuple[int, np.ndarray, np.ndarray]:
+        """The common order and both coefficient arrays truncated to it, a
+        one-point jet shaped to broadcast against a batch."""
         if self.m != other.m:
             raise ValueError("jet dimensions differ")
         k = min(self.order, other.order)
-        return self.truncate(k), other.truncate(k)
+        a, b = self.coeffs, other.coeffs
+        if self.order != other.order:
+            n = len(_index_tables(self.m, k)[0])
+            a, b = a[:n], b[:n]
+        if a.ndim != b.ndim:
+            if a.ndim == 1:
+                a = np.broadcast_to(a[:, None], b.shape)
+            else:
+                b = np.broadcast_to(b[:, None], a.shape)
+        return k, a, b
 
-    def partial(self, alpha: tuple[int, ...]) -> float:
+    def _columns(self, other) -> np.ndarray:
+        """coeffs shaped to combine with a float or a per-point array."""
+        c = self.coeffs
+        return c[:, None] if c.ndim == 1 and getattr(other, "ndim", 0) == 1 else c
+
+    def partial(self, alpha: tuple[int, ...]):
         """Raw partial derivative d^alpha F at the base point."""
         if len(alpha) != self.m:
             raise ValueError("multi-index length mismatch")
@@ -612,7 +658,8 @@ class JetValue:
         scale = 1.0
         for a in alpha:
             scale *= math.factorial(a)
-        return float(self.coeffs[pos[tuple(alpha)]]) * scale
+        c = self.coeffs[pos[tuple(alpha)]]
+        return (float(c) if self.coeffs.ndim == 1 else c) * scale
 
     def derivative(self, var: int) -> "JetValue":
         """Jet of the partial derivative in variable `var`, one order lower."""
@@ -620,20 +667,21 @@ class JetValue:
             raise ValueError("cannot differentiate an order-0 jet")
         if not 0 <= var < self.m:
             raise ValueError("variable index out of range")
-        src, dst, fac = _deriv_tables(self.m, self.order, var)
-        out = np.zeros(len(dst))
-        out[dst] = self.coeffs[src] * fac
-        return JetValue(self.m, self.order - 1, out)
+        src, fac = _deriv_tables(self.m, self.order, var)
+        c = self.coeffs[src]
+        return JetValue(self.m, self.order - 1, c * (fac if c.ndim == 1 else fac[:, None]))
 
     # arithmetic ---------------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
-            out = self.coeffs.copy()
-            out[0] += other
-            return JetValue(self.m, self.order, out)
-        a, b = self._align(other)
-        return JetValue(a.m, a.order, a.coeffs + b.coeffs)
+        if isinstance(other, JetValue):
+            k, a, b = self._align(other)
+            return JetValue(self.m, k, a + b)
+        if isinstance(other, np.ndarray) and self.coeffs.ndim == 1:
+            return JetValue.constant(other, self.m, self.order) + self
+        out = self.coeffs.copy()
+        out[0] += other
+        return JetValue(self.m, self.order, out)
 
     __radd__ = __add__
 
@@ -641,37 +689,46 @@ class JetValue:
         return JetValue(self.m, self.order, -self.coeffs)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return self + (-other)
-        a, b = self._align(other)
-        return JetValue(a.m, a.order, a.coeffs - b.coeffs)
+        if isinstance(other, JetValue):
+            k, a, b = self._align(other)
+            return JetValue(self.m, k, a - b)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return JetValue(self.m, self.order, self.coeffs * other)
-        a, b = self._align(other)
-        li, lj, lo = _mul_tables(a.m, a.order)
-        out = np.bincount(lo, weights=a.coeffs[li] * b.coeffs[lj],
-                          minlength=len(a.coeffs))
-        return JetValue(a.m, a.order, out)
+        if not isinstance(other, JetValue):
+            return JetValue(self.m, self.order, self._columns(other) * other)
+        k, a, b = self._align(other)
+        li, lj, lo = _mul_tables(self.m, k)
+        if a.ndim == 1:
+            out = np.bincount(lo, weights=a[li] * b[lj], minlength=len(a))
+        else:
+            # one bincount over the flattened batch: each coefficient of each
+            # point sums its pairs in the same order as for one point
+            n, points = a.shape
+            pairs = a.take(li, axis=0)
+            pairs *= b.take(lj, axis=0)
+            out = np.bincount(_batch_slots(self.m, k, points), weights=pairs.ravel(),
+                              minlength=n * points).reshape(n, points)
+        return JetValue(self.m, k, out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            if other == 0.0:
+        if not isinstance(other, JetValue):
+            if np.any(other == 0.0):
                 raise DomainError("division by zero constant")
-            return JetValue(self.m, self.order, self.coeffs / other)
-        a, b = self._align(other)
-        if b.value == 0.0:
+            return JetValue(self.m, self.order, self._columns(other) / other)
+        if other.order > self.order:
+            other = other.truncate(self.order)
+        if np.any(other.value == 0.0):
             raise DomainError("division by zero constant term")
-        return a * b._reciprocal()
+        return self * other._reciprocal()
 
     def __rtruediv__(self, other):
-        if self.value == 0.0:
+        if np.any(self.value == 0.0):
             raise DomainError("division by zero constant term")
         return self._reciprocal() * other
 
@@ -682,7 +739,7 @@ class JetValue:
             series.append(-series[-1] / c)
         return self._horner(series)
 
-    def _horner(self, series: list[float]) -> "JetValue":
+    def _horner(self, series: list) -> "JetValue":
         """Compose the univariate Taylor series with the zero-constant part."""
         w = JetValue(self.m, self.order, self.coeffs.copy())
         w.coeffs[0] = 0.0
@@ -721,9 +778,11 @@ class JetValue:
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Base point and truncation order for jet evaluation."""
+    """Base point and truncation order for jet evaluation. The point holds
+    one float per variable, or one array per variable for a batch of points
+    evaluated in one pass."""
 
-    point: tuple[float, ...]
+    point: tuple
     order: int = 5
 
     @property

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +40,7 @@ from .exprjet import (
     parse_expression,
     shift_variables,
     Var,
+    _index_tables,
 )
 
 __all__ = [
@@ -130,16 +132,28 @@ class ImmersionChart:
     def ambient_dim(self) -> int:
         return self.dim + (1 if self.ambient == "euclidean" else 2)
 
-    def component_jets(self, point: Sequence[float], order: int = 5) -> list[JetValue]:
+    def component_jets(self, point: Sequence, order: int = 5) -> list[JetValue]:
+        """Jets of the components at a point (one float per variable), or at
+        a batch of points (one array per variable). Components with a `jet`
+        method are evaluated point by point and stacked."""
         if len(point) != self.dim:
             raise GeometryError("point dimension does not match chart")
-        ctx = EvalContext(tuple(float(x) for x in point), order)
+        pt, batched = _as_point(point)
+        ctx = EvalContext(pt, order)
         jets = []
         for comp in self.components:
-            if hasattr(comp, "jet"):
-                jets.append(comp.jet(ctx.point, self.dim, order))
+            if not hasattr(comp, "jet"):
+                jet = eval_jet(comp, ctx)
+            elif not batched:
+                jet = comp.jet(pt, self.dim, order)
             else:
-                jets.append(eval_jet(comp, ctx))
+                cols = [comp.jet(p, self.dim, order).coeffs
+                        for p in zip(*(x.tolist() for x in pt))]
+                jet = JetValue(self.dim, order, np.stack(cols, axis=1))
+            if batched and jet.coeffs.ndim == 1:  # a constant component
+                jet = JetValue(self.dim, order,
+                               np.repeat(jet.coeffs[:, None], len(pt[0]), axis=1))
+            jets.append(jet)
         return jets
 
     def grid_axes(self, default_count: int = 20, cap: int = 10_000) -> list[np.ndarray]:
@@ -194,12 +208,51 @@ def generalized_cylinder(chart: ImmersionChart,
                           names, components, (w_interval,) + chart.domain, sampling)
 
 
+def _as_point(point: Sequence) -> tuple[tuple, bool]:
+    """A point as a tuple of floats, or a batch as a tuple of float arrays
+    (one per variable); and whether it is a batch."""
+    if isinstance(point[0], np.ndarray):
+        return tuple(np.asarray(x, dtype=float) for x in point), True
+    return tuple(float(x) for x in point), False
+
+
 # ---------------------------------------------------------------------------
 # Jet linear algebra helpers (matrices of jets as nested lists)
 
 
+def _values(rows) -> np.ndarray:
+    """Values of a matrix of jets; over a batch the point axis comes last."""
+    return np.array([[x.value for x in row] for row in rows])
+
+
+def _points_first(a: np.ndarray, rank: int) -> np.ndarray:
+    """A value array of tensor rank `rank` with the point axis of a batch
+    moved to the front, as stacked numpy.linalg calls expect."""
+    return np.moveaxis(a, -1, 0) if a.ndim > rank else a
+
+
+def _points_last(a: np.ndarray, rank: int) -> np.ndarray:
+    return np.moveaxis(a, 0, -1) if a.ndim > rank else a
+
+
+@lru_cache(maxsize=None)
+def _partial_slots(m: int):
+    """Coefficient positions of the first partials (first[i]) and of the
+    second partials (second[i, j]) in a jet of order >= 2, and alpha! for
+    every coefficient up to order 2 (raw partial = coefficient * alpha!)."""
+    ordered, pos = _index_tables(m, 2)
+    unit = [tuple(int(a == i) for a in range(m)) for i in range(m)]
+    first = np.array([pos[e] for e in unit])
+    second = np.array([[pos[tuple(a + b for a, b in zip(ei, ej))] for ej in unit]
+                       for ei in unit])
+    fac = np.array([float(math.prod(math.factorial(a) for a in alpha))
+                    for alpha in ordered])
+    return first, second, fac
+
+
 def _jet_matrix_inverse(g: list[list[JetValue]], g0_inv: np.ndarray) -> list[list[JetValue]]:
-    """Truncated Neumann series around the numeric inverse of the value part."""
+    """Truncated Neumann series around the numeric inverse of the value part
+    (over a batch g0_inv[i, j] holds one value per point)."""
     m = len(g)
     order = g[0][0].order
     # M = I - g0_inv @ g has zero constant part, so M^(order+1) truncates away.
@@ -228,9 +281,10 @@ def _dot(row: list[JetValue], col) -> JetValue:
 
 @dataclass
 class FundamentalData:
-    """First-order data of a chart at one point (entries are jets)."""
+    """First-order data of a chart at one point, or at a batch of points
+    (entries are jets; `point` then holds one array per variable)."""
 
-    point: tuple[float, ...]
+    point: tuple
     metric: list[list[JetValue]]
     inverse_metric: list[list[JetValue]]
     christoffels: list[list[list[JetValue]]]  # [k][i][j] = Gamma^k_ij
@@ -242,25 +296,26 @@ class FundamentalData:
         return len(self.metric)
 
     def metric_values(self) -> np.ndarray:
-        m = self.dim
-        return np.array([[self.metric[i][j].value for j in range(m)] for i in range(m)])
+        return _values(self.metric)
 
     def inverse_metric_values(self) -> np.ndarray:
-        m = self.dim
-        return np.array([[self.inverse_metric[i][j].value for j in range(m)]
-                         for i in range(m)])
+        return _values(self.inverse_metric)
 
-    def norm(self, vec: np.ndarray) -> float:
+    def norm(self, vec: np.ndarray):
+        """|vec|_g: a float, or an array over a batch (vec of shape (m, N))."""
         g = self.metric_values()
-        return float(math.sqrt(max(vec @ g @ vec, 0.0)))
+        if vec.ndim == 1:
+            return float(math.sqrt(max(vec @ g @ vec, 0.0)))
+        return np.sqrt(np.maximum(np.einsum("i...,ij...,j...->...", vec, g, vec), 0.0))
 
 
 @dataclass
 class ShapeData:
     """Second-order data: unit normal, second fundamental form, shape
-    operator, signed mean curvature, |A|^2 (entries are jets)."""
+    operator, signed mean curvature, |A|^2 (entries are jets, at one point or
+    over a batch)."""
 
-    point: tuple[float, ...]
+    point: tuple
     orientation: int
     normal: list[JetValue]
     second_fundamental: list[list[JetValue]]
@@ -273,9 +328,7 @@ class ShapeData:
         return len(self.shape_operator)
 
     def shape_operator_values(self) -> np.ndarray:
-        m = self.dim
-        return np.array([[self.shape_operator[i][j].value for j in range(m)]
-                         for i in range(m)])
+        return _values(self.shape_operator)
 
 
 @dataclass
@@ -300,39 +353,50 @@ class TangentField:
 # Core computations
 
 
-def fundamental_data(chart: ImmersionChart, point: Sequence[float],
+def fundamental_data(chart: ImmersionChart, point: Sequence,
                      order: int = 5) -> FundamentalData:
-    """Metric, inverse metric and Christoffel symbols at `point`.
+    """Metric, inverse metric and Christoffel symbols at `point`: one float
+    per variable, or one array per variable for a batch of points carried
+    through one jet pass (the gates then test every point of the batch).
 
     Each quantity is carried only to the jet order the residual reads:
     component jets at `order`, tangents at `order - 1`, the metric and its
     inverse at `order - 2`, the Christoffel symbols at order 1.
 
-    Raises SingularImmersionError when g fails the positive-definiteness or
+    Raises DomainError when a component jet or the metric is not finite,
+    SingularImmersionError when g fails the positive-definiteness or
     conditioning check, SphereConstraintError when a sphere-ambient chart is
     off the unit sphere by more than 1e-10.
     """
-    pt = tuple(float(x) for x in point)
-    cjets = chart.component_jets(pt, order)
-    if chart.ambient == "sphere":
-        radius_sq = sum(j.value * j.value for j in cjets)
-        if abs(radius_sq - 1.0) > _SPHERE_TOL:
-            raise SphereConstraintError(
-                f"|X|^2 = {radius_sq!r} at {pt} (must be 1 within {_SPHERE_TOL})")
+    pt, _ = _as_point(point)
     m = chart.dim
-    tangents = [[j.derivative(i) for j in cjets] for i in range(m)]
-    low = [[t.truncate(order - 2) for t in row] for row in tangents]
-    metric = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            metric[i][j] = metric[j][i] = _dot(low[i], low[j])
-    g0 = np.array([[metric[i][j].value for j in range(m)] for i in range(m)])
+    # overflow is reported as DomainError below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        cjets = chart.component_jets(pt, order)
+        if not all(np.isfinite(j.coeffs).all() for j in cjets):
+            raise DomainError(f"component jets are not finite at {pt}")
+        if chart.ambient == "sphere":
+            radius_sq = sum(j.value * j.value for j in cjets)
+            if np.any(abs(radius_sq - 1.0) > _SPHERE_TOL):
+                raise SphereConstraintError(
+                    f"|X|^2 = {radius_sq!r} at {pt} (must be 1 within {_SPHERE_TOL})")
+        tangents = [[j.derivative(i) for j in cjets] for i in range(m)]
+        low = [[t.truncate(order - 2) for t in row] for row in tangents]
+        metric = [[None] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                metric[i][j] = metric[j][i] = _dot(low[i], low[j])
+        g0 = _values(metric)
+    if not np.isfinite(g0).all():
+        raise DomainError(f"metric is not finite at {pt}")
+    g0 = _points_first(g0, 2)
     eigs = np.linalg.eigvalsh(g0)
-    if eigs[0] <= _METRIC_EIG_FLOOR * max(eigs[-1], 1.0) or eigs[0] <= 0.0:
+    lowest, highest = eigs[..., 0], eigs[..., -1]
+    if np.any((lowest <= _METRIC_EIG_FLOOR * np.maximum(highest, 1.0)) | (lowest <= 0.0)):
         raise SingularImmersionError(f"metric not positive definite at {pt}")
-    if eigs[-1] / eigs[0] > _METRIC_COND_CEIL:
+    if np.any(highest / lowest > _METRIC_COND_CEIL):
         raise SingularImmersionError(f"metric condition number exceeds 1e10 at {pt}")
-    ginv = _jet_matrix_inverse(metric, np.linalg.inv(g0))
+    ginv = _jet_matrix_inverse(metric, _points_last(np.linalg.inv(g0), 2))
     # the Laplacians read only the values and first derivatives of Gamma
     c_order = min(1, order - 3)
     ginv_c = [[x.truncate(c_order) for x in row] for row in ginv]
@@ -411,15 +475,16 @@ def _normal_direction(fd: FundamentalData, position: list[JetValue] | None) -> l
     k = fd.inverse_metric[0][0].order
     T = [[t.truncate(k) for t in row] for row in fd.tangents]
     frame = fd.tangents if position is None else [position] + fd.tangents
-    R0 = np.array([[x.value for x in row] for row in frame])
+    R0 = _points_first(_values(frame), 2)
     try:
-        e = np.linalg.svd(R0)[2][-1]
+        e = np.linalg.svd(R0)[2][..., -1, :]
     except np.linalg.LinAlgError as exc:
         raise SingularImmersionError(f"no normal at {fd.point}: {exc}") from exc
     # the orientation of the Hodge dual of the frame
-    if np.linalg.det(np.vstack([e, R0])) < 0.0:
-        e = -e
-    w = _off_tangents(T, fd.inverse_metric, [float(x) for x in e])
+    det = np.linalg.det(np.concatenate([e[..., None, :], R0], axis=-2))
+    e = np.where((np.asarray(det) < 0.0)[..., None], -e, e)
+    w = _off_tangents(T, fd.inverse_metric,
+                      list(e.T) if e.ndim == 2 else [float(x) for x in e])
     if position is not None:
         X = _off_tangents(T, fd.inverse_metric, [x.truncate(k) for x in position])
         s = _dot(X, w) / _dot(X, X)
@@ -429,7 +494,7 @@ def _normal_direction(fd: FundamentalData, position: list[JetValue] | None) -> l
 
 def _finish_normal(chart, fd, w, orientation):
     norm_sq = _dot(w, w)
-    if norm_sq.value <= 0.0:
+    if np.any(norm_sq.value <= 0.0):
         raise SingularImmersionError(f"degenerate tangent frame at {fd.point}")
     inv_norm = 1.0 / norm_sq.compose("sqrt")
     normal = [wi * inv_norm for wi in w]
@@ -452,54 +517,43 @@ def rough_laplacian(fd: FundamentalData, V: TangentField) -> np.ndarray:
     """Connection Laplacian Delta V = -trace_g(nabla^2 V) at the base point.
 
     Needs V carried to jet order >= 2 and Christoffels to order >= 1; returns
-    the coordinate components of Delta V as floats.
+    the coordinate components of Delta V as floats (shape (m, N) over a
+    batch). The partials are read as coefficient gathers.
     """
     m = fd.dim
-    ginv = fd.inverse_metric_values()
-    Gam = np.array([[[fd.christoffels[k][i][j].value for j in range(m)]
-                     for i in range(m)] for k in range(m)])
-    dGam = np.array([[[[fd.christoffels[k][j][r].derivative(i).value
-                        for r in range(m)] for j in range(m)]
-                      for k in range(m)] for i in range(m)])
-    Vv = V.values
-    dV = np.array([[V.components[k].derivative(i).value for k in range(m)]
-                   for i in range(m)])
-    unit = [0] * m
-    ddV = np.zeros((m, m, m))
-    for i in range(m):
-        for j in range(m):
-            alpha = unit[:]
-            alpha[i] += 1
-            alpha[j] += 1
-            for k in range(m):
-                ddV[i, j, k] = V.components[k].partial(tuple(alpha))
+    first, second, fac = _partial_slots(m)
+    ginv = _points_first(fd.inverse_metric_values(), 2)
+    C = _points_first(np.array([[[c.coeffs[: m + 1] for c in row] for row in plane]
+                                for plane in fd.christoffels]), 4)
+    Gam = C[..., 0]  # Gam[k, i, j] = Gamma^k_ij
+    dGam = np.moveaxis(C[..., first], -1, -4)  # dGam[i, k, j, r] = d_i Gamma^k_jr
+    Vc = _points_first(np.array([c.coeffs[: len(fac)] for c in V.components]), 2) * fac
+    Vv = Vc[..., 0]
+    dV = np.swapaxes(Vc[..., first], -1, -2)  # dV[i, k] = d_i V^k
+    ddV = np.moveaxis(Vc[..., second], -3, -1)  # ddV[i, j, k] = d_i d_j V^k
     # nabla_i nabla_j V - nabla_(Gamma^l_ij d_l) V, then minus the g-trace
     term = (ddV
-            + np.einsum("ikjr,r->ijk", dGam, Vv)
-            + np.einsum("kjr,ir->ijk", Gam, dV)
-            + np.einsum("kir,jr->ijk", Gam, dV)
-            + np.einsum("kir,rjs,s->ijk", Gam, Gam, Vv)
-            - np.einsum("lij,lk->ijk", Gam, dV)
-            - np.einsum("lij,klr,r->ijk", Gam, Gam, Vv))
-    return -np.einsum("ij,ijk->k", ginv, term)
+            + np.einsum("...ikjr,...r->...ijk", dGam, Vv)
+            + np.einsum("...kjr,...ir->...ijk", Gam, dV)
+            + np.einsum("...kir,...jr->...ijk", Gam, dV)
+            + np.einsum("...kir,...rjs,...s->...ijk", Gam, Gam, Vv)
+            - np.einsum("...lij,...lk->...ijk", Gam, dV)
+            - np.einsum("...lij,...klr,...r->...ijk", Gam, Gam, Vv))
+    return _points_last(-np.einsum("...ij,...ijk->...k", ginv, term), 1)
 
 
-def scalar_laplacian(fd: FundamentalData, f: JetValue) -> float:
-    """Laplace-Beltrami with the geometer's sign: Delta f = -trace_g Hess f."""
+def scalar_laplacian(fd: FundamentalData, f: JetValue):
+    """Laplace-Beltrami with the geometer's sign: Delta f = -trace_g Hess f
+    (a float, or an array over a batch)."""
     m = fd.dim
-    ginv = fd.inverse_metric_values()
-    Gam = np.array([[[fd.christoffels[k][i][j].value for j in range(m)]
-                     for i in range(m)] for k in range(m)])
-    df = np.array([f.derivative(i).value for i in range(m)])
-    ddf = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            alpha = [0] * m
-            alpha[i] += 1
-            alpha[j] += 1
-            ddf[i, j] = f.partial(tuple(alpha))
-    hess = ddf - np.einsum("lij,l->ij", Gam, df)
-    return float(-np.einsum("ij,ij->", ginv, hess))
+    first, second, fac = _partial_slots(m)
+    ginv = _points_first(fd.inverse_metric_values(), 2)
+    Gam = _points_first(np.array([[[c.value for c in row] for row in plane]
+                                  for plane in fd.christoffels]), 3)
+    fc = _points_first(f.coeffs[: len(fac)], 1) * fac
+    hess = fc[..., second] - np.einsum("...lij,...l->...ij", Gam, fc[..., first])
+    out = -np.einsum("...ij,...ij->...", ginv, hess)
+    return float(out) if out.ndim == 0 else out
 
 
 def ricci_via_gauss_equation(sd: ShapeData, X: TangentField) -> TangentField:

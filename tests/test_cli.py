@@ -488,3 +488,45 @@ def test_console_script_end_to_end():
     payload = json.loads(proc.stdout)
     assert payload["results"]["a_sq_exact"] == "5/14"
     assert "elapsed" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# non-finite jets and the worker count of the R^4 obstruction
+
+
+# (component, u interval, u from which the cause is a non-finite value);
+# below it the metric is finite but far past the conditioning gate. The
+# sine case used to give a NotBiharmonic verdict from rows of NaN.
+@pytest.mark.parametrize("component, lo, hi, non_finite_from", [
+    ("exp(exp(u))", 6.0, 7.0, 6.0),
+    ("exp(exp(u))", 5.5, 6.0, 6.0),
+    ("sin(1e300*u*u)", 1.0, 2.0, 1.0),
+])
+def test_verify_overflowing_component_fails_points_not_the_run(tmp_path, component, lo,
+                                                               hi, non_finite_from):
+    path = write_config(tmp_path, name="overflow", components=["u", "v", component],
+                        domain={"u": [lo, hi], "v": [-1.0, 1.0]},
+                        samples={"u": 3, "v": 2})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "gausslab.cli", "verify", "--config", path],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 4
+    results = json.loads(proc.stdout)["results"]
+    assert results["verdict"] == "Inconclusive"
+    assert not any(p["ok"] for p in results["points"])
+    for p in results["points"]:
+        if p["point"][0] >= non_finite_from:
+            assert "not finite" in p["error"], p
+        else:
+            assert "metric not positive definite" in p["error"], p
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_check_cone_r4_bad_thread_env_is_config_error(capsys, monkeypatch):
+    monkeypatch.setenv("GAUSSLAB_THREADS", "zero")
+    code, _, err = run(capsys, "check", "cone-r4", "--config",
+                       str(CONFIGS / "torus_link.json"))
+    assert code == 2
+    assert "GAUSSLAB_THREADS" in err
