@@ -46,9 +46,9 @@ __all__ = [
     "to_source",
     "shift_variables",
     "JetValue",
+    "contract",
     "EvalContext",
     "eval_jet",
-    "extract_partial",
     "FUNCTIONS",
 ]
 
@@ -176,12 +176,33 @@ def _tokenize(source: str) -> list[_Token]:
 # Parser
 
 
+# Bound on the parser's nesting and on the AST depth: deeper input would
+# exhaust the recursion of parsing, evaluation and pickling for the pool. The
+# deepest chart shipped with the package has depth 10.
+_MAX_DEPTH = 100
+
+
+def _check_depth(node: ExprAst, offset: int) -> None:
+    """Raise ExpressionError at `offset` if the AST is deeper than
+    _MAX_DEPTH; walked with an explicit stack, as a deep AST would exhaust
+    recursion."""
+    stack = [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > _MAX_DEPTH:
+            raise ExpressionError(f"expression nested deeper than {_MAX_DEPTH} levels", offset)
+        for name in ("operand", "left", "right", "base", "arg"):  # the subtrees
+            if hasattr(node, name):
+                stack.append((getattr(node, name), depth + 1))
+
+
 class _Parser:
     def __init__(self, source: str, variables: tuple[str, ...]):
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         self.variables = {name: i for i, name in enumerate(variables)}
+        self.nesting = 0  # unary rules in progress; every recursion passes one
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -202,6 +223,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "END":
             raise ExpressionError(f"unexpected token {tok.text!r}", tok.offset)
+        _check_depth(node, 0)
         return node
 
     def expr(self) -> ExprAst:
@@ -225,6 +247,7 @@ class _Parser:
             self.advance()
             exp_tok = self.peek()
             exp_node = self.unary()
+            _check_depth(exp_node, exp_tok.offset)  # before the recursive fold
             try:
                 value = _fold_constant(exp_node)
             except (ArithmeticError, ValueError) as exc:
@@ -237,10 +260,17 @@ class _Parser:
 
     def unary(self) -> ExprAst:
         tok = self.peek()
+        self.nesting += 1
+        if self.nesting > _MAX_DEPTH:
+            raise ExpressionError(
+                f"expression nested deeper than {_MAX_DEPTH} levels", tok.offset)
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.primary()
+            node = Neg(self.unary())
+        else:
+            node = self.primary()
+        self.nesting -= 1
+        return node
 
     def primary(self) -> ExprAst:
         tok = self.advance()
@@ -327,7 +357,8 @@ def _fold_constant(node: ExprAst) -> float | None:
 
 
 def parse_expression(source: str, variables: tuple[str, ...] | list[str]) -> ExprAst:
-    """Parse `source` over the given variable names; raises ExpressionError."""
+    """Parse `source` over the given variable names; raises ExpressionError,
+    also for an expression nested deeper than _MAX_DEPTH levels."""
     return _Parser(source, tuple(variables)).parse()
 
 
@@ -432,12 +463,12 @@ def _mul_tables(m: int, order: int):
             np.asarray(lo, dtype=np.intp))
 
 
-@lru_cache(maxsize=64)  # one entry per (dimension, order, batch length) in use
-def _batch_slots(m: int, order: int, points: int) -> np.ndarray:
-    """Output slot of every (pair, point) of a product over a batch, in the
-    row-major layout of the gathered pairs."""
+@lru_cache(maxsize=64)  # one entry per (dimension, order, trailing size) in use
+def _pair_slots(m: int, order: int, size: int) -> np.ndarray:
+    """Output slot of every (pair, trailing entry) of a product with `size`
+    tensor and point entries per coefficient, in row-major order."""
     _, _, lo = _mul_tables(m, order)
-    return (lo[:, None] * points + np.arange(points)).ravel()
+    return (lo[:, None] * size + np.arange(size)).ravel()
 
 
 @lru_cache(maxsize=None)
@@ -569,34 +600,39 @@ def _series_of(fn: str, c, n: int, lib) -> list:
 
 
 class JetValue:
-    """Dense truncated Taylor expansion: coeffs[i] = d^alpha F / alpha!.
+    """Dense truncated Taylor expansion of a scalar or tensor field:
+    coeffs[c] = d^alpha F / alpha! for the c-th multi-index alpha.
 
-    `coeffs` has shape (ncoef,) for one base point, or (ncoef, N) for a batch
-    of N base points carried through one pass (the vector forward mode of
-    Griewank & Walther, Evaluating Derivatives, 2nd ed.). A one-point jet
-    combined with a batch acts as a constant across the batch; so does a
-    float, and an array of shape (N,) holds one constant per point. Binary
-    operations between jets of different orders truncate to the lower order;
-    mixing dimensions is an error. `value` and `partial` return a float for
-    one point and an array for a batch.
+    `coeffs` has shape (ncoef, *tensor, [N]): the coefficient axis, `rank`
+    tensor axes, then optionally a point axis of N base points carried
+    through one pass (the vector forward mode of Griewank & Walther,
+    Evaluating Derivatives, 2nd ed., ch. 13). `value` and `partial` drop the
+    coefficient axis (a float for a scalar at one point). Indexing and
+    iteration run over the first tensor axis. `+ - *` act entry by entry,
+    broadcasting tensor axes as numpy does; `contract` sums over them. A
+    one-point jet or a float combined with a batch acts as a constant
+    across it; an array laid out like `value` is a constant per entry (and
+    per point). Operands of different orders truncate to the lower order;
+    mixing dimensions is an error.
     """
 
-    __slots__ = ("m", "order", "coeffs")
+    __slots__ = ("m", "order", "coeffs", "rank")
     __array_ufunc__ = None  # ndarray <op> jet defers to the jet's operator
 
-    def __init__(self, m: int, order: int, coeffs: np.ndarray):
+    def __init__(self, m: int, order: int, coeffs: np.ndarray, rank: int = 0):
         self.m = m
         self.order = order
         self.coeffs = coeffs
+        self.rank = rank
 
     # construction ----------------------------------------------------------
 
     @classmethod
-    def constant(cls, value, m: int, order: int) -> "JetValue":
+    def constant(cls, value, m: int, order: int, rank: int = 0) -> "JetValue":
         ordered, _ = _index_tables(m, order)
         coeffs = np.zeros((len(ordered),) + getattr(value, "shape", ()))
         coeffs[0] = value
-        return cls(m, order, coeffs)
+        return cls(m, order, coeffs, rank)
 
     @classmethod
     def variable(cls, index: int, value, m: int, order: int) -> "JetValue":
@@ -613,9 +649,24 @@ class JetValue:
     # helpers ----------------------------------------------------------------
 
     @property
+    def batched(self) -> bool:
+        return self.coeffs.ndim > self.rank + 1
+
+    @property
     def value(self):
         c = self.coeffs[0]
         return float(c) if self.coeffs.ndim == 1 else c
+
+    def __len__(self) -> int:
+        if not self.rank:
+            raise TypeError("a scalar jet has no length")
+        return self.coeffs.shape[1]
+
+    def __getitem__(self, index: int) -> "JetValue":
+        """The jet of entry `index` of the first tensor axis."""
+        if not self.rank:
+            raise TypeError("a scalar jet is not subscriptable")
+        return JetValue(self.m, self.order, self.coeffs[:, index], self.rank - 1)
 
     def truncate(self, order: int) -> "JetValue":
         if order == self.order:
@@ -623,11 +674,10 @@ class JetValue:
         if order > self.order:
             raise ValueError("cannot extend a jet to higher order")
         ordered, _ = _index_tables(self.m, order)
-        return JetValue(self.m, order, self.coeffs[: len(ordered)].copy())
+        return JetValue(self.m, order, self.coeffs[: len(ordered)].copy(), self.rank)
 
-    def _align(self, other: "JetValue") -> tuple[int, np.ndarray, np.ndarray]:
-        """The common order and both coefficient arrays truncated to it, a
-        one-point jet shaped to broadcast against a batch."""
+    def _truncated(self, other: "JetValue") -> tuple[int, np.ndarray, np.ndarray]:
+        """The common order and both coefficient arrays truncated to it."""
         if self.m != other.m:
             raise ValueError("jet dimensions differ")
         k = min(self.order, other.order)
@@ -635,17 +685,30 @@ class JetValue:
         if self.order != other.order:
             n = len(_index_tables(self.m, k)[0])
             a, b = a[:n], b[:n]
-        if a.ndim != b.ndim:
-            if a.ndim == 1:
-                a = np.broadcast_to(a[:, None], b.shape)
-            else:
-                b = np.broadcast_to(b[:, None], a.shape)
         return k, a, b
 
-    def _columns(self, other) -> np.ndarray:
-        """coeffs shaped to combine with a float or a per-point array."""
-        c = self.coeffs
-        return c[:, None] if c.ndim == 1 and getattr(other, "ndim", 0) == 1 else c
+    def _align(self, other: "JetValue") -> tuple[int, int, np.ndarray, np.ndarray]:
+        """The common order, the rank of an entrywise result, and both
+        coefficient arrays truncated and shaped to broadcast together."""
+        k, a, b = self._truncated(other)
+        if self.rank == other.rank and a.ndim == b.ndim:
+            return k, self.rank, a, b
+        rank = max(self.rank, other.rank)
+        batched = self.batched or other.batched
+
+        def shaped(jet, c):
+            return c.reshape(c.shape[:1] + (1,) * (rank - jet.rank) + c.shape[1:]
+                             + ((1,) if batched and not jet.batched else ()))
+
+        return k, rank, shaped(self, a), shaped(other, b)
+
+    def _against(self, other) -> tuple[np.ndarray, object]:
+        """coeffs and a constant (a float, or an array laid out like
+        `value`) shaped to broadcast together."""
+        c, d = self.coeffs, getattr(other, "ndim", 0)
+        if d > self.rank:  # one constant per point
+            return (c if self.batched else c[..., None]), other
+        return c, (other[..., None] if d and self.batched else other)
 
     def partial(self, alpha: tuple[int, ...]):
         """Raw partial derivative d^alpha F at the base point."""
@@ -669,29 +732,37 @@ class JetValue:
             raise ValueError("variable index out of range")
         src, fac = _deriv_tables(self.m, self.order, var)
         c = self.coeffs[src]
-        return JetValue(self.m, self.order - 1, c * (fac if c.ndim == 1 else fac[:, None]))
+        return JetValue(self.m, self.order - 1,
+                        c * fac.reshape(fac.shape + (1,) * (c.ndim - 1)), self.rank)
+
+    def gradient(self) -> "JetValue":
+        """Jet of all first partials, one order lower and one rank higher:
+        gradient()[i] is derivative(i)."""
+        return JetValue(self.m, self.order - 1,
+                        np.stack([self.derivative(i).coeffs for i in range(self.m)], axis=1),
+                        self.rank + 1)
 
     # arithmetic ---------------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, JetValue):
-            k, a, b = self._align(other)
-            return JetValue(self.m, k, a + b)
-        if isinstance(other, np.ndarray) and self.coeffs.ndim == 1:
-            return JetValue.constant(other, self.m, self.order) + self
-        out = self.coeffs.copy()
-        out[0] += other
-        return JetValue(self.m, self.order, out)
+            k, rank, a, b = self._align(other)
+            return JetValue(self.m, k, a + b, rank)
+        c, v = self._against(other)
+        # a one-point jet plus one constant per point grows a point axis
+        out = c.copy() if c is self.coeffs else np.repeat(c, np.shape(v)[-1], axis=-1)
+        out[0] += v
+        return JetValue(self.m, self.order, out, self.rank)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return JetValue(self.m, self.order, -self.coeffs)
+        return JetValue(self.m, self.order, -self.coeffs, self.rank)
 
     def __sub__(self, other):
         if isinstance(other, JetValue):
-            k, a, b = self._align(other)
-            return JetValue(self.m, k, a - b)
+            k, rank, a, b = self._align(other)
+            return JetValue(self.m, k, a - b, rank)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -699,20 +770,10 @@ class JetValue:
 
     def __mul__(self, other):
         if not isinstance(other, JetValue):
-            return JetValue(self.m, self.order, self._columns(other) * other)
-        k, a, b = self._align(other)
-        li, lj, lo = _mul_tables(self.m, k)
-        if a.ndim == 1:
-            out = np.bincount(lo, weights=a[li] * b[lj], minlength=len(a))
-        else:
-            # one bincount over the flattened batch: each coefficient of each
-            # point sums its pairs in the same order as for one point
-            n, points = a.shape
-            pairs = a.take(li, axis=0)
-            pairs *= b.take(lj, axis=0)
-            out = np.bincount(_batch_slots(self.m, k, points), weights=pairs.ravel(),
-                              minlength=n * points).reshape(n, points)
-        return JetValue(self.m, k, out)
+            c, v = self._against(other)
+            return JetValue(self.m, self.order, c * v, self.rank)
+        k, rank, a, b = self._align(other)
+        return JetValue(self.m, k, _pair_sum(self.m, k, a, b, _times), rank)
 
     __rmul__ = __mul__
 
@@ -720,7 +781,8 @@ class JetValue:
         if not isinstance(other, JetValue):
             if np.any(other == 0.0):
                 raise DomainError("division by zero constant")
-            return JetValue(self.m, self.order, self._columns(other) / other)
+            c, v = self._against(other)
+            return JetValue(self.m, self.order, c / v, self.rank)
         if other.order > self.order:
             other = other.truncate(self.order)
         if np.any(other.value == 0.0):
@@ -741,9 +803,9 @@ class JetValue:
 
     def _horner(self, series: list) -> "JetValue":
         """Compose the univariate Taylor series with the zero-constant part."""
-        w = JetValue(self.m, self.order, self.coeffs.copy())
+        w = JetValue(self.m, self.order, self.coeffs.copy(), self.rank)
         w.coeffs[0] = 0.0
-        result = JetValue.constant(series[-1], self.m, self.order)
+        result = JetValue.constant(series[-1], self.m, self.order, self.rank)
         for a in reversed(series[:-1]):
             result = result * w + a
         return result
@@ -770,6 +832,68 @@ class JetValue:
 
     def __repr__(self):
         return f"JetValue(m={self.m}, order={self.order}, value={self.value!r})"
+
+
+def _times(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p * q, in place where the shapes agree."""
+    return np.multiply(p, q, out=p) if p.shape == q.shape else p * q
+
+
+def _pair_sum(m: int, order: int, x: np.ndarray, y: np.ndarray, multiply) -> np.ndarray:
+    """The product kernel: the coefficients of the product of two jets of
+    dimension m truncated to `order`, with coefficient arrays x and y. It
+    gathers the coefficient pairs of every output coefficient from
+    `_mul_tables`, forms the terms of each pair with `multiply` (entry by
+    entry, or an outer product over tensor axes), and sums them with one
+    bincount over the flattened tensor and point entries. Each output slot
+    sums its pairs in table order, so every entry, and every point of a
+    batch, is summed exactly as a one-point scalar product would be."""
+    li, lj, lo = _mul_tables(m, order)
+    terms = multiply(x.take(li, axis=0), y.take(lj, axis=0))
+    n = len(x)
+    if terms.ndim == 1:
+        return np.bincount(lo, weights=terms, minlength=n)
+    size = terms.size // len(lo)
+    return np.bincount(_pair_slots(m, order, size), weights=terms.ravel(),
+                       minlength=n * size).reshape((n,) + terms.shape[1:])
+
+
+def contract(spec: str, a: JetValue, b) -> JetValue:
+    """Jet of np.einsum(spec, A, B) for fields A (a jet) and B (a jet, or a
+    constant array laid out like `value`). `spec` names the tensor axes
+    only, in lower-case letters, e.g. "ia,ja->ij" for g = T T^T; the
+    coefficient and point axes are carried along.
+
+    Each pass of the product kernel takes one index of the first summed
+    axis and forms the outer product of the operand slices, so a pass holds
+    the pairs times the output entries times the other summed entries. The
+    terms are added one by one in row-major order over the summed axes, as
+    a sum of scalar jet products written left to right would be."""
+    operands, out = spec.split("->")
+    sa, sb = operands.split(",")
+    summed = "".join(dict.fromkeys(c for c in sa + sb if c not in out))
+    first, rest = summed[:1], summed[1:]
+    jet = isinstance(b, JetValue)
+    k, x, y = a._truncated(b) if jet else (a.order, a.coeffs, np.asarray(b))
+    # each operand and its axis of the first summed index, if it has one (a
+    # jet's tensor axes follow its coefficient axis)
+    cuts = [(c, start + s.index(first) if first and first in s else None)
+            for c, s, start in ((x, sa, 1), (y, sb, 1 if jet else 0))]
+    count = next((c.shape[axis] for c, axis in cuts if axis is not None), 1)
+    product = (f"Z{sa.replace(first, '')}...,{'Z' if jet else ''}{sb.replace(first, '')}..."
+               f"->Z{out}{rest}...")
+    lead = 1 + len(out)
+    total = None
+    for index in range(count):
+        xs, ys = (c if axis is None else c.take(index, axis=axis) for c, axis in cuts)
+        if jet:
+            terms = _pair_sum(a.m, k, xs, ys, lambda p, q: np.einsum(product, p, q, order="C"))
+        else:
+            terms = np.einsum(product, xs, ys, order="C")
+        terms = terms.reshape(terms.shape[:lead] + (-1,) + terms.shape[lead + len(rest):])
+        for term in np.moveaxis(terms, lead, 0):
+            total = term if total is None else total + term
+    return JetValue(a.m, k, total, len(out))
 
 
 # ---------------------------------------------------------------------------
@@ -824,11 +948,6 @@ def eval_jet(node: ExprAst, ctx: EvalContext) -> JetValue:
     if isinstance(node, Call):
         return eval_jet(node.arg, ctx).compose(node.fn)
     raise TypeError(node)
-
-
-def extract_partial(jet: JetValue, alpha: tuple[int, ...] | list[int]) -> float:
-    """Raw partial derivative d^alpha F at the jet's base point."""
-    return jet.partial(tuple(alpha))
 
 
 def antiderivative_jet(djet: JetValue, var: int, value: float) -> JetValue:

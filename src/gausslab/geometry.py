@@ -13,20 +13,24 @@ From component jets at order p (5 by default): tangents at p - 1, metric,
 inverse metric and unit normal at p - 2, Christoffel symbols at order 1,
 second fundamental form, shape operator and f at p - 2. The unit normal is
 the numeric normal e at the base point projected off the tangent frame,
-e - T^T g^(-1) T e (and off the position on a sphere), so it costs O(m^2)
-jet products.
+e - T^T g^(-1) T e (and off the position on a sphere).
+
+Every tensor is one `JetValue` with tensor axes (see `exprjet`), and each of
+g = T T^T, the Neumann series for g^(-1), Gamma, h, A = g^(-1) h, tr A, |A|^2,
+the projected normal and grad f is one `contract` over those axes.
 
 Index conventions: i, j, k, l label chart variables (0..m-1); a, b label
-ambient coordinates. The shape operator A = g^(-1) h is stored as A[i][j]
-meaning A^i_j, and the mean curvature is the signed trace f = (1/m) tr A.
-Sign convention for Laplacians is the geometer's: Delta = -trace(Hess).
+ambient coordinates. Tensor axes follow the index order written: the frame
+T has axes [i, a] (T[i] = d_i X), the Christoffel symbols [k, i, j] =
+Gamma^k_ij, and the shape operator A = g^(-1) h has axes [i, j] = A^i_j.
+The mean curvature is the signed trace f = (1/m) tr A. Sign convention for
+Laplacians is the geometer's: Delta = -trace(Hess).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -34,13 +38,12 @@ import numpy as np
 from .exprjet import (
     DomainError,
     EvalContext,
-    ExprAst,
     JetValue,
+    contract,
     eval_jet,
     parse_expression,
     shift_variables,
     Var,
-    _index_tables,
 )
 
 __all__ = [
@@ -217,12 +220,7 @@ def _as_point(point: Sequence) -> tuple[tuple, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Jet linear algebra helpers (matrices of jets as nested lists)
-
-
-def _values(rows) -> np.ndarray:
-    """Values of a matrix of jets; over a batch the point axis comes last."""
-    return np.array([[x.value for x in row] for row in rows])
+# Array layout helpers
 
 
 def _points_first(a: np.ndarray, rank: int) -> np.ndarray:
@@ -235,44 +233,32 @@ def _points_last(a: np.ndarray, rank: int) -> np.ndarray:
     return np.moveaxis(a, 0, -1) if a.ndim > rank else a
 
 
-@lru_cache(maxsize=None)
-def _partial_slots(m: int):
-    """Coefficient positions of the first partials (first[i]) and of the
-    second partials (second[i, j]) in a jet of order >= 2, and alpha! for
-    every coefficient up to order 2 (raw partial = coefficient * alpha!)."""
-    ordered, pos = _index_tables(m, 2)
-    unit = [tuple(int(a == i) for a in range(m)) for i in range(m)]
-    first = np.array([pos[e] for e in unit])
-    second = np.array([[pos[tuple(a + b for a, b in zip(ei, ej))] for ej in unit]
-                       for ei in unit])
-    fac = np.array([float(math.prod(math.factorial(a) for a in alpha))
-                    for alpha in ordered])
-    return first, second, fac
+def _mirror_upper(t: JetValue) -> JetValue:
+    """A symmetric rank-2 jet with its lower triangle copied from the upper
+    one, so that it is symmetric to the last bit."""
+    i, j = np.tril_indices(len(t), -1)
+    t.coeffs[:, i, j] = t.coeffs[:, j, i]
+    return t
 
 
-def _jet_matrix_inverse(g: list[list[JetValue]], g0_inv: np.ndarray) -> list[list[JetValue]]:
+def _inverse(g: JetValue, g0_inv: np.ndarray) -> JetValue:
     """Truncated Neumann series around the numeric inverse of the value part
-    (over a batch g0_inv[i, j] holds one value per point)."""
-    m = len(g)
-    order = g[0][0].order
-    # M = I - g0_inv @ g has zero constant part, so M^(order+1) truncates away.
-    M = [[(-sum(g0_inv[i, l] * g[l][j] for l in range(m))) + (1.0 if i == j else 0.0)
-          for j in range(m)] for i in range(m)]
-    S = [[M[i][j] + (1.0 if i == j else 0.0) for j in range(m)] for i in range(m)]
+    (over a batch g0_inv has shape (m, m, N)). M = I - g0^(-1) g has zero
+    constant part, so M^(order+1) truncates away."""
+    M = np.eye(len(g)) - contract("lj,il->ij", g, g0_inv)
+    S = M + np.eye(len(g))
     P = M
-    for _ in range(order - 1):
-        P = [[_dot(P[i], [M[l][j] for l in range(m)]) for j in range(m)]
-             for i in range(m)]
-        S = [[S[i][j] + P[i][j] for j in range(m)] for i in range(m)]
-    return [[_dot(S[i], g0_inv[:, j]) for j in range(m)] for i in range(m)]
+    for _ in range(g.order - 1):
+        P = contract("il,lj->ij", P, M)
+        S = S + P
+    return contract("il,lj->ij", S, g0_inv)
 
 
-def _dot(row: list[JetValue], col) -> JetValue:
-    """Sum of row[i] * col[i], left to right; col holds jets or floats."""
-    acc = row[0] * col[0]
-    for a, b in zip(row[1:], col[1:]):
-        acc = acc + a * b
-    return acc
+def _off_tangents(T: JetValue, ginv: JetValue, v) -> JetValue:
+    """v - T^T g^(-1) (T v): the part of v orthogonal to the rows of the
+    frame T, with g = T T^T; v is a vector jet or a constant vector."""
+    c = contract("ij,j->i", ginv, contract("ia,a->i", T, v))
+    return v - contract("ia,i->a", T, c)
 
 
 # ---------------------------------------------------------------------------
@@ -282,24 +268,33 @@ def _dot(row: list[JetValue], col) -> JetValue:
 @dataclass
 class FundamentalData:
     """First-order data of a chart at one point, or at a batch of points
-    (entries are jets; `point` then holds one array per variable)."""
+    (`point` then holds one array per variable). Every field is one jet
+    with tensor axes."""
 
     point: tuple
-    metric: list[list[JetValue]]
-    inverse_metric: list[list[JetValue]]
-    christoffels: list[list[list[JetValue]]]  # [k][i][j] = Gamma^k_ij
-    component_jets: list[JetValue] = field(repr=False, default=None)
-    tangents: list[list[JetValue]] = field(repr=False, default=None)  # [i][a]
+    metric: JetValue  # [i, j] = g_ij
+    inverse_metric: JetValue  # [i, j] = g^ij
+    christoffels: JetValue  # [k, i, j] = Gamma^k_ij
+    position: JetValue = field(repr=False, default=None)  # [a] = X_a
+    frame: JetValue = field(repr=False, default=None)  # [i, a] = d_i X_a
 
     @property
     def dim(self) -> int:
         return len(self.metric)
 
+    @property
+    def component_jets(self) -> list[JetValue]:
+        return list(self.position)
+
+    @property
+    def tangents(self) -> list[JetValue]:
+        return list(self.frame)
+
     def metric_values(self) -> np.ndarray:
-        return _values(self.metric)
+        return self.metric.value
 
     def inverse_metric_values(self) -> np.ndarray:
-        return _values(self.inverse_metric)
+        return self.inverse_metric.value
 
     def norm(self, vec: np.ndarray):
         """|vec|_g: a float, or an array over a batch (vec of shape (m, N))."""
@@ -312,14 +307,14 @@ class FundamentalData:
 @dataclass
 class ShapeData:
     """Second-order data: unit normal, second fundamental form, shape
-    operator, signed mean curvature, |A|^2 (entries are jets, at one point or
-    over a batch)."""
+    operator, signed mean curvature, |A|^2 (jets, at one point or over a
+    batch)."""
 
     point: tuple
     orientation: int
-    normal: list[JetValue]
-    second_fundamental: list[list[JetValue]]
-    shape_operator: list[list[JetValue]]  # A^i_j
+    normal: JetValue  # [a]
+    second_fundamental: JetValue  # [i, j] = h_ij
+    shape_operator: JetValue  # [i, j] = A^i_j
     mean_curvature: JetValue
     shape_norm_sq: JetValue
 
@@ -328,25 +323,23 @@ class ShapeData:
         return len(self.shape_operator)
 
     def shape_operator_values(self) -> np.ndarray:
-        return _values(self.shape_operator)
+        return self.shape_operator.value
 
 
 @dataclass
 class TangentField:
-    """Vector field value carried as per-component jets in chart coordinates."""
+    """Vector field in chart coordinates: one jet with a tensor axis over
+    the m components."""
 
-    components: tuple[JetValue, ...]
+    jet: JetValue
 
     @classmethod
-    def from_values(cls, values: Sequence[float], m: int, order: int = 0) -> "TangentField":
-        return cls(tuple(JetValue.constant(float(v), m, order) for v in values))
+    def from_values(cls, values, m: int, order: int = 0) -> "TangentField":
+        return cls(JetValue.constant(np.asarray(values, dtype=float), m, order, rank=1))
 
     @property
     def values(self) -> np.ndarray:
-        return np.array([c.value for c in self.components])
-
-    def __len__(self) -> int:
-        return len(self.components)
+        return self.jet.value
 
 
 # ---------------------------------------------------------------------------
@@ -369,24 +362,21 @@ def fundamental_data(chart: ImmersionChart, point: Sequence,
     off the unit sphere by more than 1e-10.
     """
     pt, _ = _as_point(point)
-    m = chart.dim
     # overflow is reported as DomainError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         cjets = chart.component_jets(pt, order)
-        if not all(np.isfinite(j.coeffs).all() for j in cjets):
+        X = JetValue(chart.dim, order, np.stack([j.coeffs for j in cjets], axis=1), 1)
+        if not np.isfinite(X.coeffs).all():
             raise DomainError(f"component jets are not finite at {pt}")
         if chart.ambient == "sphere":
             radius_sq = sum(j.value * j.value for j in cjets)
             if np.any(abs(radius_sq - 1.0) > _SPHERE_TOL):
                 raise SphereConstraintError(
                     f"|X|^2 = {radius_sq!r} at {pt} (must be 1 within {_SPHERE_TOL})")
-        tangents = [[j.derivative(i) for j in cjets] for i in range(m)]
-        low = [[t.truncate(order - 2) for t in row] for row in tangents]
-        metric = [[None] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                metric[i][j] = metric[j][i] = _dot(low[i], low[j])
-        g0 = _values(metric)
+        T = X.gradient()
+        low = T.truncate(order - 2)
+        metric = _mirror_upper(contract("ia,ja->ij", low, low))
+        g0 = metric.value
     if not np.isfinite(g0).all():
         raise DomainError(f"metric is not finite at {pt}")
     g0 = _points_first(g0, 2)
@@ -396,43 +386,15 @@ def fundamental_data(chart: ImmersionChart, point: Sequence,
         raise SingularImmersionError(f"metric not positive definite at {pt}")
     if np.any(highest / lowest > _METRIC_COND_CEIL):
         raise SingularImmersionError(f"metric condition number exceeds 1e10 at {pt}")
-    ginv = _jet_matrix_inverse(metric, _points_last(np.linalg.inv(g0), 2))
+    ginv = _inverse(metric, _points_last(np.linalg.inv(g0), 2))
     # the Laplacians read only the values and first derivatives of Gamma
     c_order = min(1, order - 3)
-    ginv_c = [[x.truncate(c_order) for x in row] for row in ginv]
-    dg = [[[metric[i][j].derivative(l).truncate(c_order) for j in range(m)]
-           for i in range(m)] for l in range(m)]
-    # first-kind symbols [ij, l] = d_i g_jl + d_j g_il - d_l g_ij
-    first = [[[dg[i][j][l] + dg[j][i][l] - dg[l][i][j] for j in range(m)]
-              for i in range(m)] for l in range(m)]
-    christoffels = [[[None] * m for _ in range(m)] for _ in range(m)]
-    for k in range(m):
-        for i in range(m):
-            for j in range(i, m):
-                gam = _dot(ginv_c[k], [first[l][i][j] for l in range(m)]) * 0.5
-                christoffels[k][i][j] = christoffels[k][j][i] = gam
-    return FundamentalData(pt, metric, ginv, christoffels, cjets, tangents)
-
-
-def _shape_from_normal(chart: ImmersionChart, fd: FundamentalData,
-                       normal: list[JetValue], orientation: int) -> ShapeData:
-    m = chart.dim
-    h = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            h[i][j] = h[j][i] = _dot([t.derivative(j) for t in fd.tangents[i]], normal)
-    A = [[_dot(fd.inverse_metric[i], [h[l][j] for l in range(m)])
-          for j in range(m)] for i in range(m)]
-    f = A[0][0]
-    for i in range(1, m):
-        f = f + A[i][i]
-    f = f * (1.0 / m)
-    norm_sq = None
-    for i in range(m):
-        for j in range(m):
-            term = A[i][j] * A[j][i]
-            norm_sq = term if norm_sq is None else norm_sq + term
-    return ShapeData(fd.point, orientation, normal, h, A, f, norm_sq)
+    dg = metric.gradient().truncate(c_order).coeffs  # [l, i, j] = d_l g_ij
+    swapped = np.moveaxis(dg, 3, 1)  # [l, i, j] = d_i g_jl
+    # first-kind symbols [l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+    first = JetValue(chart.dim, c_order, swapped + swapped.swapaxes(2, 3) - dg, 3)
+    christoffels = contract("kl,lij->kij", ginv.truncate(c_order), first) * 0.5
+    return FundamentalData(pt, metric, ginv, christoffels, X, T)
 
 
 def shape_data_euclidean(chart: ImmersionChart, point: Sequence[float],
@@ -440,11 +402,7 @@ def shape_data_euclidean(chart: ImmersionChart, point: Sequence[float],
                          fd: FundamentalData | None = None) -> ShapeData:
     """Shape data with the unit normal projected off the tangent frame and
     oriented so that det([n; X_1; ...; X_m]) > 0."""
-    if chart.ambient != "euclidean":
-        raise GeometryError("chart is not euclidean-ambient")
-    if fd is None:
-        fd = fundamental_data(chart, point)
-    return _finish_normal(chart, fd, _normal_direction(fd, None), orientation)
+    return _shape_data(chart, point, orientation, fd, "euclidean")
 
 
 def shape_data_spherical(chart: ImmersionChart, point: Sequence[float],
@@ -453,29 +411,39 @@ def shape_data_spherical(chart: ImmersionChart, point: Sequence[float],
     """Shape data of a link inside the unit sphere: the unit normal is
     projected off the tangent frame and the position X, and oriented so that
     det([n; X; X_1; ...; X_m]) > 0."""
-    if chart.ambient != "sphere":
-        raise GeometryError("chart is not sphere-ambient")
+    return _shape_data(chart, point, orientation, fd, "sphere")
+
+
+def _shape_data(chart: ImmersionChart, point, orientation: int,
+                fd: FundamentalData | None, ambient: str) -> ShapeData:
+    if chart.ambient != ambient:
+        raise GeometryError(f"chart is not {ambient}-ambient")
     if fd is None:
         fd = fundamental_data(chart, point)
-    return _finish_normal(chart, fd, _normal_direction(fd, fd.component_jets),
-                          orientation)
+    w = _normal_direction(fd, on_sphere=ambient == "sphere")
+    norm_sq = contract("a,a->", w, w)
+    if np.any(norm_sq.value <= 0.0):
+        raise SingularImmersionError(f"degenerate tangent frame at {fd.point}")
+    normal = w * (1.0 / norm_sq.compose("sqrt"))
+    if orientation == -1:
+        normal = -normal
+    elif orientation != 1:
+        raise GeometryError("orientation must be +1 or -1")
+    h = _mirror_upper(contract("jia,a->ij", fd.frame.gradient(), normal))  # <d_j d_i X, n>
+    A = contract("il,lj->ij", fd.inverse_metric, h)
+    f = JetValue(A.m, A.order, np.einsum("zii...->z...", A.coeffs)) * (1.0 / len(A))
+    return ShapeData(fd.point, orientation, normal, h, A, f, contract("ij,ji->", A, A))
 
 
-def _off_tangents(T: list[list[JetValue]], ginv: list[list[JetValue]], v: list) -> list[JetValue]:
-    """v - T^T g^(-1) (T v): the part of v orthogonal to the rows of T, with
-    g = T T^T; v holds floats or jets."""
-    Tv = [_dot(t, v) for t in T]
-    c = [_dot(row, Tv) for row in ginv]
-    return [va - _dot([t[a] for t in T], c) for a, va in enumerate(v)]
-
-
-def _normal_direction(fd: FundamentalData, position: list[JetValue] | None) -> list[JetValue]:
+def _normal_direction(fd: FundamentalData, on_sphere: bool) -> JetValue:
     """A normal field w at the order of g^(-1): the numeric unit normal e at
     the base point, projected off the tangents (and off X on a sphere)."""
-    k = fd.inverse_metric[0][0].order
-    T = [[t.truncate(k) for t in row] for row in fd.tangents]
-    frame = fd.tangents if position is None else [position] + fd.tangents
-    R0 = _points_first(_values(frame), 2)
+    k = fd.inverse_metric.order
+    T = fd.frame.truncate(k)
+    R0 = fd.frame.value
+    if on_sphere:
+        R0 = np.concatenate([fd.position.value[None], R0])
+    R0 = _points_first(R0, 2)
     try:
         e = np.linalg.svd(R0)[2][..., -1, :]
     except np.linalg.LinAlgError as exc:
@@ -483,34 +451,16 @@ def _normal_direction(fd: FundamentalData, position: list[JetValue] | None) -> l
     # the orientation of the Hodge dual of the frame
     det = np.linalg.det(np.concatenate([e[..., None, :], R0], axis=-2))
     e = np.where((np.asarray(det) < 0.0)[..., None], -e, e)
-    w = _off_tangents(T, fd.inverse_metric,
-                      list(e.T) if e.ndim == 2 else [float(x) for x in e])
-    if position is not None:
-        X = _off_tangents(T, fd.inverse_metric, [x.truncate(k) for x in position])
-        s = _dot(X, w) / _dot(X, X)
-        w = [wa - xa * s for wa, xa in zip(w, X)]
+    w = _off_tangents(T, fd.inverse_metric, e.T)
+    if on_sphere:
+        X = _off_tangents(T, fd.inverse_metric, fd.position.truncate(k))
+        w = w - X * (contract("a,a->", X, w) / contract("a,a->", X, X))
     return w
 
 
-def _finish_normal(chart, fd, w, orientation):
-    norm_sq = _dot(w, w)
-    if np.any(norm_sq.value <= 0.0):
-        raise SingularImmersionError(f"degenerate tangent frame at {fd.point}")
-    inv_norm = 1.0 / norm_sq.compose("sqrt")
-    normal = [wi * inv_norm for wi in w]
-    if orientation == -1:
-        normal = [-n for n in normal]
-    elif orientation != 1:
-        raise GeometryError("orientation must be +1 or -1")
-    return _shape_from_normal(chart, fd, normal, orientation)
-
-
 def gradient_of_mean_curvature(fd: FundamentalData, sd: ShapeData) -> TangentField:
-    """grad f = g^(ij) df_j as a tangent field (jets, two orders below f)."""
-    m = fd.dim
-    df = [sd.mean_curvature.derivative(j) for j in range(m)]
-    comps = tuple(_dot(fd.inverse_metric[i], df) for i in range(m))
-    return TangentField(comps)
+    """grad f = g^(ij) df_j as a tangent field (a jet two orders below f)."""
+    return TangentField(contract("ij,j->i", fd.inverse_metric, sd.mean_curvature.gradient()))
 
 
 def rough_laplacian(fd: FundamentalData, V: TangentField) -> np.ndarray:
@@ -518,19 +468,15 @@ def rough_laplacian(fd: FundamentalData, V: TangentField) -> np.ndarray:
 
     Needs V carried to jet order >= 2 and Christoffels to order >= 1; returns
     the coordinate components of Delta V as floats (shape (m, N) over a
-    batch). The partials are read as coefficient gathers.
+    batch). The partials are the values of gradient jets.
     """
-    m = fd.dim
-    first, second, fac = _partial_slots(m)
     ginv = _points_first(fd.inverse_metric_values(), 2)
-    C = _points_first(np.array([[[c.coeffs[: m + 1] for c in row] for row in plane]
-                                for plane in fd.christoffels]), 4)
-    Gam = C[..., 0]  # Gam[k, i, j] = Gamma^k_ij
-    dGam = np.moveaxis(C[..., first], -1, -4)  # dGam[i, k, j, r] = d_i Gamma^k_jr
-    Vc = _points_first(np.array([c.coeffs[: len(fac)] for c in V.components]), 2) * fac
-    Vv = Vc[..., 0]
-    dV = np.swapaxes(Vc[..., first], -1, -2)  # dV[i, k] = d_i V^k
-    ddV = np.moveaxis(Vc[..., second], -3, -1)  # ddV[i, j, k] = d_i d_j V^k
+    Gam = _points_first(fd.christoffels.value, 3)  # Gam[k, i, j] = Gamma^k_ij
+    dGam = _points_first(fd.christoffels.gradient().value, 4)  # [i, k, j, r] = d_i Gamma^k_jr
+    dV = V.jet.gradient()
+    ddV = _points_first(dV.gradient().value, 3)  # ddV[i, j, k] = d_i d_j V^k
+    dV = _points_first(dV.value, 2)  # dV[i, k] = d_i V^k
+    Vv = _points_first(V.values, 1)
     # nabla_i nabla_j V - nabla_(Gamma^l_ij d_l) V, then minus the g-trace
     term = (ddV
             + np.einsum("...ikjr,...r->...ijk", dGam, Vv)
@@ -545,25 +491,19 @@ def rough_laplacian(fd: FundamentalData, V: TangentField) -> np.ndarray:
 def scalar_laplacian(fd: FundamentalData, f: JetValue):
     """Laplace-Beltrami with the geometer's sign: Delta f = -trace_g Hess f
     (a float, or an array over a batch)."""
-    m = fd.dim
-    first, second, fac = _partial_slots(m)
     ginv = _points_first(fd.inverse_metric_values(), 2)
-    Gam = _points_first(np.array([[[c.value for c in row] for row in plane]
-                                  for plane in fd.christoffels]), 3)
-    fc = _points_first(f.coeffs[: len(fac)], 1) * fac
-    hess = fc[..., second] - np.einsum("...lij,...l->...ij", Gam, fc[..., first])
+    Gam = _points_first(fd.christoffels.value, 3)
+    df = f.gradient()
+    hess = (_points_first(df.gradient().value, 2)
+            - np.einsum("...lij,...l->...ij", Gam, _points_first(df.value, 1)))
     out = -np.einsum("...ij,...ij->...", ginv, hess)
     return float(out) if out.ndim == 0 else out
 
 
 def ricci_via_gauss_equation(sd: ShapeData, X: TangentField) -> TangentField:
-    """Ricci operator of a link in the unit sphere applied to X:
-    Ric(X) = (m-1) X + m f A(X) - A^2(X)."""
-    m = sd.dim
-    AX = [_dot(row, X.components) for row in sd.shape_operator]
-    AAX = [_dot(row, AX) for row in sd.shape_operator]
-    f = sd.mean_curvature
-    comps = []
-    for i in range(m):
-        comps.append(X.components[i] * float(m - 1) + f * AX[i] * float(m) - AAX[i])
-    return TangentField(tuple(comps))
+    """Ricci operator of a link in the unit sphere applied to X, at the base
+    point: Ric(X) = (m-1) X + m f A(X) - A^2(X)."""
+    m, A, x = sd.dim, sd.shape_operator_values(), X.values
+    AX = np.einsum("ij...,j...->i...", A, x)
+    ric = (m - 1) * x + m * sd.mean_curvature.value * AX - np.einsum("ij...,j...->i...", A, AX)
+    return TangentField.from_values(ric, m)

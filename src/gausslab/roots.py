@@ -69,10 +69,6 @@ class Polynomial:
             cs.pop()
         return cls(tuple(cs))
 
-    @classmethod
-    def monomial(cls, coeff: Rational, degree: int) -> "Polynomial":
-        return cls.from_coeffs([0] * degree + [coeff])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # zero polynomial: -1

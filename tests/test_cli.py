@@ -168,6 +168,27 @@ def test_verify_overflowing_power_fails_points_without_numpy_warning(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("component", [
+    "(" * 3000 + "u" + ")" * 3000,  # nested parentheses
+    "-" * 5000 + "u",               # unary minuses
+    "+".join(["u"] * 20000),        # a left-deep sum
+])
+def test_verify_deeply_nested_expression_is_parse_error(tmp_path, component):
+    cfg = json.loads((CONFIGS / "sphere_S2.json").read_text())
+    cfg["components"][0] = component
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "gausslab.cli", "verify", "--config",
+                           str(path)], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("expression error:")
+    assert "deeper than 100 levels" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # JSON stdout recorded with GAUSSLAB_THREADS=1 before the hypersurface and
 # link residuals shared one kernel; the torus link is NotBiharmonic, so its
 # scalar link residuals are non-zero

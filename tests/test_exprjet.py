@@ -11,9 +11,10 @@ from gausslab.exprjet import (
     EvalContext,
     ExpressionError,
     JetValue,
+    _index_tables,
     antiderivative_jet,
+    contract,
     eval_jet,
-    extract_partial,
     parse_expression,
     shift_variables,
     to_source,
@@ -54,6 +55,25 @@ def test_parse_error_offsets(src, offset):
         parse_expression(src, ("u",))
 
 
+@pytest.mark.parametrize("src, offset", [
+    ("(" * 3000 + "u" + ")" * 3000, 100),  # parser nesting
+    ("-" * 5000 + "u", 100),               # parser nesting
+    ("+".join(["u"] * 20000), 0),          # AST depth of a left-deep sum
+    ("u^(" + "+".join(["1"] * 300) + ")", 2),  # a deep exponent, before folding
+])
+def test_parse_rejects_expressions_nested_deeper_than_100(src, offset):
+    with pytest.raises(ExpressionError, match=rf"deeper than 100 levels \(at offset {offset}\)"):
+        parse_expression(src, ("u",))
+
+
+def test_parse_accepts_nesting_up_to_100():
+    assert jet_of("-" * 99 + "u", ("u",), (0.5,)).value == -0.5  # AST depth 100
+    assert jet_of("(" * 99 + "u" + ")" * 99, ("u",), (0.5,)).value == 0.5
+    assert jet_of("+".join(["u"] * 100), ("u",), (0.5,)).value == 50.0
+    with pytest.raises(ExpressionError, match="deeper than 100"):
+        parse_expression("+".join(["u"] * 101), ("u",))
+
+
 def test_cotangent_jet():
     j = jet_of("cos(x)/sin(x)", ("x",), (math.pi / 4,), order=3)
     assert j.value == pytest.approx(1.0, abs=1e-14)
@@ -78,7 +98,6 @@ def test_mixed_partial():
     j = jet_of("exp(u*v)", ("u", "v"), (0.3, 0.7), order=3)
     want = math.exp(0.21) * (1 + 0.21)
     assert j.partial((1, 1)) == pytest.approx(want, rel=1e-13)
-    assert extract_partial(j, (1, 1)) == j.partial((1, 1))
 
 
 @pytest.mark.parametrize("src,msg", [
@@ -186,3 +205,105 @@ def test_first_partials_match_finite_differences(src, u, v, i):
 
     fd = central_partial(value_at, (u, v), i)
     assert j.partial(alpha) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# tensor-valued jets
+
+
+def _tensor_jet(shape, rng, m=3, order=3, points=None):
+    """A jet with random coefficients, tensor axes `shape` and optionally a
+    batch of `points` base points."""
+    n = len(_index_tables(m, order)[0])
+    tail = (points,) if points else ()
+    return JetValue(m, order, rng.uniform(-1.0, 1.0, (n,) + shape + tail), len(shape))
+
+
+def _assert_relative(got, want, rtol=1e-14):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def _sum(terms):
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
+@pytest.mark.parametrize("points", [None, 5])
+def test_contraction_matches_sums_of_scalar_products(points):
+    rng = np.random.default_rng(11)
+    T = _tensor_jet((3, 4), rng, points=points)  # [i, a]
+    A = _tensor_jet((3, 3), rng, order=2, points=points)
+    v = rng.uniform(-1.0, 1.0, (4, points) if points else (4,))
+    g = contract("ia,ja->ij", T, T)
+    AT = contract("il,la->ia", A, T)
+    norm_sq = contract("ij,ji->", A, A)
+    Tv = contract("ia,a->i", T, v)
+    outer = contract("i,ja->ija", Tv, T)  # no summed axis
+    assert (g.rank, AT.rank, norm_sq.rank, Tv.rank) == (2, 2, 0, 1)
+    assert AT.order == 2
+    for i in range(3):
+        for j in range(3):
+            _assert_relative(g[i][j].coeffs, _sum([T[i][a] * T[j][a] for a in range(4)]).coeffs)
+        for a in range(4):
+            _assert_relative(AT[i][a].coeffs, _sum([A[i][l] * T[l][a] for l in range(3)]).coeffs)
+        _assert_relative(Tv[i].coeffs, _sum([T[i][a] * v[a] for a in range(4)]).coeffs)
+        for j in range(3):
+            for a in range(4):
+                assert np.array_equal(outer[i][j][a].coeffs, (Tv[i] * T[j][a]).coeffs)
+    _assert_relative(norm_sq.coeffs, _sum([A[i][j] * A[j][i]
+                                           for i in range(3) for j in range(3)]).coeffs)
+
+
+def test_batched_contraction_matches_its_columns():
+    rng = np.random.default_rng(12)
+    T = _tensor_jet((3, 4), rng, points=6)
+    g = contract("ia,ja->ij", T, T)
+    for c in range(6):
+        column = JetValue(T.m, T.order, T.coeffs[..., c].copy(), 2)
+        assert np.array_equal(g.coeffs[..., c], contract("ia,ja->ij", column, column).coeffs)
+
+
+def test_entrywise_products_broadcast_tensor_axes():
+    rng = np.random.default_rng(13)
+    X = _tensor_jet((4,), rng, points=3)
+    s = _tensor_jet((), rng, order=2)  # one point: a constant across the batch
+    prod = X * s
+    assert prod.rank == 1 and prod.order == 2 and prod.coeffs.shape[1:] == (4, 3)
+    for a in range(4):
+        for c in range(3):
+            column = JetValue(X.m, X.order, X.coeffs[:, a, c].copy())
+            assert np.array_equal(prod[a].coeffs[:, c], (column * s).coeffs)
+
+
+def test_tensor_jet_indexing_and_iteration():
+    rng = np.random.default_rng(14)
+    A = _tensor_jet((2, 3), rng)
+    row = A[1]
+    assert row.rank == 1 and len(row) == 3 and np.array_equal(row.coeffs, A.coeffs[:, 1])
+    entry = A[1][2]
+    assert entry.rank == 0 and isinstance(entry.value, float)
+    assert entry.value == A.coeffs[0, 1, 2]
+    rows = list(A)
+    assert len(rows) == len(A) == 2 and [r.rank for r in rows] == [1, 1]
+    assert [e.value for e in A[0]] == list(A.coeffs[0, 0])
+    with pytest.raises(IndexError):
+        A[2]
+    with pytest.raises(TypeError):
+        entry[0]
+    with pytest.raises(TypeError):
+        len(entry)
+    # over a batch the point axis stays last
+    B = _tensor_jet((2, 3), rng, points=4)
+    assert B[1].value.shape == (3, 4) and B[1][2].value.shape == (4,)
+    assert len(list(B)) == 2
+
+
+def test_gradient_stacks_the_partial_derivatives():
+    jet = jet_of("sin(u)*v^2 + u*w", ("u", "v", "w"), (0.3, -0.7, 1.1), order=4)
+    grad = jet.gradient()
+    assert grad.rank == 1 and grad.order == 3
+    for var in range(3):
+        assert np.array_equal(grad[var].coeffs, jet.derivative(var).coeffs)

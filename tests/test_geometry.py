@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gausslab.exprjet import EvalContext, eval_jet, parse_expression
+from gausslab.exprjet import EvalContext, contract, eval_jet, parse_expression
 from gausslab.geometry import (
     GeometryError,
     SamplingSpec,
@@ -204,3 +204,19 @@ def test_explicit_sample_values():
     assert set(chart.sample_points()) == {(0.25, -0.5), (0.25, 0.75),
                                           (0.5, -0.5), (0.5, 0.75)}
     assert pts[0] in chart.sample_points()
+
+
+@pytest.mark.parametrize("dim", range(2, 8))
+def test_inverse_metric_times_metric_is_the_identity_jet(dim):
+    # graph of a seeded cubic: g^(-1) g = I in every Taylor coefficient
+    rng = np.random.default_rng(dim)
+    names = tuple(f"x{i}" for i in range(dim))
+    height = " + ".join(f"({rng.uniform(-0.8, 0.8)})*{a}*{b}" for a, b in zip(
+        names, names[1:] + names[:1])) + f" + ({rng.uniform(-0.4, 0.4)})*{names[0]}^3"
+    chart = chart_from_strings("graph", names, names + (height,), [(-0.5, 0.5)] * dim)
+    fd = fundamental_data(chart, tuple(rng.uniform(-0.3, 0.3, dim)))
+    product = contract("ij,jk->ik", fd.inverse_metric, fd.metric)
+    identity = np.zeros_like(product.coeffs)
+    identity[0] = np.eye(dim)
+    assert product.order == 3
+    assert np.max(np.abs(product.coeffs - identity)) < 1e-12
