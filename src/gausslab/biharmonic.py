@@ -55,7 +55,6 @@ __all__ = [
     "PointResidual",
     "ResidualReport",
     "hypersurface_residual",
-    "gauss_tension_norm",
     "GrassmannTangent",
     "grassmann_curvature",
     "LinkSystemReport",
@@ -121,14 +120,14 @@ def _map_points(fn: Callable, points: Sequence, workers: int | None,
                 batch: int) -> list:
     """Rows of `fn` over the sample, in sample order. The sample is cut into
     batches of `batch` points first; `fn` maps a batch to its rows. The
-    batches then run serially or, with n > 1 workers and at least
-    _POOL_MIN_POINTS points, through a process pool (concurrent.futures is
-    imported only then). The batch boundaries are the same either way, so
-    pooled rows equal serial rows. A pool that cannot start or ship work
-    falls back to the serial path; an exception raised by `fn` propagates
-    once."""
+    batches then run serially or, with at least _POOL_MIN_POINTS points and
+    more than one worker and one batch, through a pool of one process per
+    batch up to n (concurrent.futures is imported only then). The batch
+    boundaries are the same either way, so pooled rows equal serial rows. A
+    pool that cannot start or ship work falls back to the serial path; an
+    exception raised by `fn` propagates once."""
     batches = [points[i:i + batch] for i in range(0, len(points), batch)]
-    n = workers if workers is not None else worker_count()
+    n = min(workers if workers is not None else worker_count(), len(batches))
     if n > 1 and len(points) >= _POOL_MIN_POINTS:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
@@ -349,14 +348,6 @@ def hypersurface_residual(chart: ImmersionChart,
     return ResidualReport(chart.name, verdict, tol, scale, res_thr, grad_thr,
                           max_res, max_grad, max_f, rows, failed,
                           len(ok_rows) - len(classified))
-
-
-def gauss_tension_norm(chart: ImmersionChart, point, orientation: int = 1) -> float:
-    """Tension-field norm of the Gauss map: m * |grad f|_g (vanishes exactly
-    for CMC, matching harmonicity of the Gauss map)."""
-    fd = fundamental_data(chart, point)
-    V = gradient_of_mean_curvature(fd, _shape_data(chart, point, orientation, fd))
-    return chart.dim * fd.norm(V.values)
 
 
 # ---------------------------------------------------------------------------

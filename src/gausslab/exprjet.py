@@ -43,7 +43,6 @@ __all__ = [
     "Call",
     "ExprAst",
     "parse_expression",
-    "to_source",
     "shift_variables",
     "JetValue",
     "contract",
@@ -126,6 +125,9 @@ class _Token:
 
 
 _OPS = set("+-*/^()")
+# ASCII only: str.isdigit also accepts digits that float() rejects, such as
+# "²", and decimal digits of other scripts
+_DIGITS = set("0123456789")
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -140,22 +142,22 @@ def _tokenize(source: str) -> list[_Token]:
             tokens.append(_Token("OP", ch, i))
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and source[i + 1] in _DIGITS):
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             if j < n and source[j] == ".":
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
             # exponent part only when followed by digits (else 'e' is an ident)
             if j < n and source[j] in "eE":
                 k = j + 1
                 if k < n and source[k] in "+-":
                     k += 1
-                if k < n and source[k].isdigit():
+                if k < n and source[k] in _DIGITS:
                     j = k
-                    while j < n and source[j].isdigit():
+                    while j < n and source[j] in _DIGITS:
                         j += 1
             tokens.append(_Token("NUMBER", source[i:j], i))
             i = j
@@ -360,44 +362,6 @@ def parse_expression(source: str, variables: tuple[str, ...] | list[str]) -> Exp
     """Parse `source` over the given variable names; raises ExpressionError,
     also for an expression nested deeper than _MAX_DEPTH levels."""
     return _Parser(source, tuple(variables)).parse()
-
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def to_source(node: ExprAst) -> str:
-    """Pretty-print with minimal parentheses; reparses to an equal AST."""
-    def emit(n: ExprAst, parent_prec: int) -> str:
-        if isinstance(n, Num):
-            if n.value < 0:
-                # negative literal only arises from folded constants
-                return _paren(repr(n.value), parent_prec > 0)
-            return repr(n.value)
-        if isinstance(n, Var):
-            return n.name
-        if isinstance(n, Neg):
-            inner = emit(n.operand, 3)
-            return _paren(f"-{inner}", parent_prec > 2)
-        if isinstance(n, BinOp):
-            prec = _PRECEDENCE[n.op]
-            left = emit(n.left, prec - 1)
-            # right operand of - and / needs its own level to keep grouping
-            right = emit(n.right, prec if n.op in "-/" else prec - 1)
-            return _paren(f"{left} {n.op} {right}", parent_prec >= prec)
-        if isinstance(n, Pow):
-            base = emit(n.base, 4)
-            exp = repr(n.exponent)
-            if n.exponent < 0:
-                exp = f"({exp})"
-            return f"{base}^{exp}"
-        if isinstance(n, Call):
-            return f"{n.fn}({emit(n.arg, 0)})"
-        raise TypeError(n)
-
-    def _paren(text: str, needed: bool) -> str:
-        return f"({text})" if needed else text
-
-    return emit(node, 0)
 
 
 def shift_variables(node: ExprAst, offset: int, names: tuple[str, ...]) -> ExprAst:

@@ -45,16 +45,12 @@ from .geometry import (
     SamplingSpec,
     ShapeData,
     chart_from_strings,
-    fundamental_data,
-    shape_data_spherical,
 )
 from .roots import Polynomial, isolate_and_refine
 
 __all__ = [
-    "LinkSummary",
     "ConeShapeValues",
     "cone_shape_from_link",
-    "cmc_cone_condition",
     "SphereConeSolution",
     "sphere_link_solver",
     "CliffordRoot",
@@ -62,14 +58,12 @@ __all__ = [
     "clifford_shape_norm_sq",
     "build_cone_chart",
     "polynomial_curvature_cylinder",
-    "clothoid_cylinder",
     "CompositionEnergy",
     "composition_energy_check",
     "sphere_link_chart",
     "clifford_link_chart",
 ]
 
-_CONSTANCY_RTOL = 1e-8
 _CONDITION_TOL = 1e-9
 
 FLAG_VALID = "valid"
@@ -79,40 +73,7 @@ FLAG_PAPER_RANGE = "paper-range conflict"
 
 
 # ---------------------------------------------------------------------------
-# Link summaries and pointwise cone data
-
-
-@dataclass
-class LinkSummary:
-    """Constancy-checked invariants of a link chart."""
-
-    dim: int
-    f_value: float
-    shape_norm_sq: float
-    cmc: bool
-    minimal: bool
-
-    @classmethod
-    def from_chart(cls, chart: ImmersionChart, points: Sequence[tuple] | None = None,
-                   orientation: int = 1) -> "LinkSummary":
-        if chart.ambient != "sphere":
-            raise GeometryError("link charts live in the unit sphere")
-        if points is None:
-            points = chart.sample_points(default_count=5)
-        fs, norms = [], []
-        for p in points:
-            sd = shape_data_spherical(chart, p, orientation)
-            fs.append(sd.mean_curvature.value)
-            norms.append(sd.shape_norm_sq.value)
-        fs = np.asarray(fs)
-        norms = np.asarray(norms)
-        f_spread = float(fs.max() - fs.min())
-        n_spread = float(norms.max() - norms.min())
-        cmc = bool(f_spread <= _CONSTANCY_RTOL * (1.0 + abs(fs).max())
-                   and n_spread <= _CONSTANCY_RTOL * (1.0 + norms.max()))
-        f_value = float(fs.mean())
-        minimal = abs(f_value) <= 1e-9 * (1.0 + math.sqrt(max(norms.max(), 0.0)))
-        return cls(chart.dim, f_value, float(norms.mean()), cmc, minimal)
+# Pointwise cone data
 
 
 @dataclass
@@ -136,18 +97,6 @@ def cone_shape_from_link(link_sd: ShapeData, t: float) -> ConeShapeValues:
     f = m * link_sd.mean_curvature.value / ((m + 1) * t)
     norm_sq = link_sd.shape_norm_sq.value / (t * t)
     return ConeShapeValues(float(t), values, float(f), float(norm_sq))
-
-
-def cmc_cone_condition(link: LinkSummary) -> bool:
-    """Whether the cone over a CMC, non-minimal link has proper biharmonic
-    Gauss map: m > 2 and |A_link|^2 = 3(m-2)."""
-    if not link.cmc:
-        raise GeometryError("link is not CMC (f or |A|^2 varies across samples)")
-    if link.minimal:
-        raise GeometryError("link is minimal; the Gauss map question is trivial")
-    m = link.dim
-    return m > 2 and abs(link.shape_norm_sq - 3.0 * (m - 2)) <= _CONDITION_TOL * (
-        1.0 + abs(link.shape_norm_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -394,21 +343,6 @@ def polynomial_curvature_cylinder(k_coeffs: Sequence[float],
     return ImmersionChart(name or f"curvature_cylinder{ks}", 2,
                           "euclidean", variables, components,
                           (tuple(s_interval), tuple(w_interval)))
-
-
-def clothoid_cylinder(a: float, b: float, c: float,
-                      s_interval: tuple[float, float] = (-1.0, 1.0),
-                      w_interval: tuple[float, float] = (-1.0, 1.0),
-                      name: str | None = None) -> ImmersionChart:
-    """Right cylinder over the curve with quadratic signed curvature
-    k(s) = a s^2 + b s + c.
-
-    "Clothoid" classically means k linear in s; the quadratic family is the
-    natural closure here since the cylinder's Gauss map is proper biharmonic
-    exactly when k''' = 0 with k non-constant."""
-    return polynomial_curvature_cylinder(
-        (c, b, a), s_interval, w_interval,
-        name or f"clothoid_cylinder({a},{b},{c})")
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ the condition |A|^2 = 3(m-2) reduces to an integer polynomial in a single
 variable (k1 for l = 3, 6; lambda = (k1 - 1/k1)^2 for l = 4; a^2 resp. r1^2
 for the sphere and product families l = 1, 2). This module builds those
 polynomials exactly, classifies their admissible roots with certified
-counts, and covers the multiplicity admissibility arithmetic and the
-homogeneous (Takagi) family solved through sin^2(2 theta).
+counts, and covers the homogeneous (Takagi) family solved through
+sin^2(2 theta).
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ __all__ = [
     "condition_polynomial",
     "ClassifiedRoot",
     "classify_type",
-    "rho",
-    "type4_multiplicity_check",
     "TakagiSolution",
     "takagi_solver",
 ]
@@ -322,24 +320,6 @@ def classify_type(spec: IsoparametricSpec) -> list[ClassifiedRoot]:
     return []
 
 
-def rho(s: int) -> int:
-    """Number of integers r with 1 <= r <= s and r = 0, 1, 2 or 4 mod 8."""
-    if s < 0:
-        raise ValueError("s must be non-negative")
-    return sum(1 for r in range(1, s + 1) if r % 8 in (0, 1, 2, 4))
-
-
-def type4_multiplicity_check(m1: int, m2: int) -> bool:
-    """Admissibility of a type-4 multiplicity pair: the exceptional pairs
-    (2,2) and (4,5), or 2^rho(m*-1) divides m1+m2+1 with m* = min(m1,m2)."""
-    if m1 < 1 or m2 < 1:
-        raise ValueError("multiplicities must be positive")
-    if tuple(sorted((m1, m2))) in ((2, 2), (4, 5)):
-        return True
-    m_star = min(m1, m2)
-    return (m1 + m2 + 1) % (2 ** rho(m_star - 1)) == 0
-
-
 @dataclass(frozen=True)
 class TakagiSolution:
     """One root of the homogeneous-family condition, x = sin^2(2 theta)."""
@@ -356,7 +336,9 @@ class TakagiSolution:
 
 def takagi_solver(n: int) -> list[TakagiSolution]:
     """Roots of (4n-3) x^2 - (6n-11) x + 2(n-2) = 0 in x = sin^2(2 theta)
-    for the homogeneous family on S^(2n-1), n odd >= 5. The discriminant
+    for the homogeneous family on S^(2n+1), n odd >= 5: its lambda-quadratic
+    (n-2) lam^2 - (4n-6) lam + 32 is the type-4 condition for multiplicities
+    (n-2, 2), so m = 2n. The discriminant
     4n^2 - 44n + 73 is negative exactly for n < 9, so n in {5, 7} returns
     empty. Each root is certified inside (0, 1), back-substituted through
     lambda = 4(1-x)/x into the lambda-quadratic, and cross-checked against

@@ -1,24 +1,28 @@
 """Exact univariate root counting and certified isolation.
 
-Polynomials carry `fractions.Fraction` coefficients, so Sturm chains, square-
-free parts and endpoint handling are exact. Counting uses the half-open
-convention: count_real_roots_in(p, a, b) is the number of distinct real roots
-in (a, b]. Roots landing exactly on an endpoint are divided out by synthetic
-division before the chain is evaluated (exact, unlike an epsilon nudge) and
-re-added when the convention includes them; isolation reports such roots as
-degenerate [r, r] intervals.
+`Polynomial` carries `fractions.Fraction` coefficients at the API edge; the
+exact layer inside works on integer coefficient tuples, highest degree first.
+One pseudo-division (Collins, "Subresultants and reduced polynomial remainder
+sequences", J. ACM 14, 1967) builds the gcd, the square-free part, the
+deflation of a root and the Sturm chain: each step scales by |lc| of the
+divisor and each result is divided by its positive content, so every result
+is a positive multiple of the Euclidean one and keeps its signs.
 
-Every exact sign is evaluated on integers: q and each Sturm-chain member are
-scaled once by a positive integer to integer coefficients, and the sign at
-p/d is that of the homogeneous Horner sum of c_i p^i d^(n-i). Isolation
-bisects on integer endpoints over one power-of-two multiple of a common
-denominator per interval, carrying the sign variations of both ends so each
-split evaluates the chain only at the midpoint. Once an interval holds one
-root of the square-free q, refinement to the requested width needs only the
-sign of q at each midpoint against its sign just right of the left end (the
-sign of q' there when that end is itself a root). A single guarded Newton
-step polishes the float estimate; Fractions are built only for the returned
-intervals.
+Counting uses the half-open convention: count_real_roots_in(p, a, b) is the
+number of distinct real roots in (a, b]. Roots landing exactly on an endpoint
+are divided out before the chain is evaluated (exact, unlike an epsilon
+nudge) and re-added when the convention includes them; isolation reports
+such roots as degenerate [r, r] intervals.
+
+The sign at p/d of integer coefficients c is that of the homogeneous Horner
+sum of c_i p^i d^(n-i). Isolation bisects on integer endpoints over one
+power-of-two multiple of a common denominator per interval, carrying the
+sign variations of both ends so each split evaluates the chain only at the
+midpoint. Once an interval holds one root of the square-free q, refinement to
+the requested width needs only the sign of q at each midpoint against its
+sign just right of the left end (the sign of q' there when that end is itself
+a root). A single guarded Newton step polishes the float estimate; Fractions
+are built only for the returned intervals.
 """
 
 from __future__ import annotations
@@ -85,18 +89,6 @@ class Polynomial:
 
     # --- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return Polynomial.from_coeffs([x + y for x, y in zip(a, b)])
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             return Polynomial.from_coeffs([c * other for c in self.coeffs])
@@ -109,27 +101,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        lc = other.leading
-        while len(rem) - 1 >= d and rem:
-            k = len(rem) - 1 - d
-            q = rem[-1] / lc
-            quo[k] = q
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= q * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial.from_coeffs(quo), Polynomial.from_coeffs(rem)
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial.from_coeffs(
-            [i * c for i, c in enumerate(self.coeffs)][1:])
-
     # --- evaluation ---------------------------------------------------------
 
     def eval_exact(self, x: Fraction) -> Fraction:
@@ -139,85 +110,123 @@ class Polynomial:
         return acc
 
     def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
+        return _float_at([float(c) for c in reversed(self.coeffs)], x)
 
     # --- normal forms -------------------------------------------------------
 
     def content_normalized(self) -> "Polynomial":
         """Primitive integer form with positive leading coefficient."""
-        if self.is_zero:
-            return self
-        denom = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [c * denom for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = math.gcd(g, abs(int(c)))
-        sign = 1 if ints[-1] > 0 else -1
-        return Polynomial.from_coeffs([int(c) * sign // g for c in ints])
-
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        a, b = self, other
-        while not b.is_zero:
-            _, r = a.divmod(b)
-            a, b = b, r
-        if a.is_zero:
-            return a
-        return a * (1 / a.leading)
+        cs = _int_coeffs(self)
+        if cs and cs[0] < 0:
+            cs = tuple(-c for c in cs)
+        return _from_ints(cs)
 
     def square_free_part(self) -> "Polynomial":
-        if self.degree <= 1:
-            return self
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self
-        q, r = self.divmod(g)
-        assert r.is_zero
-        return q
+        """A positive multiple of p / gcd(p, p'), primitive with integer
+        coefficients."""
+        return _from_ints(_square_free(_int_coeffs(self)))
 
-    def deflate_root(self, r: Fraction) -> "Polynomial":
-        """Divide out (x - r); requires r to be an exact root."""
-        q, rem = self.divmod(Polynomial.from_coeffs([-r, 1]))
-        if not rem.is_zero:
+    def deflate_root(self, r: Rational) -> "Polynomial":
+        """A positive multiple of p / (x - r), primitive with integer
+        coefficients; requires r to be an exact root."""
+        r = _to_fraction(r)
+        q, rem = _pdiv(_int_coeffs(self), (r.denominator, -r.numerator))
+        if rem:
             raise ValueError(f"{r} is not a root")
-        return q
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            parts.append(f"{c}*x^{i}" if i else f"{c}")
-        return " + ".join(parts)
+        return _from_ints(q)
 
 
 def sturm_sequence(p: Polynomial) -> list[Polynomial]:
-    """Canonical chain p0 = p, p1 = p', p_(i+1) = -rem(p_(i-1), p_i)."""
+    """Sturm chain p0 = p, p1 = p', p_(i+1) = -rem(p_(i-1), p_i), each member
+    a positive multiple, primitive with integer coefficients."""
     if p.is_zero:
         raise ValueError("Sturm chain of the zero polynomial")
-    chain = [p]
-    if p.degree == 0:
-        return chain
-    chain.append(p.derivative())
-    while chain[-1].degree > 0:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero:
-            break
-        chain.append(-r)
-    return chain
+    return [_from_ints(cs) for cs in _sturm(_int_coeffs(p))]
+
+
+# ---------------------------------------------------------------------------
+# Integer coefficient tuples, highest degree first
+
+
+def _from_ints(cs: tuple[int, ...]) -> Polynomial:
+    return Polynomial.from_coeffs(cs[::-1])
+
+
+def _primitive(cs: Sequence[int]) -> tuple[int, ...]:
+    """`cs` without leading zeros, divided by its positive content."""
+    i = 0
+    while i < len(cs) and cs[i] == 0:
+        i += 1
+    g = math.gcd(*cs[i:])
+    return tuple(c // g for c in cs[i:]) if g > 1 else tuple(cs[i:])
 
 
 def _int_coeffs(poly: Polynomial) -> tuple[int, ...]:
-    """Integer coefficients of a positive multiple of `poly`, highest degree
-    first; the scale keeps every sign."""
+    """Primitive integer coefficients of a positive multiple of `poly`."""
     den = math.lcm(*(c.denominator for c in poly.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in reversed(poly.coeffs)]
-    g = math.gcd(*ints)
-    return tuple(c // g for c in ints)
+    return _primitive([c.numerator * (den // c.denominator)
+                       for c in reversed(poly.coeffs)])
+
+
+def _derivative(cs: tuple[int, ...]) -> tuple[int, ...]:
+    n = len(cs) - 1
+    return tuple(c * (n - i) for i, c in enumerate(cs[:-1]))
+
+
+def _pdiv(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Positive multiples of the quotient and remainder of a by b, each
+    primitive. A step that cancels a leading term first scales the partial
+    remainder and quotient by |lc(b)| > 0, so that after k such steps
+    |lc(b)|^k a = quotient * b + remainder, before the contents are divided
+    out."""
+    sgn = 1 if b[0] > 0 else -1
+    s = sgn * b[0]
+    r = list(a)
+    quo: list[int] = []
+    for k in range(len(a) - len(b) + 1):
+        t = sgn * r[k]
+        if t:
+            quo = [s * c for c in quo]
+            r[k:] = [s * c for c in r[k:]]
+            for i, c in enumerate(b):
+                r[k + i] -= t * c
+        quo.append(t)
+    return _primitive(quo), _primitive(r[max(len(a) - len(b) + 1, 0):])
+
+
+def _square_free(cs: tuple[int, ...]) -> tuple[int, ...]:
+    """Positive multiple of cs / gcd(cs, cs'), primitive."""
+    if len(cs) <= 2:
+        return cs
+    g, r = cs, _derivative(cs)
+    while r:
+        g, r = r, _pdiv(g, r)[1]
+    if len(g) == 1:
+        return cs
+    if g[0] < 0:
+        g = tuple(-c for c in g)  # so the quotient keeps the sign of cs
+    return _pdiv(cs, g)[0]
+
+
+def _sturm(cs: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Sturm chain of `cs`, each member a positive multiple of the Euclidean
+    one."""
+    chain = [cs]
+    if len(cs) > 1:
+        chain.append(_primitive(_derivative(cs)))
+    while len(chain[-1]) > 1:
+        r = _pdiv(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append(tuple(-c for c in r))
+    return chain
+
+
+def _float_at(cs: Sequence[float], x: float) -> float:
+    acc = 0.0
+    for c in cs:
+        acc = acc * x + c
+    return acc
 
 
 def _sign_at(cs: tuple[int, ...], p: int, d: int) -> int:
@@ -258,24 +267,17 @@ def _as_endpoint(x):
     return _to_fraction(x)
 
 
-def _is_root(q: Polynomial, x: Fraction) -> bool:
-    return _sign_at(_int_coeffs(q), x.numerator, x.denominator) == 0
-
-
-def _open_part(p: Polynomial, a, b) -> tuple[Polynomial, bool]:
+def _open_part(p: Polynomial, a, b) -> tuple[tuple[int, ...], bool]:
     """Square-free part of p with roots at the finite endpoints a and b
     divided out, and whether b was such a root."""
-    q = p.square_free_part()
-    if a != NEG_INF and _is_root(q, a):
-        q = q.deflate_root(a)  # a itself is excluded from (a, b]
-    b_is_root = b != POS_INF and _is_root(q, b)
+    q = _square_free(_int_coeffs(p))
+    if a != NEG_INF and _sign_at(q, a.numerator, a.denominator) == 0:
+        q = _pdiv(q, (a.denominator, -a.numerator))[0]  # a is not in (a, b]
+    b_is_root = b != POS_INF and _sign_at(q, b.numerator, b.denominator) == 0
     if b_is_root:
-        q = q.deflate_root(b)  # b belongs to (a, b]; the caller re-adds it
+        # b belongs to (a, b]; the caller re-adds it
+        q = _pdiv(q, (b.denominator, -b.numerator))[0]
     return q, b_is_root
-
-
-def _int_chain(q: Polynomial) -> list[tuple[int, ...]]:
-    return [_int_coeffs(r) for r in sturm_sequence(q)]
 
 
 def count_real_roots_in(p: Polynomial, a, b) -> int:
@@ -289,9 +291,9 @@ def count_real_roots_in(p: Polynomial, a, b) -> int:
     if not a < b:
         raise ValueError("need a < b")
     q, b_is_root = _open_part(p, a, b)
-    if q.degree <= 0:
+    if len(q) <= 1:
         return int(b_is_root)
-    chain = _int_chain(q)
+    chain = _sturm(q)
     return (_variations(chain, *_projective(a))
             - _variations(chain, *_projective(b)) + b_is_root)
 
@@ -306,10 +308,8 @@ class RootInterval:
     certified: bool = True
 
 
-def _cauchy_bound(p: Polynomial) -> Fraction:
-    lc = abs(p.leading)
-    m = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return 1 + m / lc
+def _cauchy_bound(cs: tuple[int, ...]) -> Fraction:
+    return 1 + Fraction(max(abs(c) for c in cs[1:]), abs(cs[0]))
 
 
 def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF,
@@ -322,14 +322,14 @@ def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF,
     b = _as_endpoint(b)
     q, b_is_root = _open_part(p, a, b)
     results = [RootInterval(b, b, float(b))] if b_is_root else []
-    if q.degree <= 0:
+    if len(q) <= 1:
         return results
     bound = _cauchy_bound(q)
     lo = a if a != NEG_INF else -bound
     hi = b if b != POS_INF else bound
     if not lo < hi:
         return results
-    chain = _int_chain(q)
+    chain = _sturm(q)
 
     # an endpoint x/d is kept as the integers (x, d), with d the common
     # denominator of lo and hi times a power of two; bisecting doubles d
@@ -350,26 +350,31 @@ def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF,
         stack.append((x, mid, d, vx, vm))
         stack.append((mid, y, d, vm, vy))
     w = _to_fraction(width) if width > 0 else Fraction(1, 10 ** 12)
-    dq = q.derivative()
-    q_cs, dq_cs = chain[0], _int_coeffs(dq)
+    dq = _derivative(q)
+    # the Newton step reads q scaled to the leading coefficient of p, which
+    # p divided by a monic gcd keeps, so the float polish does not depend on
+    # the integer scale of q
+    num, den = p.leading.numerator, p.leading.denominator * q[0]
+    q_f = [c * num / den for c in q]
+    dq_f = [c * num / den for c in dq]
     for x, y, d in isolated:
         # (x/d, y/d] holds one simple root, so q keeps the sign it has just
         # right of x/d up to that root (the sign of q' if x/d is a root too)
-        s = _sign_at(q_cs, x, d) or _sign_at(dq_cs, x, d)
+        s = _sign_at(q, x, d) or _sign_at(dq, x, d)
         # bisection keeps y - x and doubles d, so the width is (y - x)/d
         span = (y - x) * w.denominator
         while span > w.numerator * d:
             x, y, mid, d = 2 * x, 2 * y, x + y, 2 * d
-            if _sign_at(q_cs, mid, d) == s:
+            if _sign_at(q, mid, d) == s:
                 x = mid
             else:
                 y = mid
         est = (x + y) / d / 2.0  # int / int rounds correctly, as float(Fraction)
-        deriv = dq.eval_float(est)
+        deriv = _float_at(dq_f, est)
         if deriv != 0.0:
-            newton = est - q.eval_float(est) / deriv
+            newton = est - _float_at(q_f, est) / deriv
             if x / d <= newton <= y / d and \
-                    abs(q.eval_float(newton)) <= abs(q.eval_float(est)):
+                    abs(_float_at(q_f, newton)) <= abs(_float_at(q_f, est)):
                 est = newton
         results.append(RootInterval(Fraction(x, d), Fraction(y, d), est))
     results.sort(key=lambda r: r.value)

@@ -17,7 +17,6 @@ from gausslab.biharmonic import (
     Tolerances,
     check_corollary_on_chart,
     corollary_necessary_condition,
-    gauss_tension_norm,
     grassmann_curvature,
     hypersurface_residual,
     link_residual_system,
@@ -151,21 +150,23 @@ class FailingComponent:
 
 
 def test_worker_exception_propagates_without_serial_rerun():
+    # 144 dim-2 points are two batches of at most 130, so the pool runs
     chart = ImmersionChart("failing", 2, "euclidean", ("u", "v"),
                            (FailingComponent(),) * 3, ((-1.0, 1.0), (-1.0, 1.0)),
-                           SamplingSpec(counts=(8, 8)))
+                           SamplingSpec(counts=(12, 12)))
     with pytest.raises(RuntimeError, match="component bug"):
         hypersurface_residual(chart, workers=2)
     assert _PARENT_JET_CALLS == 0
 
 
 @pytest.mark.parametrize("check, chart", [
-    (hypersurface_residual, unit_sphere_chart(counts=(8, 8))),
+    (hypersurface_residual, unit_sphere_chart(counts=(12, 12))),
     (link_residual_system, sphere_link_chart(2, 0.64)),
 ])
 def test_pool_rows_equal_serial_rows(check, chart):
-    points = chart.sample_points(default_count=8)
-    assert len(points) == 64
+    # 144 dim-2 points are two batches of at most 130, so the pool runs
+    points = chart.sample_points(default_count=12)
+    assert len(points) == 144
     pooled = check(chart, points=points, workers=2)
     serial = check(chart, points=points, workers=1)
     assert repr(pooled.points) == repr(serial.points)
@@ -176,18 +177,22 @@ def test_pool_rows_equal_serial_rows(check, chart):
 # tension of the Gauss map
 
 
+def grad_f_norm(chart, point):
+    return hypersurface_residual(chart, points=[point]).points[0].grad_f_norm
+
+
 def test_tension_norm_vanishes_exactly_for_cmc():
     cyl = polynomial_curvature_cylinder((2.0,))
-    assert gauss_tension_norm(cyl, (0.1, 0.7)) == 0.0
+    assert grad_f_norm(cyl, (0.1, 0.7)) == 0.0
     rep = hypersurface_residual(cyl, points=[(0.0, 0.2), (0.1, 0.5)])
     assert rep.verdict == HARMONIC
 
 
 def test_tension_norm_linear_curvature_cylinder():
-    # k(s) = s: |grad f| = 1/2, tension = m |grad f| = 1
+    # k(s) = s: f = k/2, so |grad f| = 1/2
     cyl = polynomial_curvature_cylinder((0.0, 1.0))
-    assert gauss_tension_norm(cyl, (0.5, 0.0)) == pytest.approx(1.0, rel=1e-12)
-    assert gauss_tension_norm(cyl, (1.2, 0.3)) == pytest.approx(1.0, rel=1e-12)
+    assert grad_f_norm(cyl, (0.5, 0.0)) == pytest.approx(0.5, rel=1e-12)
+    assert grad_f_norm(cyl, (1.2, 0.3)) == pytest.approx(0.5, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

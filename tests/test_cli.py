@@ -189,6 +189,43 @@ def test_verify_deeply_nested_expression_is_parse_error(tmp_path, component):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("component", ["2\u00b2*u", "\u0663*u"])
+def test_verify_non_ascii_digit_is_parse_error(tmp_path, component):
+    cfg = json.loads((CONFIGS / "sphere_S2.json").read_text())
+    cfg["components"][0] = component
+    path = tmp_path / "digit.json"
+    path.write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "gausslab.cli", "verify", "--config",
+                           str(path)], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("expression error:")
+    assert "Traceback" not in proc.stderr
+
+
+# sphere_S2 is 64 points at dimension 2, one batch of at most 130: it runs
+# serially whatever the worker count; a 12 x 12 sample is two batches
+@pytest.mark.parametrize("samples, pooled", [(8, False), (12, True)])
+def test_verify_starts_a_pool_only_for_more_than_one_batch(tmp_path, samples, pooled):
+    cfg = json.loads((CONFIGS / "sphere_S2.json").read_text())
+    cfg["samples"] = {"u": samples, "v": samples}
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(cfg))
+    script = ("import contextlib, io, sys\n"
+              "from gausslab.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = main(['verify', '--config', {str(path)!r}])\n"
+              "print(code, 'concurrent.futures.process' in sys.modules)\n")
+    env = dict(os.environ, GAUSSLAB_THREADS="2", PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(pooled)]
+
+
 # JSON stdout recorded with GAUSSLAB_THREADS=1 before the hypersurface and
 # link residuals shared one kernel; the torus link is NotBiharmonic, so its
 # scalar link residuals are non-zero

@@ -17,7 +17,6 @@ from gausslab.exprjet import (
     eval_jet,
     parse_expression,
     shift_variables,
-    to_source,
 )
 
 from conftest import central_partial
@@ -53,6 +52,16 @@ def test_pow_exponent_must_be_constant():
 def test_parse_error_offsets(src, offset):
     with pytest.raises(ExpressionError, match=f"offset {offset}"):
         parse_expression(src, ("u",))
+
+
+@pytest.mark.parametrize("src, offset", [
+    ("2\u00b2*u", 1),  # superscript two: str.isdigit, but float() rejects it
+    ("\u0663*u", 0),   # Arabic-Indic three: a decimal digit of another script
+])
+def test_number_tokens_take_ascii_digits_only(src, offset):
+    with pytest.raises(ExpressionError, match="unexpected character") as info:
+        parse_expression(src, ("u",))
+    assert info.value.offset == offset
 
 
 @pytest.mark.parametrize("src, offset", [
@@ -127,16 +136,6 @@ def test_integer_power_overflow_is_domain_error():
     with pytest.raises(DomainError, match="overflows"):
         jet_of("x^(0-1e300)", ("x",), (0.5,))
     assert jet_of("x^1e10", ("x",), (0.5,)).value == 0.0
-
-
-def test_to_source_round_trip():
-    src = "u^2*cos(v) - 3/(1 + sin(u*v)) + sqrt(1 + u^2)"
-    a1 = parse_expression(src, ("u", "v"))
-    a2 = parse_expression(to_source(a1), ("u", "v"))
-    p = (0.4, -0.2)
-    j1 = eval_jet(a1, EvalContext(p, order=4))
-    j2 = eval_jet(a2, EvalContext(p, order=4))
-    assert np.array_equal(np.asarray(j1.coeffs), np.asarray(j2.coeffs))
 
 
 def test_shift_variables_embeds_chart_coordinates():

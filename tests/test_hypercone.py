@@ -21,20 +21,16 @@ from gausslab.hypercone import (
     FLAG_MINIMAL,
     FLAG_PAPER_RANGE,
     FLAG_VALID,
-    LinkSummary,
     build_cone_chart,
     clifford_link_chart,
     clifford_link_solver,
     clifford_shape_norm_sq,
-    clothoid_cylinder,
-    cmc_cone_condition,
     composition_energy_check,
     cone_shape_from_link,
     polynomial_curvature_cylinder,
     sphere_link_chart,
     sphere_link_solver,
 )
-from gausslab.geometry import GeometryError
 
 
 # ---------------------------------------------------------------------------
@@ -127,32 +123,32 @@ def test_sphere_link_chart_stays_on_unit_sphere():
         assert X @ X == pytest.approx(1.0, abs=1e-12)
 
 
+def link_shape_values(chart):
+    """(f, |A|^2) at each of the chart's default sample points."""
+    sds = [shape_data_spherical(chart, p) for p in chart.sample_points(default_count=5)]
+    return ([sd.mean_curvature.value for sd in sds],
+            [sd.shape_norm_sq.value for sd in sds])
+
+
 def test_link_summary_small_sphere():
-    ls = LinkSummary.from_chart(sphere_link_chart(3, 0.5))
-    assert ls.dim == 3
-    assert abs(ls.f_value) == pytest.approx(1.0, rel=1e-10)
-    assert ls.shape_norm_sq == pytest.approx(3.0, rel=1e-10)
-    assert ls.cmc and not ls.minimal
-    assert cmc_cone_condition(ls)
+    fs, norms = link_shape_values(sphere_link_chart(3, 0.5))
+    assert [abs(f) for f in fs] == pytest.approx([1.0] * len(fs), rel=1e-10)
+    assert norms == pytest.approx([3.0] * len(norms), rel=1e-10)
 
 
 def test_link_summary_minimal_torus():
-    ls = LinkSummary.from_chart(clifford_link_chart(1, 1, 0.5))
-    assert ls.dim == 2
-    assert abs(ls.f_value) < 1e-12
-    assert ls.shape_norm_sq == pytest.approx(2.0, rel=1e-10)
-    assert ls.cmc and ls.minimal
-    with pytest.raises(GeometryError, match="minimal"):
-        cmc_cone_condition(ls)
+    fs, norms = link_shape_values(clifford_link_chart(1, 1, 0.5))
+    assert max(abs(f) for f in fs) < 1e-12
+    assert norms == pytest.approx([2.0] * len(norms), rel=1e-10)
 
 
 def test_cmc_condition_tracks_shape_norm():
-    # a^2 = m/(m + |A|^2): only |A|^2 = 3(m-2) passes
+    # a^2 = m/(m + |A|^2), so |A|^2 = m(1 - a^2)/a^2 on S^m(a)
     m = 3
-    for target, ok in [(3.0, True), (2.5, False), (3.5, False)]:
+    for target in (3.0, 2.5, 3.5):
         a_sq = m / (m + target)
-        ls = LinkSummary.from_chart(sphere_link_chart(m, a_sq))
-        assert cmc_cone_condition(ls) is ok
+        _, norms = link_shape_values(sphere_link_chart(m, a_sq))
+        assert norms == pytest.approx([m * (1 - a_sq) / a_sq] * len(norms), rel=1e-10)
 
 
 def test_cone_shape_from_link_scales_like_one_over_t():
@@ -243,17 +239,6 @@ def test_cylinder_check_runs_without_scipy():
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == PROPER_BIHARMONIC
-
-
-def test_clothoid_delegates_to_polynomial_cylinder():
-    cl = clothoid_cylinder(0.3, -0.2, 1.5)
-    pl = polynomial_curvature_cylinder((1.5, -0.2, 0.3))
-    assert [c.k_coeffs for c in cl.components[:2]] == \
-        [c.k_coeffs for c in pl.components[:2]]
-    p = (0.37, 0.0)
-    for a, b in zip(cl.component_jets(p, order=4), pl.component_jets(p, order=4)):
-        assert np.asarray(a.coeffs) == pytest.approx(np.asarray(b.coeffs),
-                                                     abs=1e-12)
 
 
 def test_constant_curvature_cylinder_is_harmonic():

@@ -13,10 +13,8 @@ from gausslab.isoparametric import (
     classify_type,
     condition_polynomial,
     principal_curvatures,
-    rho,
     shape_norm_squared,
     takagi_solver,
-    type4_multiplicity_check,
 )
 from gausslab.roots import NEG_INF, POS_INF, count_real_roots_in
 
@@ -210,29 +208,6 @@ def test_classify_delegates_to_link_solvers():
 
 
 # ---------------------------------------------------------------------------
-# multiplicity arithmetic
-
-
-def test_rho_values():
-    assert [rho(s) for s in range(9)] == [0, 1, 2, 2, 3, 3, 3, 3, 4]
-    with pytest.raises(ValueError):
-        rho(-1)
-
-
-@pytest.mark.parametrize("pair,ok", [
-    ((2, 2), True),
-    ((4, 5), True),
-    ((5, 4), True),
-    ((1, 1), True),
-    ((3, 4), True),
-    ((6, 9), True),
-    ((2, 4), False),
-])
-def test_type4_multiplicity_check(pair, ok):
-    assert type4_multiplicity_check(*pair) is ok
-
-
-# ---------------------------------------------------------------------------
 # homogeneous family
 
 
@@ -277,3 +252,15 @@ def test_takagi_residuals_up_to_13():
             assert s.lam == pytest.approx(
                 4.0 * (1.0 - s.sin_sq_2theta) / s.sin_sq_2theta, rel=1e-12)
             assert not s.minimal
+
+
+@pytest.mark.parametrize("n", range(9, 21, 2))
+def test_takagi_lambda_is_the_type4_root_with_multiplicities_n_minus_2_and_2(n):
+    # the lambda-quadratic of the homogeneous family is the type-4 condition
+    # for (n-2, 2): a hypersurface of dimension 2n in S^(2n+1)
+    spec = IsoparametricSpec.type4(n - 2, 2)
+    assert spec.m == 2 * n
+    lams = sorted(r.value for r in classify_type(spec))
+    got = sorted(s.lam for s in takagi_solver(n))
+    assert len(got) == 2
+    assert got == pytest.approx(lams, rel=1e-12)

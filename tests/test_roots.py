@@ -230,3 +230,72 @@ def test_intervals_are_certified_and_match_the_reference(coeffs, lo, span, whole
         assert_certified(p)
     else:
         assert_certified(p, Fraction(lo, 4), Fraction(lo + span, 4))
+
+
+# ---------------------------------------------------------------------------
+# the integer chain against Euclid on Fractions
+
+
+def fraction_divmod(a, b):
+    """Euclidean quotient and remainder over Fractions, low degree first."""
+    a = [Fraction(c) for c in a]
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        k = len(a) - len(b)
+        quo[k] = a[-1] / b[-1]
+        for i, c in enumerate(b):
+            a[k + i] -= quo[k] * c
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return quo, a
+
+
+def derivative(cs):
+    return [i * c for i, c in enumerate(cs)][1:]
+
+
+def euclid_chain(cs):
+    chain = [cs, derivative(cs)]
+    while len(chain[-1]) > 1:
+        rem = fraction_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return chain
+
+
+def is_positive_multiple(a, b):
+    return (len(a) == len(b) and a[-1] * b[-1] > 0
+            and all(x * b[-1] == y * a[-1] for x, y in zip(a, b)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 3), st.integers(1, 3)),
+                min_size=1, max_size=3),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+def test_integer_chain_is_a_positive_multiple_of_fraction_euclid(factors, cofactor):
+    # p = cofactor * prod (x - n/d)^k, so repeated roots are common
+    p = poly(*cofactor)
+    for n, d, k in factors:
+        for _ in range(k):
+            p = p * poly(Fraction(-n, d), 1)
+    if p.degree < 1:
+        return
+    cs = list(p.coeffs)
+    chain = sturm_sequence(p)
+    want = euclid_chain(cs)
+    assert len(chain) == len(want)
+    for got, ref in zip(chain, want):
+        assert is_positive_multiple(got.coeffs, ref)
+    g, rem = cs, derivative(cs)
+    while rem:
+        g, rem = rem, fraction_divmod(g, rem)[1]
+    q, rem = fraction_divmod(cs, [c / g[-1] for c in g])
+    assert not rem
+    assert is_positive_multiple(p.square_free_part().coeffs, q)
+    root = Fraction(factors[0][0], factors[0][1])
+    q, rem = fraction_divmod(cs, [-root, 1])
+    assert not rem
+    assert is_positive_multiple(p.deflate_root(root).coeffs, q)
+
