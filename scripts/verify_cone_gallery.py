@@ -4,9 +4,17 @@
 Clifford roots m = 4..7) should come out ProperBiharmonicGauss, the
 wrong-radius controls should not. Exits 1 when a row has the wrong verdict.
 
-Usage: python3 scripts/verify_cone_gallery.py
+With --full it also runs the link system on the rest of the catalog: every
+sphere link and valid Clifford root of `report --all` with 8 <= m <= 12 (95
+rows), at two fixed interior points each, next to wrong-radius sphere
+controls at m = 8 and m = 12. Budget: 55 s wall and 85 MB peak RSS on a
+2-core x86-64 machine, serial (GAUSSLAB_THREADS=1) or with the default pool
+of two, the m <= 7 rows included.
+
+Usage: python3 scripts/verify_cone_gallery.py [--full]
 """
 
+import argparse
 import sys
 
 from gausslab.biharmonic import (
@@ -43,7 +51,45 @@ def cone_row(label, link, proper):
     return label, rep.verdict, rep.max_residual, (rep.verdict == PROPER_BIHARMONIC) == proper
 
 
-def main():
+def link_row(label, link, proper, points=None):
+    rep = link_residual_system(link, points=points)
+    return (label, rep.verdict, max(rep.max_vector_residual, rep.max_scalar_residual),
+            (rep.verdict == PROPER_BIHARMONIC) == proper)
+
+
+def interior_points(chart):
+    """Two fixed points inside the chart's box, off its centre and corners."""
+    return [tuple(lo + (hi - lo) * (0.35 if (i + k) % 2 else 0.6)
+                  for i, (lo, hi) in enumerate(chart.domain)) for k in range(2)]
+
+
+def full_rows():
+    """Link-system rows for every catalog link with 8 <= m <= 12."""
+    rows = []
+    for m in range(8, 13):
+        sol = sphere_link_solver(m)
+        link = sphere_link_chart(m, sol.a_sq_exact)
+        rows.append(link_row(f"link S^{m}(sqrt({sol.a_sq_exact}))", link, True,
+                             interior_points(link)))
+    # controls: wrong sphere radius
+    for m in (8, 12):
+        link = sphere_link_chart(m, 0.5)
+        rows.append(link_row(f"link S^{m}(sqrt(0.5))", link, False, interior_points(link)))
+    for m in range(8, 13):
+        for m1 in range(1, m):
+            for root in clifford_link_solver(m, m1):
+                if root.flag == "valid":
+                    link = clifford_link_chart(m1, m - m1, root.r1_sq)
+                    rows.append(link_row(f"link S^{m1} x S^{m - m1}, r1^2={root.r1_sq:.6f}",
+                                         link, True, interior_points(link)))
+    return rows
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--full", action="store_true",
+                        help="also run the link system on the catalog links with 8 <= m <= 12")
+    args = parser.parse_args(argv)
     rows = []
 
     for m in range(3, 8):
@@ -66,10 +112,7 @@ def main():
 
     # link-level confirmation for the first Clifford case
     link = clifford_link_chart(1, 3, clifford_link_solver(4, 1)[0].r1_sq)
-    rep = link_residual_system(link)
-    rows.append(("  link system for S^1 x S^3", rep.verdict,
-                 max(rep.max_vector_residual, rep.max_scalar_residual),
-                 rep.verdict == PROPER_BIHARMONIC))
+    rows.append(link_row("  link system for S^1 x S^3", link, True))
 
     cyl_pts = [(0.0, 0.0), (0.4, 0.3), (-0.6, -0.2)]
     for coeffs, label, proper in (((1.0, 1.0, 1.0), "cylinder, k = 1 + s + s^2", True),
@@ -79,6 +122,8 @@ def main():
                                     points=cyl_pts)
         rows.append((label, rep.verdict, rep.max_residual,
                      (rep.verdict == PROPER_BIHARMONIC) == proper))
+    if args.full:
+        rows += full_rows()
 
     width = max(len(r[0]) for r in rows)
     print(f"{'surface':<{width}}  {'verdict':<22}  max residual")

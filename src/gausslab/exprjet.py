@@ -389,42 +389,47 @@ def shift_variables(node: ExprAst, offset: int, names: tuple[str, ...]) -> ExprA
 
 
 @lru_cache(maxsize=None)
-def _index_tables(m: int, order: int):
-    indices: list[tuple[int, ...]] = []
+def _exponents(m: int, order: int):
+    """The multi-indices |alpha| <= order of m variables in the coefficient
+    layout of a jet (by degree, lex inside a degree): the (ncoef, m) exponent
+    table, the key of each row (alpha read in base order + 1, so that
+    key(alpha + beta) = key(alpha) + key(beta) while |alpha + beta| <= order),
+    the keys in ascending (lex) order and the row of each. Raises
+    OverflowError, before any allocation, where a key would not fit intp."""
+    base, bound = order + 1, np.iinfo(np.intp).max
+    if base ** m > bound:
+        raise OverflowError(f"jet tables of dimension {m} at order {order} need "
+                            f"keys up to {base}^{m}, past the integer bound {bound}")
+    # every index in lex order, one variable at a time: each row followed by
+    # every exponent its remaining degree allows
+    lex = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(m):
+        room = base - lex.sum(axis=1)
+        last = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
+        lex = np.column_stack([np.repeat(lex, room, axis=0), last])
+    lex_keys = lex @ base ** np.arange(m - 1, -1, -1, dtype=np.intp)
+    graded = np.argsort(lex.sum(axis=1), kind="stable")
+    return lex[graded], lex_keys[graded], lex_keys, np.argsort(graded)
 
-    def gen(prefix: tuple[int, ...], remaining: int, budget: int):
-        if remaining == 0:
-            indices.append(prefix)
-            return
-        for d in range(budget + 1):
-            gen(prefix + (d,), remaining - 1, budget - d)
 
-    by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(order + 1)]
-    gen((), m, order)
-    for alpha in indices:
-        by_degree[sum(alpha)].append(alpha)
-    ordered: list[tuple[int, ...]] = []
-    for bucket in by_degree:
-        ordered.extend(sorted(bucket))
-    pos = {alpha: i for i, alpha in enumerate(ordered)}
-    return ordered, pos
+def _rows(m: int, order: int, keys) -> np.ndarray:
+    """Rows of the jet layout holding the multi-indices with these keys."""
+    _, _, lex_keys, rows = _exponents(m, order)
+    return rows[np.searchsorted(lex_keys, keys)]
 
 
 @lru_cache(maxsize=None)
 def _mul_tables(m: int, order: int):
-    ordered, pos = _index_tables(m, order)
-    li, lj, lo = [], [], []
-    for i, alpha in enumerate(ordered):
-        da = sum(alpha)
-        for j, beta in enumerate(ordered):
-            if da + sum(beta) > order:
-                continue
-            li.append(i)
-            lj.append(j)
-            lo.append(pos[tuple(a + b for a, b in zip(alpha, beta))])
-    return (np.asarray(li, dtype=np.intp),
-            np.asarray(lj, dtype=np.intp),
-            np.asarray(lo, dtype=np.intp))
+    """Every pair (i, j) of coefficients whose product lands at or below
+    `order`, i-major, and the row lo of each product."""
+    table, keys, _, _ = _exponents(m, order)
+    degree = table.sum(axis=1)
+    # the partners of a degree-d index are those of degree <= order - d: a
+    # prefix of the graded layout
+    partners = np.searchsorted(degree, order - degree, side="right")
+    li = np.repeat(np.arange(len(table)), partners)
+    lj = np.arange(len(li)) - np.repeat(np.cumsum(partners) - partners, partners)
+    return li, lj, _rows(m, order, keys[li] + keys[lj])
 
 
 @lru_cache(maxsize=64)  # one entry per (dimension, order, trailing size) in use
@@ -438,15 +443,13 @@ def _pair_slots(m: int, order: int, size: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _deriv_tables(m: int, order: int, var: int):
     """Maps an order-k jet to the order-(k-1) jet of its `var` partial: the
-    source coefficient and factor of each lowered coefficient, in order."""
-    _, pos = _index_tables(m, order)
-    lowered, _ = _index_tables(m, order - 1)
-    src, fac = [], []
-    for beta in lowered:
-        alpha = tuple(b + (1 if i == var else 0) for i, b in enumerate(beta))
-        src.append(pos[alpha])
-        fac.append(beta[var] + 1)
-    return np.asarray(src, dtype=np.intp), np.asarray(fac, dtype=np.float64)
+    source coefficient and factor of each lowered coefficient, in order. The
+    order-(k-1) layout is a prefix of the order-k one, and raising the `var`
+    exponent shifts a key by (order + 1)^(m - 1 - var)."""
+    table, keys, _, _ = _exponents(m, order)
+    lowered = math.comb(m + order - 1, m)
+    src = _rows(m, order, keys[:lowered] + (order + 1) ** (m - 1 - var))
+    return src, (table[:lowered, var] + 1).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +596,7 @@ class JetValue:
 
     @classmethod
     def constant(cls, value, m: int, order: int, rank: int = 0) -> "JetValue":
-        ordered, _ = _index_tables(m, order)
-        coeffs = np.zeros((len(ordered),) + getattr(value, "shape", ()))
+        coeffs = np.zeros((math.comb(m + order, m),) + getattr(value, "shape", ()))
         coeffs[0] = value
         return cls(m, order, coeffs, rank)
 
@@ -602,12 +604,10 @@ class JetValue:
     def variable(cls, index: int, value, m: int, order: int) -> "JetValue":
         if not 0 <= index < m:
             raise ValueError(f"variable index {index} out of range for dimension {m}")
-        ordered, pos = _index_tables(m, order)
-        coeffs = np.zeros((len(ordered),) + getattr(value, "shape", ()))
+        coeffs = np.zeros((math.comb(m + order, m),) + getattr(value, "shape", ()))
         coeffs[0] = value
-        if order >= 1:
-            unit = tuple(1 if i == index else 0 for i in range(m))
-            coeffs[pos[unit]] = 1.0
+        if order >= 1:  # the degree-1 rows follow the constant, x_(m-1) first
+            coeffs[m - index] = 1.0
         return cls(m, order, coeffs)
 
     # helpers ----------------------------------------------------------------
@@ -637,8 +637,8 @@ class JetValue:
             return self
         if order > self.order:
             raise ValueError("cannot extend a jet to higher order")
-        ordered, _ = _index_tables(self.m, order)
-        return JetValue(self.m, order, self.coeffs[: len(ordered)].copy(), self.rank)
+        n = math.comb(self.m + order, self.m)
+        return JetValue(self.m, order, self.coeffs[:n].copy(), self.rank)
 
     def _truncated(self, other: "JetValue") -> tuple[int, np.ndarray, np.ndarray]:
         """The common order and both coefficient arrays truncated to it."""
@@ -647,7 +647,7 @@ class JetValue:
         k = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         if self.order != other.order:
-            n = len(_index_tables(self.m, k)[0])
+            n = math.comb(self.m + k, self.m)
             a, b = a[:n], b[:n]
         return k, a, b
 
@@ -681,11 +681,11 @@ class JetValue:
         if sum(alpha) > self.order:
             raise ValueError(
                 f"requested order {sum(alpha)} exceeds jet order {self.order}")
-        _, pos = _index_tables(self.m, self.order)
-        scale = 1.0
-        for a in alpha:
+        key, scale = 0, 1.0
+        for a in alpha:  # factorial rejects a negative exponent
+            key = key * (self.order + 1) + a
             scale *= math.factorial(a)
-        c = self.coeffs[pos[tuple(alpha)]]
+        c = self.coeffs[_rows(self.m, self.order, key)]
         return (float(c) if self.coeffs.ndim == 1 else c) * scale
 
     def derivative(self, var: int) -> "JetValue":
@@ -922,11 +922,8 @@ def antiderivative_jet(djet: JetValue, var: int, value: float) -> JetValue:
     if not 0 <= var < djet.m:
         raise ValueError("variable index out of range")
     m, k = djet.m, djet.order + 1
-    _, pos_hi = _index_tables(m, k)
-    ordered_lo, _ = _index_tables(m, k - 1)
-    out = np.zeros(len(_index_tables(m, k)[0]))
+    src, fac = _deriv_tables(m, k, var)
+    out = np.zeros(math.comb(m + k, m))
     out[0] = value
-    for i, beta in enumerate(ordered_lo):
-        target = tuple(b + (1 if v == var else 0) for v, b in enumerate(beta))
-        out[pos_hi[target]] = djet.coeffs[i] / (beta[var] + 1)
+    out[src] = djet.coeffs / fac
     return JetValue(m, k, out)

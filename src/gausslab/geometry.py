@@ -382,10 +382,12 @@ def fundamental_data(chart: ImmersionChart, point: Sequence,
     g0 = _points_first(g0, 2)
     eigs = np.linalg.eigvalsh(g0)
     lowest, highest = eigs[..., 0], eigs[..., -1]
-    if np.any((lowest <= _METRIC_EIG_FLOOR * np.maximum(highest, 1.0)) | (lowest <= 0.0)):
+    if np.any(lowest <= 0.0):
         raise SingularImmersionError(f"metric not positive definite at {pt}")
     if np.any(highest / lowest > _METRIC_COND_CEIL):
         raise SingularImmersionError(f"metric condition number exceeds 1e10 at {pt}")
+    if np.any(lowest <= _METRIC_EIG_FLOOR * np.maximum(highest, 1.0)):
+        raise SingularImmersionError(f"metric numerically singular at {pt}")
     ginv = _inverse(metric, _points_last(np.linalg.inv(g0), 2))
     # the Laplacians read only the values and first derivatives of Gamma
     c_order = min(1, order - 3)

@@ -17,7 +17,7 @@ from gausslab.biharmonic import (
     link_residual_system,
     r4_obstruction,
 )
-from gausslab.exprjet import FUNCTIONS, DomainError, JetValue, _index_tables
+from gausslab.exprjet import FUNCTIONS, DomainError, JetValue, _exponents
 from gausslab.geometry import (
     GeometryError,
     SphereConstraintError,
@@ -247,7 +247,7 @@ def test_r4_first_failing_cell_raises_the_same_error_serial_and_pooled(monkeypat
 def _batch(m, order, values, rng):
     """A batch jet with the given base values and random higher coefficients,
     and its columns as one-point jets."""
-    n = len(_index_tables(m, order)[0])
+    n = len(_exponents(m, order)[0])
     coeffs = rng.uniform(-1.0, 1.0, (n, len(values)))
     coeffs[0] = values
     return JetValue(m, order, coeffs), [JetValue(m, order, coeffs[:, c].copy())

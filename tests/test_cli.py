@@ -168,6 +168,24 @@ def test_verify_overflowing_power_fails_points_without_numpy_warning(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_verify_past_the_jet_table_bound_is_numeric_failure(tmp_path):
+    # order-5 jet tables key multi-indices in base 6, and 6^25 overflows a
+    # machine integer: the run stops before any table is built
+    names = [f"x{i}" for i in range(25)]
+    path = write_config(tmp_path, name="dim25", dim=25, variables=names,
+                        components=names + ["0"],
+                        domain={n: [-1.0, 1.0] for n in names}, samples=[[0.5] * 25])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "gausslab.cli", "verify", "--config", path],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert time.perf_counter() - start < 10.0
+    assert proc.returncode == 4
+    assert "dimension 25 at order 5" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("component", [
     "(" * 3000 + "u" + ")" * 3000,  # nested parentheses
     "-" * 5000 + "u",               # unary minuses
@@ -577,7 +595,7 @@ def test_verify_overflowing_component_fails_points_not_the_run(tmp_path, compone
         if p["point"][0] >= non_finite_from:
             assert "not finite" in p["error"], p
         else:
-            assert "metric not positive definite" in p["error"], p
+            assert "metric condition number" in p["error"], p
     assert "RuntimeWarning" not in proc.stderr
     assert "Traceback" not in proc.stderr
 

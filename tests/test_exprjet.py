@@ -1,5 +1,6 @@
 """Expression parsing and Taylor-jet arithmetic."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,9 @@ from gausslab.exprjet import (
     EvalContext,
     ExpressionError,
     JetValue,
-    _index_tables,
+    _deriv_tables,
+    _exponents,
+    _mul_tables,
     antiderivative_jet,
     contract,
     eval_jet,
@@ -167,6 +170,70 @@ def test_antiderivative_shifts_partials_in_two_variables():
         assert G.partial(shifted) == pytest.approx(dF.partial(alpha), rel=1e-13)
 
 
+def test_antiderivative_then_derivative_returns_the_input():
+    rng = np.random.default_rng(3)
+    dF = JetValue(3, 4, rng.uniform(-1.0, 1.0, len(_exponents(3, 4)[0])))
+    for var in range(3):
+        back = antiderivative_jet(dF, var, 0.5).derivative(var)
+        assert back.order == 4
+        assert np.max(np.abs(back.coeffs - dF.coeffs)) <= 1e-15 * np.max(np.abs(dF.coeffs))
+
+
+# ---------------------------------------------------------------------------
+# multi-index tables against a brute-force reference
+
+
+def _reference_tables(m, order):
+    """The exponents sorted by (degree, tuple), and the product and
+    derivative tables by dictionary lookup."""
+    exps = sorted((a for a in itertools.product(range(order + 1), repeat=m)
+                   if sum(a) <= order), key=lambda a: (sum(a), a))
+    pos = {a: i for i, a in enumerate(exps)}
+    pairs = [(i, j, pos[tuple(x + y for x, y in zip(a, b))])
+             for i, a in enumerate(exps) for j, b in enumerate(exps)
+             if sum(a) + sum(b) <= order]
+    derivs = []
+    for var in range(m):
+        lowered = [b for b in exps if sum(b) < order]
+        derivs.append(([pos[b[:var] + (b[var] + 1,) + b[var + 1:]] for b in lowered],
+                       [float(b[var] + 1) for b in lowered]))
+    return exps, pairs, derivs
+
+
+def _assert_identical(got, want, dtype):
+    assert got.dtype == dtype and got.tolist() == want
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_tables_equal_the_brute_force_reference(m):
+    for order in range(6):
+        exps, pairs, derivs = _reference_tables(m, order)
+        assert [tuple(row) for row in _exponents(m, order)[0].tolist()] == exps
+        for got, want in zip(_mul_tables(m, order), zip(*pairs)):
+            _assert_identical(got, list(want), np.intp)
+        for var in range(m if order else 0):
+            src, fac = _deriv_tables(m, order, var)
+            _assert_identical(src, derivs[var][0], np.intp)
+            _assert_identical(fac, derivs[var][1], np.float64)
+
+
+def test_order5_tables_at_dimension_12():
+    exps = _exponents(12, 5)[0]
+    li, lj, lo = _mul_tables(12, 5)
+    assert len(li) == math.comb(29, 5) == 118755
+    assert np.array_equal(exps[lo], exps[li] + exps[lj])
+
+
+def test_tables_past_the_key_bound_raise_overflow():
+    # keys are numbers in base order + 1: 2^62 and 6^24 fit in 2^63 - 1,
+    # 2^63 and 6^25 do not
+    assert len(_exponents(62, 1)[0]) == 63
+    with pytest.raises(OverflowError, match="dimension 63 at order 1"):
+        _exponents(63, 1)
+    with pytest.raises(OverflowError, match="dimension 25 at order 5"):
+        _mul_tables(25, 5)
+
+
 def test_jetvalue_constant_and_variable():
     c = JetValue.constant(5.0, m=2, order=3)
     assert c.value == 5.0 and c.partial((1, 0)) == 0.0
@@ -213,7 +280,7 @@ def test_first_partials_match_finite_differences(src, u, v, i):
 def _tensor_jet(shape, rng, m=3, order=3, points=None):
     """A jet with random coefficients, tensor axes `shape` and optionally a
     batch of `points` base points."""
-    n = len(_index_tables(m, order)[0])
+    n = len(_exponents(m, order)[0])
     tail = (points,) if points else ()
     return JetValue(m, order, rng.uniform(-1.0, 1.0, (n,) + shape + tail), len(shape))
 

@@ -100,6 +100,20 @@ def test_singular_immersion_rejected():
         fundamental_data(sing, (0.0, 0.0))
 
 
+@pytest.mark.parametrize("components, point, cause", [
+    # g0 = diag(1, 0): a degenerate chart
+    (("u", "v^3", "0"), (0.3, 0.0), "not positive definite"),
+    # g0 = diag(2e217, 1): finite and positive definite, but ill-conditioned
+    (("u", "v", "exp(exp(u))"), (5.5, 0.0), "condition number exceeds 1e10"),
+    # g0 = 1e-14 I: well conditioned, but below the spectral floor
+    (("1e-7*u", "1e-7*v", "0"), (0.3, 0.2), "numerically singular"),
+])
+def test_metric_gates_name_the_cause(components, point, cause):
+    chart = chart_from_strings("gate", ("u", "v"), components, ((-10, 10), (-10, 10)))
+    with pytest.raises(SingularImmersionError, match=f"metric {cause} at"):
+        fundamental_data(chart, point)
+
+
 def test_failed_normal_svd_is_a_singular_immersion(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
