@@ -29,13 +29,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprjet import DomainError, _mul_tables
+from .exprjet import DomainError, JetValue, _mul_tables
 from .geometry import (
-    FundamentalData,
     GeometryError,
     ImmersionChart,
     ShapeData,
-    TangentField,
     _points_first,
     fundamental_data,
     gradient_of_mean_curvature,
@@ -160,12 +158,6 @@ class _BatchWorker:
         return [self._single(p) for p in points]
 
 
-def _shape_data(chart: ImmersionChart, point, orientation: int,
-                fd: FundamentalData) -> ShapeData:
-    shape = shape_data_euclidean if chart.ambient == "euclidean" else shape_data_spherical
-    return shape(chart, point, orientation, fd)
-
-
 # ---------------------------------------------------------------------------
 # Pointwise residuals: the bitension of the Gauss map, and the link system
 
@@ -211,11 +203,12 @@ class _PointWorker(_BatchWorker):
         a batch (the residual vectors then have shape (m, N))."""
         chart = self.chart
         fd = fundamental_data(chart, point)
-        sd = _shape_data(chart, point, self.orientation, fd)
+        shape = shape_data_euclidean if chart.ambient == "euclidean" else shape_data_spherical
+        sd = shape(chart, point, self.orientation, fd)
         V = gradient_of_mean_curvature(fd, sd)
         lap = rough_laplacian(fd, V)
-        A = sd.shape_operator_values()
-        v = V.values
+        A = sd.shape_operator.value
+        v = V.value
         AAv = _apply(A, _apply(A, v))
         norm_sq = sd.shape_norm_sq.value
         f = sd.mean_curvature.value
@@ -478,16 +471,15 @@ def link_residual_system(chart: ImmersionChart,
 # Necessary condition through the Ricci operator
 
 
-def corollary_necessary_condition(sd: ShapeData, grad_f: TangentField) -> np.ndarray:
-    """Value of 2 A^2(grad f) - m f A(grad f) - (2/3)|A|^2 grad f, assembled
-    by eliminating the rough Laplacian between the two link equations and
-    substituting the Ricci operator from the Gauss equation."""
-    m = sd.dim
-    ric = ricci_via_gauss_equation(sd, grad_f).values
-    A = sd.shape_operator_values()
-    v = grad_f.values
+def corollary_necessary_condition(sd: ShapeData, v: np.ndarray) -> np.ndarray:
+    """Value of 2 A^2(v) - m f A(v) - (2/3)|A|^2 v at v = grad f (its
+    components at the base point), assembled by eliminating the rough
+    Laplacian between the two link equations and substituting the Ricci
+    operator from the Gauss equation."""
+    A = sd.shape_operator.value
     norm_sq = sd.shape_norm_sq.value
-    return A @ (A @ v) - ric + (m - 1 - (2.0 / 3.0) * norm_sq) * v
+    return (A @ (A @ v) - ricci_via_gauss_equation(sd, v)
+            + (sd.dim - 1 - (2.0 / 3.0) * norm_sq) * v)
 
 
 def check_corollary_on_chart(chart: ImmersionChart,
@@ -503,8 +495,8 @@ def check_corollary_on_chart(chart: ImmersionChart,
         fd = fundamental_data(chart, p)
         sd = shape_data_spherical(chart, p, orientation, fd)
         norms.append(sd.shape_norm_sq.value)
-        V = gradient_of_mean_curvature(fd, sd)
-        values.append(fd.norm(corollary_necessary_condition(sd, V)))
+        v = gradient_of_mean_curvature(fd, sd).value
+        values.append(fd.norm(corollary_necessary_condition(sd, v)))
     spread = max(norms) - min(norms)
     if spread > 1e-8 * (1.0 + max(norms)):
         raise GeometryError("|A|^2 is not constant across the sample")
@@ -654,7 +646,7 @@ class _R4Worker(_BatchWorker):
     def _evaluate(self, point) -> tuple:
         fd = fundamental_data(self.chart, point, order=4)
         sd = shape_data_spherical(self.chart, point, 1, fd)
-        det = np.linalg.det(_points_first(fd.metric_values(), 2))
+        det = np.linalg.det(_points_first(fd.metric.value, 2))
         w = np.sqrt(np.maximum(det, 0.0)) * self.du * self.dv
         f = sd.mean_curvature.value
         return (3.0 * scalar_laplacian(fd, sd.mean_curvature) * w,
@@ -665,34 +657,27 @@ class _R4Worker(_BatchWorker):
         return list(zip(*(c.tolist() for c in columns)))
 
 
-def _edge_points(chart, var: int, at_hi: bool, count: int = 5):
-    (u_lo, u_hi), (v_lo, v_hi) = chart.domain
-    if var == 0:
-        u = u_hi if at_hi else u_lo
-        return [(u, v) for v in np.linspace(v_lo, v_hi, count + 2)[1:-1]]
-    v = v_hi if at_hi else v_lo
-    return [(u, v) for u in np.linspace(u_lo, u_hi, count + 2)[1:-1]]
+def _edge_frame(chart, var: int, at_hi: bool, count: int = 5):
+    """Positions [a, N] and frames [i, a, N] at `count` interior points of
+    one edge of the domain box (variable `var` at its low or high end), from
+    one batched jet pass."""
+    fixed = np.full(count, chart.domain[var][1 if at_hi else 0])
+    run = np.linspace(*chart.domain[1 - var], count + 2)[1:-1]
+    jets = chart.component_jets((fixed, run) if var == 0 else (run, fixed), order=1)
+    X = JetValue(2, 1, np.stack([j.coeffs for j in jets], axis=1), 1)
+    return X.value, X.gradient().value
 
 
 def _closure_kind(chart, var: int, tol: float = 1e-8) -> str:
-    periodic = True
-    for lo_pt, hi_pt in zip(_edge_points(chart, var, False),
-                            _edge_points(chart, var, True)):
-        a = [j.value for j in chart.component_jets(lo_pt, order=0)]
-        b = [j.value for j in chart.component_jets(hi_pt, order=0)]
-        if max(abs(x - y) for x, y in zip(a, b)) > tol:
-            periodic = False
-            break
-    if periodic:
+    """How variable `var` closes up: "periodic" when its two edges carry
+    the same positions, "capped" when det g vanishes along both."""
+    X_lo, T_lo = _edge_frame(chart, var, False)
+    X_hi, T_hi = _edge_frame(chart, var, True)
+    if not np.any(np.abs(X_lo - X_hi) > tol):
         return "periodic"
-    for at_hi in (False, True):
-        for pt in _edge_points(chart, var, at_hi):
-            jets = chart.component_jets(pt, order=1)
-            tangents = [[j.derivative(i).value for j in jets] for i in range(2)]
-            g = np.array([[sum(a * b for a, b in zip(ti, tj)) for tj in tangents]
-                          for ti in tangents])
-            if abs(np.linalg.det(g)) > tol:
-                raise GeometryError(
-                    f"chart does not close up in variable {chart.variables[var]!r}"
-                    " (neither periodic nor pole-capped)")
+    T = np.concatenate([T_lo, T_hi], axis=-1)
+    if np.any(np.abs(np.linalg.det(np.einsum("ia...,ja...->...ij", T, T))) > tol):
+        raise GeometryError(
+            f"chart does not close up in variable {chart.variables[var]!r}"
+            " (neither periodic nor pole-capped)")
     return "capped"

@@ -442,12 +442,26 @@ def _cmd_check_r4(args) -> _Outcome:
     return _Outcome("check cone-r4", {"config": raw}, obstruction.as_dict())
 
 
-def _cmd_roots(args) -> _Outcome:
-    tokens = [t.strip() for t in args.coeffs.split(",")]
+# Longest rational token, its exponent counted as digits: below Python's
+# 4300-digit int <-> str limit, so every accepted number builds fast and prints.
+_MAX_DIGITS = 4000
+
+
+def _rational(token: str, what: str) -> Fraction:
+    """The rational number a token spells (an integer, a decimal with an
+    optional exponent, or a/b), checked for size before it is built."""
+    exponent = token.lower().partition("e")[2].lstrip("+-")
+    if len(exponent) >= 10 or len(token) + (
+            int(exponent) if exponent.isdecimal() else 0) > _MAX_DIGITS:
+        raise ConfigError(f"bad {what}: more than {_MAX_DIGITS} digits, exponent included")
     try:
-        coeffs = [Fraction(t) for t in tokens]
+        return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad coefficient: {exc}") from exc
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def _cmd_roots(args) -> _Outcome:
+    coeffs = [_rational(t.strip(), "coefficient") for t in args.coeffs.split(",")]
     if not coeffs or all(c == 0 for c in coeffs):
         raise ConfigError("the zero polynomial has no isolated roots")
     poly = Polynomial.from_coeffs(coeffs)
@@ -458,10 +472,7 @@ def _cmd_roots(args) -> _Outcome:
         parts = args.range_spec.split(",")
         if len(parts) != 2:
             raise ConfigError("--range needs two comma-separated endpoints")
-        try:
-            lo_f, hi_f = Fraction(parts[0].strip()), Fraction(parts[1].strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad range endpoint: {exc}") from exc
+        lo_f, hi_f = (_rational(t.strip(), "range endpoint") for t in parts)
         if not lo_f < hi_f:
             raise ConfigError("--range needs a < b")
         lo, hi = lo_f, hi_f

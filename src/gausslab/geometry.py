@@ -56,7 +56,6 @@ __all__ = [
     "generalized_cylinder",
     "FundamentalData",
     "ShapeData",
-    "TangentField",
     "fundamental_data",
     "shape_data_euclidean",
     "shape_data_spherical",
@@ -70,6 +69,8 @@ __all__ = [
 _METRIC_EIG_FLOOR = 1e-12
 _METRIC_COND_CEIL = 1e10
 _SPHERE_TOL = 1e-10
+# Most points of a chart's sample grid.
+_SAMPLE_CAP = 10_000
 
 
 class GeometryError(ValueError):
@@ -90,15 +91,12 @@ class SphereConstraintError(GeometryError):
 
 @dataclass(frozen=True)
 class SamplingSpec:
-    """Either per-variable counts or explicit per-variable grid values."""
+    """Per-variable sample counts of a uniform grid."""
 
-    counts: tuple[int, ...] | None = None
-    values: tuple[tuple[float, ...], ...] | None = None
+    counts: tuple[int, ...]
 
     def __post_init__(self):
-        if (self.counts is None) == (self.values is None):
-            raise GeometryError("sampling spec needs counts or values, not both")
-        if self.counts is not None and any(c < 2 for c in self.counts):
+        if any(c < 2 for c in self.counts):
             raise GeometryError("per-variable sample counts must be >= 2")
 
 
@@ -130,6 +128,9 @@ class ImmersionChart:
         for lo, hi in self.domain:
             if not lo < hi:
                 raise GeometryError("domain intervals must satisfy lo < hi")
+        if self.sampling is not None and len(self.sampling.counts) != self.dim:
+            raise GeometryError(
+                f"sample counts {self.sampling.counts} do not match dimension {self.dim}")
 
     @property
     def ambient_dim(self) -> int:
@@ -159,19 +160,17 @@ class ImmersionChart:
             jets.append(jet)
         return jets
 
-    def grid_axes(self, default_count: int = 20, cap: int = 10_000) -> list[np.ndarray]:
-        spec = self.sampling
-        if spec is not None and spec.values is not None:
-            return [np.asarray(v, dtype=float) for v in spec.values]
-        counts = list(spec.counts) if spec is not None else [default_count] * self.dim
-        total = math.prod(counts)
-        if total > cap:
-            per = max(2, int(cap ** (1.0 / self.dim)))
+    def sample_points(self, default_count: int = 20) -> list[tuple[float, ...]]:
+        """The uniform grid over the domain box, edges included, with the
+        sampling counts (`default_count` per variable without them). A grid
+        of more than _SAMPLE_CAP points is cut to at most _SAMPLE_CAP^(1/dim)
+        points per variable."""
+        counts = (self.sampling.counts if self.sampling is not None
+                  else (default_count,) * self.dim)
+        if math.prod(counts) > _SAMPLE_CAP:
+            per = max(2, int(_SAMPLE_CAP ** (1.0 / self.dim)))
             counts = [min(c, per) for c in counts]
-        return [np.linspace(lo, hi, c) for (lo, hi), c in zip(self.domain, counts)]
-
-    def sample_points(self, default_count: int = 20, cap: int = 10_000) -> list[tuple[float, ...]]:
-        axes = self.grid_axes(default_count, cap)
+        axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(self.domain, counts)]
         grids = np.meshgrid(*axes, indexing="ij")
         stacked = np.stack([g.ravel() for g in grids], axis=-1)
         return [tuple(row) for row in stacked]
@@ -190,23 +189,18 @@ def chart_from_strings(name: str, variables: Sequence[str],
 
 
 def generalized_cylinder(chart: ImmersionChart,
-                         w_interval: tuple[float, float] = (-1.0, 1.0),
-                         w_name: str = "w") -> ImmersionChart:
-    """Product immersion (w, p) -> (w, X(p)) in R^(n+1) over a euclidean chart."""
+                         w_interval: tuple[float, float] = (-1.0, 1.0)) -> ImmersionChart:
+    """Product immersion (w, p) -> (w, X(p)) in R^(n+1) over a euclidean
+    chart, sampled at 3 values of w."""
     if chart.ambient != "euclidean":
         raise GeometryError("generalized cylinder needs a euclidean chart")
     for comp in chart.components:
         if hasattr(comp, "jet"):
             raise GeometryError("generalized cylinder needs expression components")
-    names = (w_name,) + chart.variables
+    names = ("w",) + chart.variables
     shifted = tuple(shift_variables(c, 1, names) for c in chart.components)
-    components = (Var(0, w_name),) + shifted
-    sampling = chart.sampling
-    if sampling is not None and sampling.counts is not None:
-        sampling = SamplingSpec(counts=(3,) + sampling.counts)
-    elif sampling is not None and sampling.values is not None:
-        w_vals = tuple(np.linspace(*w_interval, 3))
-        sampling = SamplingSpec(values=(w_vals,) + sampling.values)
+    components = (Var(0, "w"),) + shifted
+    sampling = None if chart.sampling is None else SamplingSpec((3,) + chart.sampling.counts)
     return ImmersionChart(f"cylinder({chart.name})", chart.dim + 1, "euclidean",
                           names, components, (w_interval,) + chart.domain, sampling)
 
@@ -275,30 +269,12 @@ class FundamentalData:
     metric: JetValue  # [i, j] = g_ij
     inverse_metric: JetValue  # [i, j] = g^ij
     christoffels: JetValue  # [k, i, j] = Gamma^k_ij
-    position: JetValue = field(repr=False, default=None)  # [a] = X_a
-    frame: JetValue = field(repr=False, default=None)  # [i, a] = d_i X_a
-
-    @property
-    def dim(self) -> int:
-        return len(self.metric)
-
-    @property
-    def component_jets(self) -> list[JetValue]:
-        return list(self.position)
-
-    @property
-    def tangents(self) -> list[JetValue]:
-        return list(self.frame)
-
-    def metric_values(self) -> np.ndarray:
-        return self.metric.value
-
-    def inverse_metric_values(self) -> np.ndarray:
-        return self.inverse_metric.value
+    position: JetValue = field(repr=False)  # [a] = X_a
+    frame: JetValue = field(repr=False)  # [i, a] = d_i X_a
 
     def norm(self, vec: np.ndarray):
         """|vec|_g: a float, or an array over a batch (vec of shape (m, N))."""
-        g = self.metric_values()
+        g = self.metric.value
         if vec.ndim == 1:
             return float(math.sqrt(max(vec @ g @ vec, 0.0)))
         return np.sqrt(np.maximum(np.einsum("i...,ij...,j...->...", vec, g, vec), 0.0))
@@ -306,14 +282,10 @@ class FundamentalData:
 
 @dataclass
 class ShapeData:
-    """Second-order data: unit normal, second fundamental form, shape
-    operator, signed mean curvature, |A|^2 (jets, at one point or over a
-    batch)."""
+    """Second-order data: unit normal, shape operator, signed mean
+    curvature, |A|^2 (jets, at one point or over a batch)."""
 
-    point: tuple
-    orientation: int
     normal: JetValue  # [a]
-    second_fundamental: JetValue  # [i, j] = h_ij
     shape_operator: JetValue  # [i, j] = A^i_j
     mean_curvature: JetValue
     shape_norm_sq: JetValue
@@ -321,25 +293,6 @@ class ShapeData:
     @property
     def dim(self) -> int:
         return len(self.shape_operator)
-
-    def shape_operator_values(self) -> np.ndarray:
-        return self.shape_operator.value
-
-
-@dataclass
-class TangentField:
-    """Vector field in chart coordinates: one jet with a tensor axis over
-    the m components."""
-
-    jet: JetValue
-
-    @classmethod
-    def from_values(cls, values, m: int, order: int = 0) -> "TangentField":
-        return cls(JetValue.constant(np.asarray(values, dtype=float), m, order, rank=1))
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.jet.value
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +387,7 @@ def _shape_data(chart: ImmersionChart, point, orientation: int,
     h = _mirror_upper(contract("jia,a->ij", fd.frame.gradient(), normal))  # <d_j d_i X, n>
     A = contract("il,lj->ij", fd.inverse_metric, h)
     f = JetValue(A.m, A.order, np.einsum("zii...->z...", A.coeffs)) * (1.0 / len(A))
-    return ShapeData(fd.point, orientation, normal, h, A, f, contract("ij,ji->", A, A))
+    return ShapeData(normal, A, f, contract("ij,ji->", A, A))
 
 
 def _normal_direction(fd: FundamentalData, on_sphere: bool) -> JetValue:
@@ -460,25 +413,25 @@ def _normal_direction(fd: FundamentalData, on_sphere: bool) -> JetValue:
     return w
 
 
-def gradient_of_mean_curvature(fd: FundamentalData, sd: ShapeData) -> TangentField:
-    """grad f = g^(ij) df_j as a tangent field (a jet two orders below f)."""
-    return TangentField(contract("ij,j->i", fd.inverse_metric, sd.mean_curvature.gradient()))
+def gradient_of_mean_curvature(fd: FundamentalData, sd: ShapeData) -> JetValue:
+    """grad f = g^(ij) df_j, a vector jet two orders below f."""
+    return contract("ij,j->i", fd.inverse_metric, sd.mean_curvature.gradient())
 
 
-def rough_laplacian(fd: FundamentalData, V: TangentField) -> np.ndarray:
+def rough_laplacian(fd: FundamentalData, V: JetValue) -> np.ndarray:
     """Connection Laplacian Delta V = -trace_g(nabla^2 V) at the base point.
 
-    Needs V carried to jet order >= 2 and Christoffels to order >= 1; returns
-    the coordinate components of Delta V as floats (shape (m, N) over a
-    batch). The partials are the values of gradient jets.
+    Needs the vector jet V carried to order >= 2 and Christoffels to order
+    >= 1; returns the coordinate components of Delta V as floats (shape
+    (m, N) over a batch). The partials are the values of gradient jets.
     """
-    ginv = _points_first(fd.inverse_metric_values(), 2)
+    ginv = _points_first(fd.inverse_metric.value, 2)
     Gam = _points_first(fd.christoffels.value, 3)  # Gam[k, i, j] = Gamma^k_ij
     dGam = _points_first(fd.christoffels.gradient().value, 4)  # [i, k, j, r] = d_i Gamma^k_jr
-    dV = V.jet.gradient()
+    dV = V.gradient()
     ddV = _points_first(dV.gradient().value, 3)  # ddV[i, j, k] = d_i d_j V^k
     dV = _points_first(dV.value, 2)  # dV[i, k] = d_i V^k
-    Vv = _points_first(V.values, 1)
+    Vv = _points_first(V.value, 1)
     # nabla_i nabla_j V - nabla_(Gamma^l_ij d_l) V, then minus the g-trace
     term = (ddV
             + np.einsum("...ikjr,...r->...ijk", dGam, Vv)
@@ -493,7 +446,7 @@ def rough_laplacian(fd: FundamentalData, V: TangentField) -> np.ndarray:
 def scalar_laplacian(fd: FundamentalData, f: JetValue):
     """Laplace-Beltrami with the geometer's sign: Delta f = -trace_g Hess f
     (a float, or an array over a batch)."""
-    ginv = _points_first(fd.inverse_metric_values(), 2)
+    ginv = _points_first(fd.inverse_metric.value, 2)
     Gam = _points_first(fd.christoffels.value, 3)
     df = f.gradient()
     hess = (_points_first(df.gradient().value, 2)
@@ -502,10 +455,9 @@ def scalar_laplacian(fd: FundamentalData, f: JetValue):
     return float(out) if out.ndim == 0 else out
 
 
-def ricci_via_gauss_equation(sd: ShapeData, X: TangentField) -> TangentField:
-    """Ricci operator of a link in the unit sphere applied to X, at the base
-    point: Ric(X) = (m-1) X + m f A(X) - A^2(X)."""
-    m, A, x = sd.dim, sd.shape_operator_values(), X.values
-    AX = np.einsum("ij...,j...->i...", A, x)
-    ric = (m - 1) * x + m * sd.mean_curvature.value * AX - np.einsum("ij...,j...->i...", A, AX)
-    return TangentField.from_values(ric, m)
+def ricci_via_gauss_equation(sd: ShapeData, x: np.ndarray) -> np.ndarray:
+    """Ricci operator of a link in the unit sphere applied to the vector x
+    (its components at the base point): Ric(x) = (m-1) x + m f A(x) - A^2(x)."""
+    m, A = sd.dim, sd.shape_operator.value
+    Ax = np.einsum("ij...,j...->i...", A, x)
+    return (m - 1) * x + m * sd.mean_curvature.value * Ax - np.einsum("ij...,j...->i...", A, Ax)

@@ -91,7 +91,7 @@ def cone_shape_from_link(link_sd: ShapeData, t: float) -> ConeShapeValues:
     if t <= 0.0:
         raise ValueError("cone radius t must be positive")
     m = link_sd.dim
-    eigs = np.linalg.eigvals(link_sd.shape_operator_values())
+    eigs = np.linalg.eigvals(link_sd.shape_operator.value)
     eigs = np.sort(eigs.real)
     values = (0.0,) + tuple(float(e) / t for e in eigs)
     f = m * link_sd.mean_curvature.value / ((m + 1) * t)
@@ -245,27 +245,23 @@ def clifford_link_chart(m1: int, m2: int, r1_sq, name: str | None = None,
 
 
 def build_cone_chart(link: ImmersionChart, t_interval: tuple[float, float] = (0.5, 2.0),
-                     t_count: int = 5, t_name: str = "t") -> ImmersionChart:
-    """Euclidean chart (t, p) -> t * X(p) over a sphere-ambient link chart."""
+                     t_count: int = 5) -> ImmersionChart:
+    """Euclidean chart (t, p) -> t * X(p) over a sphere-ambient link chart,
+    sampled at `t_count` radii when the link has sample counts."""
     if link.ambient != "sphere":
         raise GeometryError("cone links must be sphere-ambient charts")
-    if t_name in link.variables:
-        raise GeometryError(f"link chart already uses variable {t_name!r}")
+    if "t" in link.variables:
+        raise GeometryError("link chart already uses variable 't'")
     if t_interval[0] <= 0.0:
         raise GeometryError("cone radius interval must stay positive")
     for comp in link.components:
         if hasattr(comp, "jet"):
             raise GeometryError("cone links need expression components")
-    names = (t_name,) + link.variables
-    t_var = Var(0, t_name)
-    components = tuple(BinOp("*", t_var, shift_variables(c, 1, names))
+    names = ("t",) + link.variables
+    components = tuple(BinOp("*", Var(0, "t"), shift_variables(c, 1, names))
                        for c in link.components)
-    sampling = link.sampling
-    if sampling is not None and sampling.counts is not None:
-        sampling = SamplingSpec(counts=(t_count,) + sampling.counts)
-    elif sampling is not None and sampling.values is not None:
-        t_vals = tuple(np.linspace(*t_interval, t_count))
-        sampling = SamplingSpec(values=(t_vals,) + sampling.values)
+    sampling = (None if link.sampling is None
+                else SamplingSpec((t_count,) + link.sampling.counts))
     return ImmersionChart(f"cone({link.name})", link.dim + 1, "euclidean",
                           names, components, (t_interval,) + link.domain, sampling)
 

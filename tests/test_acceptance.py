@@ -302,7 +302,7 @@ def test_criterion_6_property_suite():
                        - formula.mean_curvature) <= 1e-8
         warp_ok &= abs(sd_cone.shape_norm_sq.value
                        - formula.shape_norm_sq) <= 1e-8
-        eigs = np.sort(np.linalg.eigvals(sd_cone.shape_operator_values()).real)
+        eigs = np.sort(np.linalg.eigvals(sd_cone.shape_operator.value).real)
         warp_ok &= np.max(np.abs(eigs - np.sort(formula.eigenvalues))) <= 1e-8
     checks.append(("(f) warped-product agreement", warp_ok))
 

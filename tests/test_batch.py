@@ -190,7 +190,7 @@ def _r4_reference(chart, grid):
             p = (u_lo + (i + 0.5) * du, v_lo + (j + 0.5) * dv)
             fd = fundamental_data(chart, p, order=4)
             sd = shape_data_spherical(chart, p, 1, fd)
-            w = math.sqrt(max(np.linalg.det(fd.metric_values()), 0.0)) * du * dv
+            w = math.sqrt(max(np.linalg.det(fd.metric.value), 0.0)) * du * dv
             f = sd.mean_curvature.value
             sums[0] += 3.0 * scalar_laplacian(fd, sd.mean_curvature) * w
             sums[1] += sd.shape_norm_sq.value * f * w

@@ -29,7 +29,6 @@ from gausslab.geometry import (
     GeometryError,
     ImmersionChart,
     SamplingSpec,
-    TangentField,
     chart_from_strings,
 )
 from gausslab.hypercone import (
@@ -287,12 +286,7 @@ class _StubShape:
         self.dim = m
         self.mean_curvature = JetValue.constant(f, m, 2)
         self.shape_norm_sq = JetValue.constant(norm_sq, m, 2)
-        self.shape_operator = [
-            [JetValue.constant(1.0 if i == j else 0.0, m, 2) for j in range(m)]
-            for i in range(m)]
-
-    def shape_operator_values(self):
-        return np.eye(self.dim)
+        self.shape_operator = JetValue.constant(np.eye(m), m, 2, rank=2)
 
 
 def test_corollary_closed_form_for_identity_shape_operator():
@@ -300,7 +294,7 @@ def test_corollary_closed_form_for_identity_shape_operator():
     m, f = 2, 5.0
     sd = _StubShape(m, f, float(m))
     v = np.array([1.0, -2.0])
-    out = corollary_necessary_condition(sd, TangentField.from_values(v, m, order=2))
+    out = corollary_necessary_condition(sd, v)
     want = (2.0 - m * f - (2.0 / 3.0) * m) * v
     assert out == pytest.approx(want, rel=1e-14)
 
@@ -361,12 +355,17 @@ def test_r3_auto_second_derivative_solves_second_equation():
 # cones in R^4: integral obstruction
 
 
-def _global_sphere_link(a):
+def _global_sphere_link(a, swapped=False, v_range=(-HALF_PI, HALF_PI)):
+    """S^2(a) at height sqrt(1 - a^2), periodic in u and pole-capped in v;
+    `swapped` puts v first."""
     b = math.sqrt(1.0 - a * a)
+    variables, domain = ("u", "v"), ((0.0, TWO_PI), v_range)
+    if swapped:
+        variables, domain = variables[::-1], domain[::-1]
     return chart_from_strings(
-        f"s2_{a}", ("u", "v"),
+        f"s2_{a}", variables,
         (f"{a}*cos(u)*cos(v)", f"{a}*sin(u)*cos(v)", f"{a}*sin(v)", f"{b}"),
-        ((0.0, TWO_PI), (-HALF_PI, HALF_PI)), ambient="sphere")
+        domain, ambient="sphere")
 
 
 def test_r4_obstruction_on_torus_link():
@@ -389,6 +388,19 @@ def test_r4_obstruction_on_pole_capped_sphere_link():
     # midpoint rule on a capped chart: area converges to 4 pi a^2
     assert r4.area == pytest.approx(4.0 * math.pi * 0.64, rel=5e-3)
     assert abs(r4.integral_laplacian) < 1e-10
+
+
+def test_r4_obstruction_with_the_cap_in_the_first_variable():
+    r4 = r4_obstruction(_global_sphere_link(0.8, swapped=True), grid=(16, 16))
+    assert r4.closures == ("capped", "periodic")
+    assert r4.obstruction_holds
+    assert r4.area == pytest.approx(4.0 * math.pi * 0.64, rel=5e-3)
+
+
+def test_r4_rejects_a_half_sphere():
+    # v = 0 is the equator: neither periodic nor a pole
+    with pytest.raises(GeometryError, match="close up"):
+        r4_obstruction(_global_sphere_link(0.8, v_range=(-HALF_PI, 0.0)))
 
 
 def test_r4_minimal_link_has_no_obstruction():

@@ -479,6 +479,23 @@ def test_roots_bad_range_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--coeffs", "1e5000,1"),
+    ("--coeffs", "1e-5000,1"),
+    ("--coeffs", "1e10000000,1"),
+    ("--coeffs", "1,1", "--range", "0,1e5000"),
+    ("--coeffs", "1,1", "--range", f"{'9' * 5000},{'9' * 5001}"),
+])
+def test_roots_oversized_rational_is_config_error(capsys, argv):
+    # past Python's int-to-str digit limit the number could not be printed;
+    # at 1e10000000 it also took seconds to build
+    start = time.perf_counter()
+    code, out, err = run(capsys, "roots", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "more than 4000 digits" in err
+
+
 # ---------------------------------------------------------------------------
 # report
 

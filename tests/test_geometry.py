@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gausslab.exprjet import EvalContext, contract, eval_jet, parse_expression
+from gausslab.exprjet import EvalContext, JetValue, contract, eval_jet, parse_expression
 from gausslab.geometry import (
     GeometryError,
     SamplingSpec,
     SingularImmersionError,
     SphereConstraintError,
-    TangentField,
     chart_from_strings,
     fundamental_data,
     generalized_cylinder,
@@ -34,14 +33,14 @@ def test_plane_is_totally_geodesic():
                               ((-1, 1), (-1, 1)))
     sd = shape_data_euclidean(flat, (0.3, -0.4))
     assert sd.mean_curvature.value == pytest.approx(0.0, abs=1e-14)
-    assert np.allclose(sd.shape_operator_values(), 0.0, atol=1e-14)
+    assert np.allclose(sd.shape_operator.value, 0.0, atol=1e-14)
 
 
 def test_unit_sphere_shape_data():
     sd = shape_data_euclidean(unit_sphere_chart(), (0.7, 0.4))
     assert abs(sd.mean_curvature.value) == pytest.approx(1.0, rel=1e-12)
     assert sd.shape_norm_sq.value == pytest.approx(2.0, rel=1e-12)
-    assert np.allclose(sd.shape_operator_values(),
+    assert np.allclose(sd.shape_operator.value,
                        sd.mean_curvature.value * np.eye(2), atol=1e-10)
 
 
@@ -58,7 +57,7 @@ def test_circular_cylinder_eigenvalues():
     cc = chart_from_strings("cc", ("u", "v"), ("cos(u)", "sin(u)", "v"),
                             ((0.0, TWO_PI), (-1, 1)))
     sd = shape_data_euclidean(cc, (0.3, 0.2))
-    eigs = np.sort(np.linalg.eigvals(sd.shape_operator_values()).real)
+    eigs = np.sort(np.linalg.eigvals(sd.shape_operator.value).real)
     assert eigs == pytest.approx([-1.0, 0.0], abs=1e-12)
     assert abs(sd.mean_curvature.value) == pytest.approx(0.5, rel=1e-12)
 
@@ -67,10 +66,10 @@ def test_paraboloid_at_critical_point():
     g = graph_chart("(u^2+v^2)/2")
     sd = shape_data_euclidean(g, (0.0, 0.0))
     assert sd.mean_curvature.value == pytest.approx(1.0, rel=1e-12)
-    assert np.allclose(sd.shape_operator_values(), np.eye(2), atol=1e-12)
+    assert np.allclose(sd.shape_operator.value, np.eye(2), atol=1e-12)
     fd = fundamental_data(g, (0.0, 0.0))
     V = gradient_of_mean_curvature(fd, sd)
-    assert np.allclose(V.values, 0.0, atol=1e-10)
+    assert np.allclose(V.value, 0.0, atol=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
@@ -83,10 +82,10 @@ def test_orientation_flip_negates_shape_but_not_metric(a, b, c, d, e):
     minus = shape_data_euclidean(g, p, orientation=-1)
     assert minus.mean_curvature.value == pytest.approx(
         -plus.mean_curvature.value, abs=1e-12)
-    assert np.allclose(minus.shape_operator_values(),
-                       -plus.shape_operator_values(), atol=1e-10)
+    assert np.allclose(minus.shape_operator.value,
+                       -plus.shape_operator.value, atol=1e-10)
     # the metric never sees the orientation flag
-    gmat = fundamental_data(g, p).metric_values()
+    gmat = fundamental_data(g, p).metric.value
     assert np.allclose(gmat, gmat.T, atol=1e-14)
     assert np.all(np.linalg.eigvalsh(gmat) > 0)
     assert minus.shape_norm_sq.value == pytest.approx(
@@ -150,19 +149,19 @@ def test_rough_laplacian_of_constant_field_on_flat_chart():
     flat = chart_from_strings("plane", ("u", "v"), ("u", "v", "0"),
                               ((-1, 1), (-1, 1)))
     fd = fundamental_data(flat, (0.1, -0.2))
-    out = rough_laplacian(fd, TangentField.from_values((2.0, 3.0), 2, order=3))
+    out = rough_laplacian(fd, JetValue.constant(np.array((2.0, 3.0)), 2, 3, rank=1))
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
 def test_ricci_of_great_sphere_and_small_sphere_link():
-    X = TangentField.from_values((1.0, 0.5), 2)
+    X = np.array((1.0, 0.5))
     gs = chart_from_strings(
         "great", ("u", "v"),
         ("cos(u)*cos(v)", "sin(u)*cos(v)", "sin(v)", "0"),
         ((0.0, TWO_PI), (-1.2, 1.2)), ambient="sphere")
     sd = shape_data_spherical(gs, (0.7, 0.4))
     # totally geodesic: Ric(X) = (m-1) X
-    assert ricci_via_gauss_equation(sd, X).values == pytest.approx(
+    assert ricci_via_gauss_equation(sd, X) == pytest.approx(
         [1.0, 0.5], abs=1e-10)
 
     a = math.sqrt(0.5)
@@ -172,7 +171,7 @@ def test_ricci_of_great_sphere_and_small_sphere_link():
         ((0.0, TWO_PI), (-1.2, 1.2)), ambient="sphere")
     sdl = shape_data_spherical(link, (0.7, 0.4))
     assert sdl.shape_norm_sq.value == pytest.approx(2.0, rel=1e-10)
-    assert ricci_via_gauss_equation(sdl, X).values == pytest.approx(
+    assert ricci_via_gauss_equation(sdl, X) == pytest.approx(
         [2.0, 1.0], abs=1e-10)
 
 
@@ -198,26 +197,21 @@ def test_generalized_cylinder_needs_euclidean_chart():
         generalized_cylinder(circle)
 
 
+@pytest.mark.parametrize("counts", [(3,), (3, 3, 3)])
+def test_sample_counts_must_match_the_chart_dimension(counts):
+    # one count too few failed every point; one too many was dropped
+    with pytest.raises(GeometryError, match="do not match dimension 2"):
+        chart_from_strings("plane", ("u", "v"), ("u", "v", "0"), ((-1, 1), (-1, 1)),
+                           sampling=SamplingSpec(counts=counts))
+
+
 def test_sampling_validation_and_cap():
     with pytest.raises(ValueError, match=">= 2"):
         SamplingSpec(counts=(1, 5))
-    with pytest.raises(ValueError, match="not both"):
-        SamplingSpec(counts=(3, 3), values=((0.1, 0.2),))
     big = chart_from_strings("big", ("u", "v"), ("u", "v", "0"),
                              ((-1, 1), (-1, 1)),
                              sampling=SamplingSpec(counts=(200, 200)))
     assert len(big.sample_points()) <= 10_000
-
-
-def test_explicit_sample_values():
-    pts = ((0.25, -0.5), (0.5, 0.75))
-    chart = chart_from_strings("ex", ("u", "v"), ("u", "v", "u*v"),
-                               ((-1, 1), (-1, 1)),
-                               sampling=SamplingSpec(values=((0.25, 0.5),
-                                                             (-0.5, 0.75))))
-    assert set(chart.sample_points()) == {(0.25, -0.5), (0.25, 0.75),
-                                          (0.5, -0.5), (0.5, 0.75)}
-    assert pts[0] in chart.sample_points()
 
 
 @pytest.mark.parametrize("dim", range(2, 8))

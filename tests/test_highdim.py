@@ -83,7 +83,7 @@ def test_normal_is_unit_orthogonal_and_oriented(chart, point):
     # and as jets: every Taylor coefficient of <n, n> - 1, <n, X_i> and, on a
     # sphere, <n, X> vanishes to the normal's order
     fd = fundamental_data(chart, point)
-    rows = fd.tangents + ([fd.component_jets] if chart.ambient == "sphere" else [])
+    rows = list(fd.frame) + ([fd.position] if chart.ambient == "sphere" else [])
     products = [sum((a * b for a, b in zip(sd.normal, row)), 0.0) for row in rows]
     products.append(sum((a * a for a in sd.normal), -1.0))
     assert max(np.max(np.abs(p.coeffs)) for p in products) < 1e-10
@@ -92,9 +92,9 @@ def test_normal_is_unit_orthogonal_and_oriented(chart, point):
 @pytest.mark.parametrize("chart, point", CHARTS, ids=IDS)
 def test_orientation_flip_negates_f_and_shape_operator(chart, point):
     plus, minus = _shape(chart, point, 1), _shape(chart, point, -1)
-    A = plus.shape_operator_values()
+    A = plus.shape_operator.value
     scale = 1.0 + np.max(np.abs(A))
-    assert np.max(np.abs(A + minus.shape_operator_values())) < 1e-12 * scale
+    assert np.max(np.abs(A + minus.shape_operator.value)) < 1e-12 * scale
     assert abs(plus.mean_curvature.value + minus.mean_curvature.value) < 1e-12 * scale
     assert abs(plus.shape_norm_sq.value - minus.shape_norm_sq.value) < 1e-12 * scale ** 2
 
@@ -109,7 +109,7 @@ def test_shape_operator_matches_finite_differences_of_svd_normal(chart, point):
     dn = np.array([central_partial(lambda p: _svd_normal(chart, p), point, j, h=1e-4)
                    for j in range(m)])
     A_fd = -ginv @ tangents @ dn.T
-    A = _shape(chart, point).shape_operator_values()
+    A = _shape(chart, point).shape_operator.value
     assert np.max(np.abs(A - A_fd)) < 1e-6 * (1.0 + np.max(np.abs(A)))
 
 
@@ -119,7 +119,7 @@ def test_fundamental_data_jet_orders(chart, point):
     assert fd.metric[0][0].order == 3
     assert fd.inverse_metric[0][0].order == 3
     assert fd.christoffels[0][0][0].order == 1
-    assert fd.tangents[0][0].order == 4
+    assert fd.frame[0][0].order == 4
     sd = _shape(chart, point)
     assert sd.normal[0].order == 3 and sd.mean_curvature.order == 3
 

@@ -119,7 +119,7 @@ def test_sphere_link_chart_stays_on_unit_sphere():
     chart = sphere_link_chart(3, 0.5)
     for p in chart.sample_points(default_count=3):
         fd = fundamental_data(chart, p)
-        X = np.array([j.value for j in fd.component_jets])
+        X = np.array([j.value for j in fd.position])
         assert X @ X == pytest.approx(1.0, abs=1e-12)
 
 
@@ -169,8 +169,8 @@ def test_build_cone_chart_warped_metric_and_curvatures():
     assert cone.ambient_dim == 5
     p = (0.2, -0.1, 0.3)
     t = 1.3
-    g = fundamental_data(cone, (t,) + p).metric_values()
-    gbar = fundamental_data(link, p).metric_values()
+    g = fundamental_data(cone, (t,) + p).metric.value
+    gbar = fundamental_data(link, p).metric.value
     want = np.zeros((4, 4))
     want[0, 0] = 1.0
     want[1:, 1:] = t * t * gbar
@@ -209,7 +209,7 @@ def test_residual_scales_like_t_to_minus_4():
 def test_unit_speed_directrix():
     cyl = polynomial_curvature_cylinder((1.5, -0.2, 0.3))
     for s in (0.0, 0.4, -0.8):
-        g = fundamental_data(cyl, (s, 0.2)).metric_values()
+        g = fundamental_data(cyl, (s, 0.2)).metric.value
         assert np.max(np.abs(g - np.eye(2))) < 1e-10
 
 
