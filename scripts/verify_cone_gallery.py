@@ -7,9 +7,10 @@ wrong-radius controls should not. Exits 1 when a row has the wrong verdict.
 With --full it also runs the link system on the rest of the catalog: every
 sphere link and valid Clifford root of `report --all` with 8 <= m <= 12 (95
 rows), at two fixed interior points each, next to wrong-radius sphere
-controls at m = 8 and m = 12. Budget: 55 s wall and 85 MB peak RSS on a
+controls at m = 8 and m = 12. Budget: 30 s wall and 90 MB peak RSS on a
 2-core x86-64 machine, serial (GAUSSLAB_THREADS=1) or with the default pool
-of two, the m <= 7 rows included.
+of two, the m <= 7 rows included; measured 24 s and 84 MB serial, 13 s and
+87 MB with the pool.
 
 Usage: python3 scripts/verify_cone_gallery.py [--full]
 """

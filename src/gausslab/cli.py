@@ -36,7 +36,13 @@ from .biharmonic import (
     worker_count,
 )
 from .exprjet import DomainError, ExpressionError
-from .geometry import GeometryError, ImmersionChart, SamplingSpec, chart_from_strings
+from .geometry import (
+    _SAMPLE_CAP,
+    GeometryError,
+    ImmersionChart,
+    SamplingSpec,
+    chart_from_strings,
+)
 from .hypercone import clifford_link_solver, sphere_link_solver
 from .isoparametric import IsoparametricSpec, classify_type, condition_polynomial, takagi_solver
 from .roots import NEG_INF, POS_INF, Polynomial, isolate_and_refine
@@ -148,6 +154,9 @@ def parse_config(raw: Any) -> SurfaceConfig:
         elif isinstance(samples, list):
             if not samples:
                 raise ConfigError("explicit sample point list must not be empty")
+            if len(samples) > _SAMPLE_CAP:
+                raise ConfigError(f"explicit sample point list has {len(samples)} points,"
+                                  f" more than {_SAMPLE_CAP}")
             pts = []
             for p in samples:
                 if (not isinstance(p, list) or len(p) != dim

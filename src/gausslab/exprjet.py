@@ -25,10 +25,11 @@ sin cos tan cot exp log sqrt asin acos atan sinh cosh tanh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import Iterator, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "ExprAst",
     "parse_expression",
     "shift_variables",
+    "repeated_subtrees",
     "JetValue",
     "contract",
     "EvalContext",
@@ -111,6 +113,14 @@ class Call:
 
 
 ExprAst = Union[Num, Var, Neg, BinOp, Pow, Call]
+
+
+_SUBTREE_FIELDS = ("operand", "left", "right", "base", "arg")
+
+
+def _subtrees(node: ExprAst) -> list[ExprAst]:
+    """The direct sub-trees of a node."""
+    return [getattr(node, name) for name in _SUBTREE_FIELDS if hasattr(node, name)]
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +203,7 @@ def _check_depth(node: ExprAst, offset: int) -> None:
         node, depth = stack.pop()
         if depth > _MAX_DEPTH:
             raise ExpressionError(f"expression nested deeper than {_MAX_DEPTH} levels", offset)
-        for name in ("operand", "left", "right", "base", "arg"):  # the subtrees
-            if hasattr(node, name):
-                stack.append((getattr(node, name), depth + 1))
+        stack.extend((sub, depth + 1) for sub in _subtrees(node))
 
 
 class _Parser:
@@ -382,6 +390,47 @@ def shift_variables(node: ExprAst, offset: int, names: tuple[str, ...]) -> ExprA
     if isinstance(node, Call):
         return Call(node.fn, shift_variables(node.arg, offset, names))
     raise TypeError(node)
+
+
+def repeated_subtrees(roots: Sequence[ExprAst]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The sub-trees of the expressions `roots` that an evaluation reaches
+    more than once, each as the number of times and the ids of its equal
+    copies. A sub-tree is reached once per root it is and once per place
+    it holds in each unequal parent; a sub-tree met only inside one repeated
+    sub-tree is reached once, through it. A number is known by its hex form,
+    so 0.0 and -0.0 are two sub-trees."""
+    classes: dict = {}  # a class of equal sub-trees by its key
+    below: list[tuple[int, ...]] = []  # per class, the classes of its sub-trees
+    met: list[ExprAst] = []  # every node, and its class at the same place
+    met_class: list[int] = []
+    reached = Counter(_classify(root, classes, below, met, met_class) for root in roots)
+    for subs in below:
+        reached.update(subs)
+    copies: dict[int, list[int]] = {}
+    for node, c in zip(met, met_class):
+        if reached[c] > 1:
+            copies.setdefault(c, []).append(id(node))
+    return tuple((reached[c], tuple(ids)) for c, ids in copies.items())
+
+
+def _classify(node: ExprAst, classes: dict, below: list, met: list, met_class: list) -> int:
+    """The class of `node` among equal sub-trees, known by its type, the
+    classes of its sub-trees and its own fields."""
+    subs = tuple(_classify(sub, classes, below, met, met_class) for sub in _subtrees(node))
+    own = (getattr(node, name) for name in _own_fields(type(node)))
+    key = (type(node), subs, *(v.hex() if isinstance(v, float) else v for v in own))
+    c = classes.setdefault(key, len(below))
+    if c == len(below):
+        below.append(subs)
+    met.append(node)
+    met_class.append(c)
+    return c
+
+
+@lru_cache(maxsize=None)
+def _own_fields(cls: type) -> tuple[str, ...]:
+    """The fields of a node type that hold no sub-tree."""
+    return tuple(f.name for f in fields(cls) if f.name not in _SUBTREE_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -766,12 +815,23 @@ class JetValue:
         return self._horner(series)
 
     def _horner(self, series: list) -> "JetValue":
-        """Compose the univariate Taylor series with the zero-constant part."""
-        w = JetValue(self.m, self.order, self.coeffs.copy(), self.rank)
-        w.coeffs[0] = 0.0
-        result = JetValue.constant(series[-1], self.m, self.order, self.rank)
-        for a in reversed(series[:-1]):
-            result = result * w + a
+        """Compose the univariate Taylor series a_0..a_n (n = order) with the
+        zero-constant part w of this jet by Horner's rule, r_k = a_k + w r_(k+1)
+        from r_n = a_n down to r_0. As w vanishes at the base point, r_k is
+        read only to order n - k, so step k runs at that order, r_(k+1)
+        padded with zero coefficients. Each coefficient of r_0 sums the same
+        pairs in the same order as a full-order step would; the pairs this
+        skips multiply the zero constant of w."""
+        m, n = self.m, self.order
+        w = self.coeffs.copy()
+        w[0] = 0.0
+        result = JetValue.constant(series[n], m, 0, self.rank)
+        for k in range(n - 1, -1, -1):
+            size = math.comb(m + n - k, m)
+            r = np.zeros((size,) + result.coeffs.shape[1:])
+            r[:len(result.coeffs)] = result.coeffs
+            result = (JetValue(m, n - k, r, self.rank)
+                      * JetValue(m, n - k, w[:size], self.rank) + series[k])
         return result
 
     def compose(self, fn: str) -> "JetValue":
@@ -832,7 +892,9 @@ def contract(spec: str, a: JetValue, b) -> JetValue:
     axis and forms the outer product of the operand slices, so a pass holds
     the pairs times the output entries times the other summed entries. The
     terms are added one by one in row-major order over the summed axes, as
-    a sum of scalar jet products written left to right would be."""
+    a sum of scalar jet products written left to right would be: each term
+    is a view of a pass, indexed at the other summed entries flattened into
+    one axis after the output axes."""
     operands, out = spec.split("->")
     sa, sb = operands.split(",")
     summed = "".join(dict.fromkeys(c for c in sa + sb if c not in out))
@@ -847,6 +909,7 @@ def contract(spec: str, a: JetValue, b) -> JetValue:
     product = (f"Z{sa.replace(first, '')}...,{'Z' if jet else ''}{sb.replace(first, '')}..."
                f"->Z{out}{rest}...")
     lead = 1 + len(out)
+    head = (slice(None),) * lead  # the coefficient and output axes
     total = None
     for index in range(count):
         xs, ys = (c if axis is None else c.take(index, axis=axis) for c, axis in cuts)
@@ -855,7 +918,8 @@ def contract(spec: str, a: JetValue, b) -> JetValue:
         else:
             terms = np.einsum(product, xs, ys, order="C")
         terms = terms.reshape(terms.shape[:lead] + (-1,) + terms.shape[lead + len(rest):])
-        for term in np.moveaxis(terms, lead, 0):
+        for r in range(terms.shape[lead]):
+            term = terms[head + (r,)]
             total = term if total is None else total + term
     return JetValue(a.m, k, total, len(out))
 
@@ -881,8 +945,23 @@ class EvalContext:
         return JetValue.variable(index, self.point[index], self.dim, self.order)
 
 
-def eval_jet(node: ExprAst, ctx: EvalContext) -> JetValue:
-    """Evaluate an AST to the jet of the expression at ctx.point."""
+def eval_jet(node: ExprAst, ctx: EvalContext, memo: dict | None = None) -> JetValue:
+    """Evaluate an AST to the jet of the expression at ctx.point. `memo`
+    maps the ids of the copies of each sub-tree that is reached more than
+    once (`repeated_subtrees`) to one list [uses left] per sub-tree: the
+    first use evaluates the sub-tree and keeps its jet there, later uses
+    read it, and the last one drops it. Sharing a jet is safe as no
+    operation writes into an operand."""
+    cell = memo.get(id(node)) if memo else None
+    if cell is None:
+        return _eval_node(node, ctx, memo)
+    if len(cell) == 1:
+        cell.append(_eval_node(node, ctx, memo))
+    cell[0] -= 1
+    return cell[1] if cell[0] else cell.pop()
+
+
+def _eval_node(node: ExprAst, ctx: EvalContext, memo: dict | None) -> JetValue:
     if isinstance(node, Num):
         return JetValue.constant(node.value, ctx.dim, ctx.order)
     if isinstance(node, Var):
@@ -891,10 +970,10 @@ def eval_jet(node: ExprAst, ctx: EvalContext) -> JetValue:
                 f"variable {node.name!r} (index {node.index}) not seeded in context")
         return ctx.seed(node.index)
     if isinstance(node, Neg):
-        return -eval_jet(node.operand, ctx)
+        return -eval_jet(node.operand, ctx, memo)
     if isinstance(node, BinOp):
-        left = eval_jet(node.left, ctx)
-        right = eval_jet(node.right, ctx)
+        left = eval_jet(node.left, ctx, memo)
+        right = eval_jet(node.right, ctx, memo)
         if node.op == "+":
             return left + right
         if node.op == "-":
@@ -903,14 +982,14 @@ def eval_jet(node: ExprAst, ctx: EvalContext) -> JetValue:
             return left * right
         return left / right
     if isinstance(node, Pow):
-        base = eval_jet(node.base, ctx)
+        base = eval_jet(node.base, ctx, memo)
         exp = node.exponent
         if float(exp).is_integer():
             return base.ipow(int(exp))
         # non-integer exponent lowers to exp/log (positive base required)
         return (base.compose("log") * exp).compose("exp")
     if isinstance(node, Call):
-        return eval_jet(node.arg, ctx).compose(node.fn)
+        return eval_jet(node.arg, ctx, memo).compose(node.fn)
     raise TypeError(node)
 
 

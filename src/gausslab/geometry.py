@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ from .exprjet import (
     contract,
     eval_jet,
     parse_expression,
+    repeated_subtrees,
     shift_variables,
     Var,
 )
@@ -136,18 +138,34 @@ class ImmersionChart:
     def ambient_dim(self) -> int:
         return self.dim + (1 if self.ambient == "euclidean" else 2)
 
+    def __getstate__(self):
+        # sub-trees are known by object id, so each process finds them anew
+        state = dict(self.__dict__)
+        state.pop("_repeated_subtrees", None)
+        return state
+
+    @cached_property
+    def _repeated_subtrees(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """`repeated_subtrees` of the expression components: found once per
+        chart, as it visits every sub-tree."""
+        return repeated_subtrees([c for c in self.components if not hasattr(c, "jet")])
+
     def component_jets(self, point: Sequence, order: int = 5) -> list[JetValue]:
         """Jets of the components at a point (one float per variable), or at
-        a batch of points (one array per variable). Components with a `jet`
-        method are evaluated point by point and stacked."""
+        a batch of points (one array per variable). A sub-expression that
+        occurs more than once is evaluated once per call. Components with a
+        `jet` method are evaluated point by point and stacked."""
         if len(point) != self.dim:
             raise GeometryError("point dimension does not match chart")
         pt, batched = _as_point(point)
         ctx = EvalContext(pt, order)
+        memo: dict = {}
+        for uses, copies in self._repeated_subtrees:
+            memo.update(dict.fromkeys(copies, [uses]))  # one list per sub-tree
         jets = []
         for comp in self.components:
             if not hasattr(comp, "jet"):
-                jet = eval_jet(comp, ctx)
+                jet = eval_jet(comp, ctx, memo)
             elif not batched:
                 jet = comp.jet(pt, self.dim, order)
             else:

@@ -312,6 +312,13 @@ def _cauchy_bound(cs: tuple[int, ...]) -> Fraction:
     return 1 + Fraction(max(abs(c) for c in cs[1:]), abs(cs[0]))
 
 
+def _past_floats(x: int, y: int, d: int) -> bool:
+    """Whether (x/d, y/d] lies past the float range, |t| >= 2^1024, read
+    from bit lengths alone: x (or -y) has more than 1024 bits more than d."""
+    limit = d.bit_length() + 1024
+    return (x > 0 and x.bit_length() > limit) or (y < 0 and y.bit_length() > limit)
+
+
 def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF,
                        width: float = 1e-12) -> list[RootInterval]:
     """Isolating intervals for every distinct real root of p in (a, b],
@@ -355,22 +362,30 @@ def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF,
     # p divided by a monic gcd keeps, so the float polish does not depend on
     # the integer scale of q
     num, den = p.leading.numerator, p.leading.denominator * q[0]
-    q_f = [c * num / den for c in q]
-    dq_f = [c * num / den for c in dq]
+    try:
+        q_f = [c * num / den for c in q]
+        dq_f = [c * num / den for c in dq]
+    except OverflowError:  # a coefficient past the float range: no polish
+        q_f = dq_f = None
     for x, y, d in isolated:
         # (x/d, y/d] holds one simple root, so q keeps the sign it has just
         # right of x/d up to that root (the sign of q' if x/d is a root too)
         s = _sign_at(q, x, d) or _sign_at(dq, x, d)
-        # bisection keeps y - x and doubles d, so the width is (y - x)/d
+        # bisection keeps y - x and doubles d, so the width is (y - x)/d; an
+        # interval that reaches past the float range stops once it lies past
         span = (y - x) * w.denominator
-        while span > w.numerator * d:
+        inside = max(x.bit_length(), y.bit_length()) < d.bit_length() + 1024
+        while span > w.numerator * d and (inside or not _past_floats(x, y, d)):
             x, y, mid, d = 2 * x, 2 * y, x + y, 2 * d
             if _sign_at(q, mid, d) == s:
                 x = mid
             else:
                 y = mid
-        est = (x + y) / d / 2.0  # int / int rounds correctly, as float(Fraction)
-        deriv = _float_at(dq_f, est)
+        try:
+            est = (x + y) / (2 * d)  # int / int rounds correctly, as float(Fraction)
+        except OverflowError:
+            raise OverflowError("a root lies outside the float range (|x| > 1.8e308)") from None
+        deriv = 0.0 if dq_f is None else _float_at(dq_f, est)
         if deriv != 0.0:
             newton = est - _float_at(q_f, est) / deriv
             if x / d <= newton <= y / d and \

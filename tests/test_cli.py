@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from gausslab.cli import main
+from gausslab.cli import load_config, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DATA = Path(__file__).resolve().parent / "data"
@@ -311,6 +311,18 @@ def test_verify_config_schema_rejections(capsys, tmp_path, overrides):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("count, code", [(10_000, None), (10_001, 2)])
+def test_explicit_sample_list_is_capped_at_10000_points(capsys, tmp_path, count, code):
+    path = write_config(tmp_path, samples=[[0.5, 0.25]] * count)
+    if code is None:  # accepted; parsed only, as verify would run every point
+        _, cfg = load_config(path)
+        assert len(cfg.explicit_points) == count
+        return
+    got, out, err = run(capsys, "verify", "--config", path)
+    assert (got, out) == (code, "")
+    assert "more than 10000" in err and "Traceback" not in err
+
+
 def test_bad_thread_env_is_config_error(capsys, monkeypatch):
     monkeypatch.setenv("GAUSSLAB_THREADS", "zero")
     code, _, err = run(capsys, "verify", "--config",
@@ -477,6 +489,23 @@ def test_roots_zero_polynomial_rejected(capsys):
 def test_roots_bad_range_rejected(capsys):
     code, _, err = run(capsys, "roots", "--coeffs", "1,1", "--range", "2,1")
     assert code == 2
+
+
+def test_roots_with_a_coefficient_past_the_float_range(capsys):
+    # 1 + 10^400 x: the exact isolation holds, the float polish is skipped
+    code, data, err = run_json(capsys, "roots", "--coeffs", "1,1e400")
+    assert code == 0
+    assert data["results"]["count"] == 1
+    (root,) = data["results"]["roots"]
+    assert root["certified"] and root["lo"] <= root["value"] <= root["hi"] == 0.0
+    assert -1e-12 <= root["lo"]
+
+
+@pytest.mark.parametrize("coeffs", ["1e3990,1", "1,1e-400", "-1e700,0,1"])
+def test_roots_past_the_float_range_say_so(capsys, coeffs):
+    code, out, err = run(capsys, "roots", "--coeffs", coeffs)
+    assert (code, out) == (4, "")
+    assert "outside the float range" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

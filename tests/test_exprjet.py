@@ -9,16 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 from gausslab.exprjet import (
     DomainError,
+    FUNCTIONS,
     EvalContext,
     ExpressionError,
     JetValue,
     _deriv_tables,
     _exponents,
     _mul_tables,
+    _series,
     antiderivative_jet,
     contract,
     eval_jet,
+    Num,
     parse_expression,
+    repeated_subtrees,
     shift_variables,
 )
 
@@ -323,6 +327,19 @@ def test_contraction_matches_sums_of_scalar_products(points):
                                            for i in range(3) for j in range(3)]).coeffs)
 
 
+@pytest.mark.parametrize("points", [None, 4])
+def test_contraction_adds_its_terms_left_to_right(points):
+    # two summed axes: a pass per index of a, and the terms of b inside it
+    rng = np.random.default_rng(15)
+    A = _tensor_jet((3, 4, 2), rng, points=points)
+    B = _tensor_jet((4, 2, 3), rng, points=points)
+    C = contract("iab,abj->ij", A, B)
+    for i in range(3):
+        for j in range(3):
+            terms = [A[i][a][b] * B[a][b][j] for a in range(4) for b in range(2)]
+            assert np.array_equal(C[i][j].coeffs, _sum(terms).coeffs)
+
+
 def test_batched_contraction_matches_its_columns():
     rng = np.random.default_rng(12)
     T = _tensor_jet((3, 4), rng, points=6)
@@ -373,3 +390,59 @@ def test_gradient_stacks_the_partial_derivatives():
     assert grad.rank == 1 and grad.order == 3
     for var in range(3):
         assert np.array_equal(grad[var].coeffs, jet.derivative(var).coeffs)
+
+
+# ---------------------------------------------------------------------------
+# composition against the full-order Horner loop
+
+
+def _full_order_horner(jet, series):
+    """Horner's rule with every step at the jet's full order: the reference
+    that the order-graded composition must reproduce bit for bit."""
+    w = JetValue(jet.m, jet.order, jet.coeffs.copy(), jet.rank)
+    w.coeffs[0] = 0.0
+    result = JetValue.constant(series[-1], jet.m, jet.order, jet.rank)
+    for a in reversed(series[:-1]):
+        result = result * w + a
+    return result
+
+
+def _reciprocal_series(c, order):
+    series = [1.0 / c]
+    for _ in range(order):
+        series.append(-series[-1] / c)
+    return series
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("shape, points", [((), None), ((), 4), ((3,), None), ((3,), 2)])
+def test_composition_equals_the_full_order_horner_loop(m, order, shape, points):
+    rng = np.random.default_rng(100 * m + 10 * order + len(shape))
+    n = len(_exponents(m, order)[0])
+    tail = (points,) if points else ()
+    coeffs = rng.uniform(-1.0, 1.0, (n,) + shape + tail)
+    # base values inside the domain of every function, asin and acos included
+    coeffs[0] = rng.uniform(0.1, 0.9, shape + tail)
+    jet = JetValue(m, order, coeffs.copy(), len(shape))
+    for fn in FUNCTIONS:
+        want = _full_order_horner(jet, _series(fn, jet.value, order))
+        assert np.array_equal(jet.compose(fn).coeffs, want.coeffs), fn
+    want = _full_order_horner(jet, _reciprocal_series(jet.value, order)) * 1.0
+    assert np.array_equal((1.0 / jet).coeffs, want.coeffs)
+    assert np.array_equal(jet.coeffs, coeffs)  # the operand is not written
+
+
+def test_repeated_subtrees_counts_each_reach_once():
+    names = ("u", "v")
+    roots = [parse_expression(src, names)
+             for src in ("cos(u)*sin(v) + cos(u)", "cos(u)*sin(v)", "u*u")]
+    # the product is a root and a term; cos(u) a factor of the product (one
+    # reach however often the product occurs) and a term; u is reached from
+    # cos(u) once and twice from u*u; sin(v) and v only through the product
+    found = sorted((uses, len(ids)) for uses, ids in repeated_subtrees(roots))
+    assert found == [(2, 2), (2, 3), (3, 5)]
+    product = roots[0].left
+    assert (2, (id(product), id(roots[1]))) in repeated_subtrees(roots)
+    assert repeated_subtrees([Num(0.0), Num(-0.0)]) == ()
+    assert [uses for uses, _ in repeated_subtrees([Num(0.0), Num(0.0)])] == [2]

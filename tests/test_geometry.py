@@ -1,6 +1,7 @@
 """First/second fundamental data and curvature operators on charts."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gausslab.geometry import (
     shape_data_euclidean,
     shape_data_spherical,
 )
+from gausslab.hypercone import build_cone_chart, sphere_link_chart, sphere_link_solver
 
 from conftest import graph_chart, unit_sphere_chart
 
@@ -228,3 +230,34 @@ def test_inverse_metric_times_metric_is_the_identity_jet(dim):
     identity[0] = np.eye(dim)
     assert product.order == 3
     assert np.max(np.abs(product.coeffs - identity)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# component jets of charts whose components repeat sub-expressions
+
+
+def _twin_chart():
+    """Two identical components next to a third that repeats their factors."""
+    return chart_from_strings("twin", ("u", "v"),
+                              ["cos(u)*sin(v)", "cos(u)*sin(v)", "sin(v)*cos(u)+cos(u)"],
+                              [(-1.0, 1.0), (-1.0, 1.0)])
+
+
+@pytest.mark.parametrize("chart", [
+    build_cone_chart(sphere_link_chart(5, sphere_link_solver(5).a_sq_exact)), _twin_chart()],
+    ids=["cone-over-S5", "twin"])
+@pytest.mark.parametrize("batched", [False, True])
+def test_component_jets_equal_each_component_alone(chart, batched):
+    rng = np.random.default_rng(chart.dim)
+    point = (np.linspace(0.7, 1.4, 3),) + tuple(rng.uniform(-0.4, 0.4, (chart.dim - 1, 3)))
+    if not batched:
+        point = tuple(float(x[1]) for x in point)
+    for order in (5, 2):
+        jets = chart.component_jets(point, order)
+        for comp, jet in zip(chart.components, jets):
+            assert np.array_equal(jet.coeffs, eval_jet(comp, EvalContext(point, order)).coeffs)
+        # the same again, and from a copy sent to another process: a second
+        # call reads nothing the first one left
+        for again in (chart.component_jets(point, order),
+                      pickle.loads(pickle.dumps(chart)).component_jets(point, order)):
+            assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(jets, again))

@@ -1,11 +1,17 @@
 """Checks at the chart dimensions the catalog needs (5 to 8): the projection
 normal and the shape operator against an independent numeric path, the
-orientation parity, and every catalog cone with m <= 7 pointwise."""
+orientation parity, and every catalog cone with m <= 7 pointwise, with the
+link system's verdict against the cone's."""
 
 import numpy as np
 import pytest
 
-from gausslab.biharmonic import NOT_BIHARMONIC, PROPER_BIHARMONIC, hypersurface_residual
+from gausslab.biharmonic import (
+    NOT_BIHARMONIC,
+    PROPER_BIHARMONIC,
+    hypersurface_residual,
+    link_residual_system,
+)
 from gausslab.geometry import (
     chart_from_strings,
     fundamental_data,
@@ -167,3 +173,29 @@ def test_wrong_radius_cone_over_s7_is_not_biharmonic():
     cone = build_cone_chart(sphere_link_chart(7, 0.5))
     rep = hypersurface_residual(cone, points=[_seeded_point(8, 8)], workers=1)
     assert rep.verdict == NOT_BIHARMONIC
+
+
+# ---------------------------------------------------------------------------
+# the two reductions agree: the cone residual at chart dimension m + 1 and
+# the link system at the link part of the same point
+
+
+def _both_verdicts(link):
+    cone = build_cone_chart(link)
+    point = _seeded_point(cone.dim, cone.dim)
+    cone_rep = hypersurface_residual(cone, points=[point], workers=1)
+    link_rep = link_residual_system(link, points=[point[1:]], workers=1)
+    return cone_rep.verdict, link_rep.verdict
+
+
+@pytest.mark.parametrize("name, link", CATALOG, ids=[n for n, _ in CATALOG])
+def test_link_system_verdict_equals_the_cone_verdict(name, link):
+    cone_verdict, link_verdict = _both_verdicts(link)
+    assert link_verdict == cone_verdict == PROPER_BIHARMONIC, name
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_wrong_radius_sphere_fails_both_reductions(m):
+    # a^2 = 0.6 is off the catalog radius m / (4m - 6) at every m
+    assert sphere_link_solver(m).a_sq_exact != 0.6
+    assert _both_verdicts(sphere_link_chart(m, 0.6)) == (NOT_BIHARMONIC, NOT_BIHARMONIC)
