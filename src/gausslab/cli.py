@@ -664,6 +664,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (GeometryError, DomainError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except Exception as exc:  # a fault of the program: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
     if getattr(args, "format", "json") == "csv" and outcome.tables is not None:
         _emit_csv(outcome.tables)

@@ -25,9 +25,9 @@ sin cos tan cot exp log sqrt asin acos atan sinh cosh tanh.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, wraps
 from types import SimpleNamespace
 from typing import Sequence, Union
 
@@ -437,7 +437,43 @@ def _own_fields(cls: type) -> tuple[str, ...]:
 # Multi-index bookkeeping (dense graded-lex layout, cached per (m, order))
 
 
-@lru_cache(maxsize=None)
+class _TableCache:
+    """A decorator that keeps the tables its functions build, by function
+    and arguments, and drops the least recently used while their bytes
+    exceed `budget` (the newest is always kept)."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.bytes = 0
+        self.entries: OrderedDict = OrderedDict()  # key -> (tables, bytes)
+
+    def __call__(self, build):
+        @wraps(build)
+        def cached(*args):
+            key = (build.__name__,) + args
+            entry = self.entries.get(key)
+            if entry is not None:
+                self.entries.move_to_end(key)
+                return entry[0]
+            value = build(*args)
+            size = sum(getattr(v, "nbytes", 0)
+                       for v in (value if isinstance(value, tuple) else (value,)))
+            self.entries[key] = (value, size)
+            self.bytes += size
+            while self.bytes > self.budget and len(self.entries) > 1:
+                self.bytes -= self.entries.popitem(last=False)[1][1]
+            return value
+        return cached
+
+
+# The tables share one budget. The tables one residual reads at dimension
+# 12, the largest in the catalog, take 12.9 MiB together, so a sweep over
+# dimensions keeps about one high dimension's tables, not those of every
+# dimension it met, and the tables of all the dimensions up to 8 fit at once.
+_TABLES = _TableCache(14 * 2 ** 20)
+
+
+@_TABLES
 def _exponents(m: int, order: int):
     """The multi-indices |alpha| <= order of m variables in the coefficient
     layout of a jet (by degree, lex inside a degree): the (ncoef, m) exponent
@@ -467,7 +503,7 @@ def _rows(m: int, order: int, keys) -> np.ndarray:
     return rows[np.searchsorted(lex_keys, keys)]
 
 
-@lru_cache(maxsize=None)
+@_TABLES
 def _mul_tables(m: int, order: int):
     """Every pair (i, j) of coefficients whose product lands at or below
     `order`, i-major, and the row lo of each product."""
@@ -481,15 +517,7 @@ def _mul_tables(m: int, order: int):
     return li, lj, _rows(m, order, keys[li] + keys[lj])
 
 
-@lru_cache(maxsize=64)  # one entry per (dimension, order, trailing size) in use
-def _pair_slots(m: int, order: int, size: int) -> np.ndarray:
-    """Output slot of every (pair, trailing entry) of a product with `size`
-    tensor and point entries per coefficient, in row-major order."""
-    _, _, lo = _mul_tables(m, order)
-    return (lo[:, None] * size + np.arange(size)).ravel()
-
-
-@lru_cache(maxsize=None)
+@_TABLES
 def _deriv_tables(m: int, order: int, var: int):
     """Maps an order-k jet to the order-(k-1) jet of its `var` partial: the
     source coefficient and factor of each lowered coefficient, in order. The
@@ -786,7 +814,7 @@ class JetValue:
             c, v = self._against(other)
             return JetValue(self.m, self.order, c * v, self.rank)
         k, rank, a, b = self._align(other)
-        return JetValue(self.m, k, _pair_sum(self.m, k, a, b, _times), rank)
+        return JetValue(self.m, k, _pair_sum(self.m, k, a, b), rank)
 
     __rmul__ = __mul__
 
@@ -858,70 +886,125 @@ class JetValue:
         return f"JetValue(m={self.m}, order={self.order}, value={self.value!r})"
 
 
-def _times(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """p * q, in place where the shapes agree."""
-    return np.multiply(p, q, out=p) if p.shape == q.shape else p * q
-
-
-def _pair_sum(m: int, order: int, x: np.ndarray, y: np.ndarray, multiply) -> np.ndarray:
-    """The product kernel: the coefficients of the product of two jets of
-    dimension m truncated to `order`, with coefficient arrays x and y. It
-    gathers the coefficient pairs of every output coefficient from
-    `_mul_tables`, forms the terms of each pair with `multiply` (entry by
-    entry, or an outer product over tensor axes), and sums them with one
-    bincount over the flattened tensor and point entries. Each output slot
-    sums its pairs in table order, so every entry, and every point of a
-    batch, is summed exactly as a one-point scalar product would be."""
+def _pair_sum(m: int, order: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The entrywise product kernel: the coefficients of the product of two
+    jets of dimension m truncated to `order`, with coefficient arrays x and
+    y shaped to broadcast together. It gathers the coefficient pairs of
+    every output coefficient from `_mul_tables`, multiplies them entry by
+    entry, and sums them with one bincount over the flattened tensor and
+    point entries. Each output slot sums its pairs in table order, so every
+    entry, and every point of a batch, is summed exactly as a one-point
+    scalar product would be."""
     li, lj, lo = _mul_tables(m, order)
-    terms = multiply(x.take(li, axis=0), y.take(lj, axis=0))
+    p, q = x.take(li, axis=0), y.take(lj, axis=0)
+    terms = np.multiply(p, q, out=p) if p.shape == q.shape else p * q
     n = len(x)
     if terms.ndim == 1:
         return np.bincount(lo, weights=terms, minlength=n)
+    # a pair's terms in row-major order: the slots of a contraction with
+    # `size` free entries of B and none of A, at one point
     size = terms.size // len(lo)
-    return np.bincount(_pair_slots(m, order, size), weights=terms.ravel(),
+    return np.bincount(_contract_slots(m, order, True, 1, 1, size)[1], weights=terms.ravel(),
                        minlength=n * size).reshape((n,) + terms.shape[1:])
+
+
+def _laid_out(c: np.ndarray, batched: bool, axes: list, shape: tuple) -> np.ndarray:
+    """A contiguous copy of the array c with its point axis first (of size 1
+    where it has none) and then its axes `axes`, reshaped to `shape` after
+    the point axis."""
+    moved = c.transpose([c.ndim - 1] + axes if batched else axes)
+    return np.ascontiguousarray(moved).reshape((c.shape[-1] if batched else 1,) + shape)
+
+
+@lru_cache(maxsize=64)
+def _spec_axes(spec: str):
+    """The letters of a `contract` spec: those of A, of B and of the
+    output, the free letters of A and of B and the summed ones, in order."""
+    operands, out = spec.split("->")
+    sa, sb = operands.split(",")
+    free_a = "".join(c for c in sa if c in out)
+    free_b = "".join(c for c in sb if c in out)
+    summed = "".join(c for c in sa if c not in out)
+    if (len(set(sa)) < len(sa) or len(set(sb)) < len(sb) or len(set(out)) < len(out)
+            or sorted(free_a + free_b) != sorted(out)
+            or sorted(c for c in sb if c not in out) != sorted(summed)):
+        raise ValueError(f"cannot contract {spec!r}: each output letter must occur in "
+                         "one operand and each summed letter once in both")
+    return sa, sb, out, free_a, free_b, summed
 
 
 def contract(spec: str, a: JetValue, b) -> JetValue:
     """Jet of np.einsum(spec, A, B) for fields A (a jet) and B (a jet, or a
     constant array laid out like `value`). `spec` names the tensor axes
     only, in lower-case letters, e.g. "ia,ja->ij" for g = T T^T; the
-    coefficient and point axes are carried along.
+    coefficient and point axes are carried along. Each output letter occurs
+    in one operand and each summed letter once in both.
 
-    Each pass of the product kernel takes one index of the first summed
-    axis and forms the outer product of the operand slices, so a pass holds
-    the pairs times the output entries times the other summed entries. The
-    terms are added one by one in row-major order over the summed axes, as
-    a sum of scalar jet products written left to right would be: each term
-    is a view of a pass, indexed at the other summed entries flattened into
-    one axis after the output axes."""
-    operands, out = spec.split("->")
-    sa, sb = operands.split(",")
-    summed = "".join(dict.fromkeys(c for c in sa + sb if c not in out))
-    first, rest = summed[:1], summed[1:]
+    The coefficient pairs (i, j) of a product form one dense block per
+    degree d of i: its rows are the degree-d coefficients, and their
+    partners are a prefix of the layout (`_mul_tables`). Both operands are
+    laid out once, as (point, coefficient, free-a, summed) and (point,
+    summed, coefficient, free-b) with every summed axis folded into one, so
+    that each block is one matrix product per point. The products fill one
+    buffer, and one bincount adds every term into its output entry, block
+    after block, so that each output entry sums its pairs in table order. A
+    constant B is one block with a single partner."""
+    sa, sb, out, free_a, free_b, summed = _spec_axes(spec)
     jet = isinstance(b, JetValue)
-    k, x, y = a._truncated(b) if jet else (a.order, a.coeffs, np.asarray(b))
-    # each operand and its axis of the first summed index, if it has one (a
-    # jet's tensor axes follow its coefficient axis)
-    cuts = [(c, start + s.index(first) if first and first in s else None)
-            for c, s, start in ((x, sa, 1), (y, sb, 1 if jet else 0))]
-    count = next((c.shape[axis] for c, axis in cuts if axis is not None), 1)
-    product = (f"Z{sa.replace(first, '')}...,{'Z' if jet else ''}{sb.replace(first, '')}..."
-               f"->Z{out}{rest}...")
-    lead = 1 + len(out)
-    head = (slice(None),) * lead  # the coefficient and output axes
-    total = None
-    for index in range(count):
-        xs, ys = (c if axis is None else c.take(index, axis=axis) for c, axis in cuts)
-        if jet:
-            terms = _pair_sum(a.m, k, xs, ys, lambda p, q: np.einsum(product, p, q, order="C"))
-        else:
-            terms = np.einsum(product, xs, ys, order="C")
-        terms = terms.reshape(terms.shape[:lead] + (-1,) + terms.shape[lead + len(rest):])
-        for r in range(terms.shape[lead]):
-            term = terms[head + (r,)]
-            total = term if total is None else total + term
+    k, x, y = a._truncated(b) if jet else (a.order, a.coeffs, np.asarray(b, dtype=float))
+    yt = 1 if jet else 0  # the first tensor axis of y
+    xb, yb = x.ndim > 1 + len(sa), y.ndim > yt + len(sb)
+    points = x.shape[-1] if xb else y.shape[-1] if yb else 1
+    size = dict(zip(sa, x.shape[1:]))
+    size.update(zip(sb, y.shape[yt:]))
+    na = math.prod(size[c] for c in free_a)
+    nb = math.prod(size[c] for c in free_b)
+    ns = math.prod(size[c] for c in summed)
+    n = len(x)
+    X = _laid_out(x, xb, [0] + [1 + sa.index(c) for c in free_a + summed], (n, na, ns))
+    Y = _laid_out(y, yb, [yt + sb.index(c) for c in summed] + ([0] if jet else [])
+                  + [yt + sb.index(c) for c in free_b], (ns, n if jet else 1, nb))
+    blocks, slots = _contract_slots(a.m, k, jet, points, na, nb)
+    terms = np.empty(len(slots))
+    at = 0
+    for first, rows, partners in blocks:
+        stop = at + points * rows * na * partners * nb
+        np.matmul(X[:, first:first + rows].reshape(len(X), rows * na, ns),
+                  Y[:, :, :partners].reshape(len(Y), ns, partners * nb),
+                  out=terms[at:stop].reshape(points, rows * na, partners * nb))
+        at = stop
+    tail = (points,) if xb or yb else ()
+    total = np.bincount(slots, weights=terms, minlength=n * na * nb * points).reshape(
+        (n,) + tuple(size[c] for c in free_a + free_b) + tail)
+    if free_a + free_b != out:
+        axes = [0] + [1 + (free_a + free_b).index(c) for c in out] + [len(out) + 1] * len(tail)
+        total = np.ascontiguousarray(total.transpose(axes))
     return JetValue(a.m, k, total, len(out))
+
+
+@_TABLES
+def _contract_slots(m: int, order: int, jet: bool, points: int, na: int, nb: int):
+    """The blocks of a `contract` product, each as (first row, rows,
+    partners), and the output entry of every term the blocks lay out: by
+    block, then by point, row, free-a entry, partner and free-b entry, with
+    the output laid out (coefficient, free-a, free-b, point). A constant
+    operand is one block whose rows each have one partner, themselves."""
+    n = math.comb(m + order, m)
+    if jet:
+        _, _, lo = _mul_tables(m, order)
+        firsts = [math.comb(m + d - 1, m) if d else 0 for d in range(order + 2)]
+        blocks = [(firsts[d], firsts[d + 1] - firsts[d], math.comb(m + order - d, m))
+                  for d in range(order + 1)]
+    else:
+        lo, blocks = np.arange(n), [(0, n, 1)]
+    entry = np.arange(na * nb).reshape(na, 1, nb)
+    parts, at = [], 0
+    for _, rows, partners in blocks:
+        out_rows = lo[at:at + rows * partners].reshape(rows, 1, partners, 1)
+        at += rows * partners
+        slot = (out_rows * (na * nb) + entry) * points
+        parts.append((slot + np.arange(points).reshape(-1, 1, 1, 1, 1)).ravel())
+    return tuple(blocks), np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------

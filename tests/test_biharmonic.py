@@ -180,9 +180,12 @@ def grad_f_norm(chart, point):
     return hypersurface_residual(chart, points=[point]).points[0].grad_f_norm
 
 
-def test_tension_norm_vanishes_exactly_for_cmc():
+def test_tension_norm_of_cmc_is_roundoff():
+    # k = 2: |grad f| = 0 exactly, and the row's scale (test_oracles.py) is
+    # S = max(1, |A|^2, scale_term) = |A|^2 = 4; the jets leave 9.8e-17 =
+    # 0.11 eps S at this point, which is bounded by 4 eps S
     cyl = polynomial_curvature_cylinder((2.0,))
-    assert grad_f_norm(cyl, (0.1, 0.7)) == 0.0
+    assert grad_f_norm(cyl, (0.1, 0.7)) <= 4 * np.finfo(float).eps * 4.0
     rep = hypersurface_residual(cyl, points=[(0.0, 0.2), (0.1, 0.5)])
     assert rep.verdict == HARMONIC
 

@@ -327,17 +327,109 @@ def test_contraction_matches_sums_of_scalar_products(points):
                                            for i in range(3) for j in range(3)]).coeffs)
 
 
+def _per_pass_contract(spec, a, b):
+    """The contraction kernel `contract` replaced, kept as the reference:
+    one pass per index of the first summed axis, each gathering the
+    coefficient pairs of `_mul_tables` and forming their outer product with
+    einsum, and the terms added left to right in row-major order over the
+    summed axes, as a sum of scalar jet products written out would be."""
+    operands, out = spec.split("->")
+    sa, sb = operands.split(",")
+    summed = "".join(dict.fromkeys(c for c in sa + sb if c not in out))
+    first, rest = summed[:1], summed[1:]
+    jet = isinstance(b, JetValue)
+    k = min(a.order, b.order) if jet else a.order
+    n = math.comb(a.m + k, a.m)
+    x, y = a.coeffs[:n], (b.coeffs[:n] if jet else np.asarray(b))
+    cuts = [(c, start + s.index(first) if first and first in s else None)
+            for c, s, start in ((x, sa, 1), (y, sb, 1 if jet else 0))]
+    count = next((c.shape[axis] for c, axis in cuts if axis is not None), 1)
+    product = (f"Z{sa.replace(first, '')}...,{'Z' if jet else ''}{sb.replace(first, '')}..."
+               f"->Z{out}{rest}...")
+    li, lj, lo = _mul_tables(a.m, k)
+    lead = 1 + len(out)
+    total = None
+    for index in range(count):
+        xs, ys = (c if axis is None else c.take(index, axis=axis) for c, axis in cuts)
+        if jet:
+            pairs = np.einsum(product, xs.take(li, axis=0), ys.take(lj, axis=0))
+            size = pairs.size // len(lo)
+            slots = (lo[:, None] * size + np.arange(size)).ravel()
+            terms = np.bincount(slots, weights=pairs.ravel(), minlength=n * size)
+            terms = terms.reshape((n,) + pairs.shape[1:])
+        else:
+            terms = np.einsum(product, xs, ys)
+        terms = terms.reshape(terms.shape[:lead] + (-1,) + terms.shape[lead + len(rest):])
+        for r in range(terms.shape[lead]):
+            term = terms[(slice(None),) * lead + (r,)]
+            total = term if total is None else total + term
+    return total
+
+
+def _assert_within_sum_bound(spec, a, b):
+    """contract(spec, a, b) against the per-pass reference, entry by entry,
+    to within 2 gamma_N times the same contraction of |a| and |b|, where N
+    is the most terms one output entry sums (coefficient pairs times summed
+    entries) and gamma_N = N eps / (1 - N eps) bounds the forward error of
+    any order of summing N products (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 3.1). Both kernels meet that bound
+    against the exact sum, so they differ by at most twice it."""
+    def magnitude(c):
+        if isinstance(c, JetValue):
+            return JetValue(c.m, c.order, np.abs(c.coeffs), c.rank)
+        return np.abs(c)
+
+    got = contract(spec, a, b)
+    want = _per_pass_contract(spec, a, b)
+    scale = _per_pass_contract(spec, magnitude(a), magnitude(b))
+    operands, out = spec.split("->")
+    summed = {c for c in operands if c not in out and c != ","}
+    sizes = dict(zip(operands.split(",")[0], a.coeffs.shape[1:]))
+    pairs = np.bincount(_mul_tables(a.m, got.order)[2]).max() if isinstance(b, JetValue) else 1
+    n = int(pairs * math.prod(sizes[c] for c in summed))
+    eps = np.finfo(float).eps
+    gamma = n * eps / (1 - n * eps)
+    assert got.coeffs.shape == want.shape
+    assert np.all(np.abs(got.coeffs - want) <= 2 * gamma * scale)
+
+
 @pytest.mark.parametrize("points", [None, 4])
-def test_contraction_adds_its_terms_left_to_right(points):
-    # two summed axes: a pass per index of a, and the terms of b inside it
+def test_contraction_is_within_the_sum_bound_of_the_per_pass_kernel(points):
+    # two summed axes: the per-pass kernel takes a pass per index of a, and
+    # the terms of b inside it, as the scalar products below add them
     rng = np.random.default_rng(15)
     A = _tensor_jet((3, 4, 2), rng, points=points)
     B = _tensor_jet((4, 2, 3), rng, points=points)
-    C = contract("iab,abj->ij", A, B)
+    want = _per_pass_contract("iab,abj->ij", A, B)
     for i in range(3):
         for j in range(3):
             terms = [A[i][a][b] * B[a][b][j] for a in range(4) for b in range(2)]
-            assert np.array_equal(C[i][j].coeffs, _sum(terms).coeffs)
+            assert np.array_equal(want[:, i, j], _sum(terms).coeffs)
+    _assert_within_sum_bound("iab,abj->ij", A, B)
+
+
+# every spec geometry.py contracts, and a length for each of its letters
+_GEOMETRY_SPECS = ["ia,ja->ij", "lj,il->ij", "il,lj->ij", "ij,j->i", "ia,a->i",
+                   "ia,i->a", "kl,lij->kij", "a,a->", "jia,a->ij", "ij,ji->"]
+_AXIS_SIZES = {"i": 3, "j": 2, "k": 2, "l": 3, "a": 4}
+
+
+@pytest.mark.parametrize("order, m", [(3, m) for m in range(1, 13)]
+                         + [(5, m) for m in range(1, 8)])
+@pytest.mark.parametrize("points", [None, 3])
+def test_contraction_kernel_against_the_per_pass_reference(order, m, points):
+    rng = np.random.default_rng(100 * order + m)
+    for spec in _GEOMETRY_SPECS:
+        shape_a, shape_b = (tuple(_AXIS_SIZES[c] for c in s)
+                            for s in spec.split("->")[0].split(","))
+        A = _tensor_jet(shape_a, rng, m=m, order=order, points=points)
+        B = _tensor_jet(shape_b, rng, m=m, order=order, points=points)
+        _assert_within_sum_bound(spec, A, B)
+        if points:  # a one-point jet acts as a constant across the batch
+            _assert_within_sum_bound(spec, A, _tensor_jet(shape_b, rng, m=m, order=order))
+        # a constant second operand, one value per point over a batch
+        tail = (points,) if points else ()
+        _assert_within_sum_bound(spec, A, rng.uniform(-1.0, 1.0, shape_b + tail))
 
 
 def test_batched_contraction_matches_its_columns():

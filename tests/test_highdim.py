@@ -1,7 +1,8 @@
 """Checks at the chart dimensions the catalog needs (5 to 8): the projection
 normal and the shape operator against an independent numeric path, the
 orientation parity, and every catalog cone with m <= 7 pointwise, with the
-link system's verdict against the cone's."""
+link system's verdict against the cone's; and the bound on the jet-table
+caches over a sweep to dimension 12."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gausslab.biharmonic import (
     hypersurface_residual,
     link_residual_system,
 )
+from gausslab.exprjet import _TABLES
 from gausslab.geometry import (
     chart_from_strings,
     fundamental_data,
@@ -199,3 +201,20 @@ def test_wrong_radius_sphere_fails_both_reductions(m):
     # a^2 = 0.6 is off the catalog radius m / (4m - 6) at every m
     assert sphere_link_solver(m).a_sq_exact != 0.6
     assert _both_verdicts(sphere_link_chart(m, 0.6)) == (NOT_BIHARMONIC, NOT_BIHARMONIC)
+
+
+def test_table_caches_hold_one_residual_after_a_sweep_over_dimensions():
+    # the jet tables of m = 3..12 share one byte budget: after a sweep the
+    # cache is within it, and it holds every table one m = 12 residual
+    # reads, so that a second such residual builds none
+    for m in range(3, 13):
+        link = sphere_link_chart(m, sphere_link_solver(m).a_sq_exact)
+        point = [tuple(0.2 * (-1) ** i for i in range(m))]
+        link_residual_system(link, points=point, workers=1)
+        assert _TABLES.bytes <= _TABLES.budget
+        assert _TABLES.bytes == sum(size for _, size in _TABLES.entries.values())
+    kept = set(_TABLES.entries)
+    link_residual_system(link, points=point, workers=1)
+    assert set(_TABLES.entries) == kept
+    # and few of the lower dimensions' tables are left
+    assert {key[1] for key in kept if key[0] == "_mul_tables"} <= {11, 12}
