@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,7 +58,6 @@ __all__ = [
     "LinkSystemReport",
     "link_residual_system",
     "corollary_necessary_condition",
-    "check_corollary_on_chart",
     "R3CheckResult",
     "r3_ode_check",
     "R4Obstruction",
@@ -87,8 +86,7 @@ class Tolerances:
     near_minimal_f: float = 1e-10
 
     def as_dict(self) -> dict:
-        return {"eps_abs": self.eps_abs, "eps_rel": self.eps_rel,
-                "grad_rel": self.grad_rel, "near_minimal_f": self.near_minimal_f}
+        return asdict(self)
 
 
 def worker_count() -> int:
@@ -275,8 +273,8 @@ class ResidualReport:
     failed_points: int
     excluded_points: int
 
-    def as_dict(self, include_points: bool = True) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "chart": self.chart,
             "verdict": self.verdict,
             "tolerances": self.tolerances.as_dict(),
@@ -289,9 +287,7 @@ class ResidualReport:
             "sample_count": len(self.points),
             "failed_points": self.failed_points,
             "excluded_points": self.excluded_points,
-        }
-        if include_points:
-            out["points"] = [
+            "points": [
                 {
                     "point": list(p.point),
                     "ok": p.ok,
@@ -302,8 +298,8 @@ class ResidualReport:
                     "error": p.error,
                 }
                 for p in self.points
-            ]
-        return out
+            ],
+        }
 
 
 def hypersurface_residual(chart: ImmersionChart,
@@ -403,8 +399,8 @@ class LinkSystemReport:
     points: list[PointResidual]
     failed_points: int
 
-    def as_dict(self, include_points: bool = True) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "chart": self.chart,
             "verdict": self.verdict,
             "tolerances": self.tolerances.as_dict(),
@@ -415,9 +411,7 @@ class LinkSystemReport:
             "max_abs_f": self.max_abs_f,
             "sample_count": len(self.points),
             "failed_points": self.failed_points,
-        }
-        if include_points:
-            out["points"] = [
+            "points": [
                 {
                     "point": list(p.point),
                     "ok": p.ok,
@@ -427,8 +421,8 @@ class LinkSystemReport:
                     "error": p.error,
                 }
                 for p in self.points
-            ]
-        return out
+            ],
+        }
 
 
 def link_residual_system(chart: ImmersionChart,
@@ -480,29 +474,6 @@ def corollary_necessary_condition(sd: ShapeData, v: np.ndarray) -> np.ndarray:
     norm_sq = sd.shape_norm_sq.value
     return (A @ (A @ v) - ricci_via_gauss_equation(sd, v)
             + (sd.dim - 1 - (2.0 / 3.0) * norm_sq) * v)
-
-
-def check_corollary_on_chart(chart: ImmersionChart,
-                             points: Sequence[tuple] | None = None,
-                             orientation: int = 1) -> dict:
-    """Max norm of the necessary condition over sample points. Precondition:
-    |A|^2 constant across the sample (checked to 1e-8 relative)."""
-    if points is None:
-        points = chart.sample_points(default_count=5)
-    norms = []
-    values = []
-    for p in points:
-        fd = fundamental_data(chart, p)
-        sd = shape_data_spherical(chart, p, orientation, fd)
-        norms.append(sd.shape_norm_sq.value)
-        v = gradient_of_mean_curvature(fd, sd).value
-        values.append(fd.norm(corollary_necessary_condition(sd, v)))
-    spread = max(norms) - min(norms)
-    if spread > 1e-8 * (1.0 + max(norms)):
-        raise GeometryError("|A|^2 is not constant across the sample")
-    return {"max_condition_norm": float(max(values)),
-            "shape_norm_sq": float(np.mean(norms)),
-            "sample_count": len(values)}
 
 
 # ---------------------------------------------------------------------------
@@ -569,29 +540,22 @@ class R4Obstruction:
     obstruction_holds: bool
 
     def as_dict(self) -> dict:
-        return {
-            "chart": self.chart,
-            "grid": list(self.grid),
-            "closures": list(self.closures),
-            "area": self.area,
-            "integral_laplacian": self.integral_laplacian,
-            "integral_weighted_f": self.integral_weighted_f,
-            "mean_f": self.mean_f,
-            "orientation_flipped": self.orientation_flipped,
-            "obstruction_holds": self.obstruction_holds,
-        }
+        return asdict(self)
 
 
-def r4_obstruction(chart: ImmersionChart, grid: tuple[int, int] = (24, 24),
-                   tolerance: float = 1e-8) -> R4Obstruction:
+_R4_GRID = (24, 24)
+_R4_TOLERANCE = 1e-8
+
+
+def r4_obstruction(chart: ImmersionChart) -> R4Obstruction:
     """Integral obstruction on a compact 2d link: integrating the scalar link
     equation 3 Delta f = |A|^2 f (the m = 2 case) over the closed surface
     kills the left side by the divergence theorem, so a non-minimal link with
     f of one sign cannot solve it; no cone in R^4 has proper biharmonic Gauss
-    map. Integration is the equal-weight rule on a uniform grid with the area
-    element sqrt(det g); the grid is offset by half a step so that chart
-    degeneracies at the box edges (poles) are never evaluated. Orientation is
-    normalized so that the integral of f is >= 0.
+    map. Integration is the equal-weight rule on a uniform 24 x 24 grid with
+    the area element sqrt(det g); the grid is offset by half a step so that
+    chart degeneracies at the box edges (poles) are never evaluated.
+    Orientation is normalized so that the integral of f is >= 0.
 
     Each variable direction of the domain box must close up: either the chart
     is periodic in it, or the area element vanishes at both edges (a pole
@@ -601,9 +565,7 @@ def r4_obstruction(chart: ImmersionChart, grid: tuple[int, int] = (24, 24),
     if chart.ambient != "sphere" or chart.dim != 2:
         raise GeometryError("the obstruction applies to 2d sphere-ambient links")
     (u_lo, u_hi), (v_lo, v_hi) = chart.domain
-    nu, nv = grid
-    if nu < 4 or nv < 4:
-        raise GeometryError("grid too coarse for the integral rule")
+    nu, nv = _R4_GRID
     closures = (_closure_kind(chart, 0), _closure_kind(chart, 1))
     du = (u_hi - u_lo) / nu
     dv = (v_hi - v_lo) / nv
@@ -624,9 +586,9 @@ def r4_obstruction(chart: ImmersionChart, grid: tuple[int, int] = (24, 24),
         lap_sum, weighted_sum, f_sum = -lap_sum, -weighted_sum, -f_sum
     # positivity must hold at scale: a minimal link gives a roundoff-size
     # second integral and no contradiction
-    holds = (abs(lap_sum) <= tolerance * max(area, 1.0)
-             and weighted_sum > tolerance * max(area, 1.0))
-    return R4Obstruction(chart.name, (nu, nv), closures, float(area),
+    gate = _R4_TOLERANCE * max(area, 1.0)
+    holds = abs(lap_sum) <= gate and weighted_sum > gate
+    return R4Obstruction(chart.name, _R4_GRID, closures, float(area),
                          float(lap_sum), float(weighted_sum),
                          float(f_sum / area), flipped, holds)
 

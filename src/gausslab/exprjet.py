@@ -355,9 +355,8 @@ def _fold_constant(node: ExprAst) -> float | None:
         v = _fold_constant(node.arg)
         if v is None:
             return None
-        fn = {"cot": lambda x: math.cos(x) / math.sin(x)}.get(
-            node.fn, getattr(math, node.fn))
-        value = fn(v)
+        value = (math.cos(v) / math.sin(v) if node.fn == "cot"
+                 else getattr(math, node.fn)(v))
     else:
         raise TypeError(node)
     # a negative base to a fractional power gives a complex number

@@ -206,10 +206,9 @@ def chart_from_strings(name: str, variables: Sequence[str],
                           tuple((float(a), float(b)) for a, b in domain), sampling)
 
 
-def generalized_cylinder(chart: ImmersionChart,
-                         w_interval: tuple[float, float] = (-1.0, 1.0)) -> ImmersionChart:
+def generalized_cylinder(chart: ImmersionChart) -> ImmersionChart:
     """Product immersion (w, p) -> (w, X(p)) in R^(n+1) over a euclidean
-    chart, sampled at 3 values of w."""
+    chart, w in [-1, 1], sampled at 3 values of w."""
     if chart.ambient != "euclidean":
         raise GeometryError("generalized cylinder needs a euclidean chart")
     for comp in chart.components:
@@ -220,7 +219,7 @@ def generalized_cylinder(chart: ImmersionChart,
     components = (Var(0, "w"),) + shifted
     sampling = None if chart.sampling is None else SamplingSpec((3,) + chart.sampling.counts)
     return ImmersionChart(f"cylinder({chart.name})", chart.dim + 1, "euclidean",
-                          names, components, (w_interval,) + chart.domain, sampling)
+                          names, components, ((-1.0, 1.0),) + chart.domain, sampling)
 
 
 def _as_point(point: Sequence) -> tuple[tuple, bool]:

@@ -160,8 +160,6 @@ def clifford_link_solver(m: int, m1: int) -> list[CliffordRoot]:
     m2 = m - m1
     # quadratic in x = r1^2
     poly = Polynomial.from_coeffs([m1, -(4 * m - 6 + m1 - m2), 4 * m - 6])
-    if poly.degree < 2 and 4 * m - 6 == 0:
-        return []
     minimal_x = Fraction(m1, m1 + m2)
     minimal_is_root = poly.eval_exact(minimal_x) == 0
     intervals = isolate_and_refine(poly, 0, 1)
@@ -203,8 +201,10 @@ def _sphere_components(variables: Sequence[str]) -> list[str]:
     return comps
 
 
-def sphere_link_chart(m: int, a_sq, name: str | None = None,
-                      box: float = 0.6) -> ImmersionChart:
+_LINK_BOX = 0.6  # half-width of a link chart's box in a non-periodic variable
+
+
+def sphere_link_chart(m: int, a_sq) -> ImmersionChart:
     """Small sphere S^m(a) at constant height in S^(m+1); `a_sq` may be a
     Fraction/int pair-friendly exact value or a float."""
     a_sq_f = Fraction(a_sq) if not isinstance(a_sq, float) else None
@@ -219,13 +219,12 @@ def sphere_link_chart(m: int, a_sq, name: str | None = None,
     if m == 1:
         domain = [(0.0, 2 * math.pi)]
     else:
-        domain = [(-box, box)] * m
-    return chart_from_strings(name or f"sphere_link(m={m})", variables, comps,
+        domain = [(-_LINK_BOX, _LINK_BOX)] * m
+    return chart_from_strings(f"sphere_link(m={m})", variables, comps,
                               domain, ambient="sphere")
 
 
-def clifford_link_chart(m1: int, m2: int, r1_sq, name: str | None = None,
-                        box: float = 0.6) -> ImmersionChart:
+def clifford_link_chart(m1: int, m2: int, r1_sq) -> ImmersionChart:
     """Product link S^m1(r1) x S^m2(r2) in the unit sphere, r2^2 = 1 - r1^2."""
     r1_sq_f = Fraction(r1_sq) if not isinstance(r1_sq, float) else None
     if r1_sq_f is not None:
@@ -238,22 +237,20 @@ def clifford_link_chart(m1: int, m2: int, r1_sq, name: str | None = None,
     v_vars = tuple(f"v{i+1}" for i in range(m2))
     comps = [f"({c})*{r1_src}" for c in _sphere_components(u_vars)]
     comps += [f"({c})*{r2_src}" for c in _sphere_components(v_vars)]
-    domain = [(0.0, 2 * math.pi) if m1 == 1 else (-box, box)] * m1
-    domain += [(0.0, 2 * math.pi) if m2 == 1 else (-box, box)] * m2
-    return chart_from_strings(name or f"clifford_link({m1},{m2})",
+    domain = [(0.0, 2 * math.pi) if m1 == 1 else (-_LINK_BOX, _LINK_BOX)] * m1
+    domain += [(0.0, 2 * math.pi) if m2 == 1 else (-_LINK_BOX, _LINK_BOX)] * m2
+    return chart_from_strings(f"clifford_link({m1},{m2})",
                               u_vars + v_vars, comps, domain, ambient="sphere")
 
 
-def build_cone_chart(link: ImmersionChart, t_interval: tuple[float, float] = (0.5, 2.0),
-                     t_count: int = 5) -> ImmersionChart:
-    """Euclidean chart (t, p) -> t * X(p) over a sphere-ambient link chart,
-    sampled at `t_count` radii when the link has sample counts."""
+def build_cone_chart(link: ImmersionChart, t_count: int = 5) -> ImmersionChart:
+    """Euclidean chart (t, p) -> t * X(p) over a sphere-ambient link chart
+    for t in [0.5, 2], sampled at `t_count` radii when the link has sample
+    counts."""
     if link.ambient != "sphere":
         raise GeometryError("cone links must be sphere-ambient charts")
     if "t" in link.variables:
         raise GeometryError("link chart already uses variable 't'")
-    if t_interval[0] <= 0.0:
-        raise GeometryError("cone radius interval must stay positive")
     for comp in link.components:
         if hasattr(comp, "jet"):
             raise GeometryError("cone links need expression components")
@@ -263,7 +260,7 @@ def build_cone_chart(link: ImmersionChart, t_interval: tuple[float, float] = (0.
     sampling = (None if link.sampling is None
                 else SamplingSpec((t_count,) + link.sampling.counts))
     return ImmersionChart(f"cone({link.name})", link.dim + 1, "euclidean",
-                          names, components, (t_interval,) + link.domain, sampling)
+                          names, components, ((0.5, 2.0),) + link.domain, sampling)
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +318,11 @@ class _QuadratureCurveComponent:
         return antiderivative_jet(djet, 0, self._position(point[0]))
 
 
-def polynomial_curvature_cylinder(k_coeffs: Sequence[float],
-                                  s_interval: tuple[float, float] = (-1.0, 1.0),
-                                  w_interval: tuple[float, float] = (-1.0, 1.0),
-                                  name: str | None = None) -> ImmersionChart:
-    """Right cylinder (s, w) -> (x(s), y(s), w) over the arc-length plane
-    curve with signed curvature k(s) = sum k_i s^i (coefficients low degree
-    first). |sigma'| = 1 by construction, since the curve is reconstructed
-    from its tangent angle."""
+def polynomial_curvature_cylinder(k_coeffs: Sequence[float]) -> ImmersionChart:
+    """Right cylinder (s, w) -> (x(s), y(s), w), s and w in [-1, 1], over
+    the arc-length plane curve with signed curvature k(s) = sum k_i s^i
+    (coefficients low degree first). |sigma'| = 1 by construction, since the
+    curve is reconstructed from its tangent angle."""
     ks = tuple(float(k) for k in k_coeffs)
     variables = ("s", "w")
     components = (
@@ -336,9 +330,8 @@ def polynomial_curvature_cylinder(k_coeffs: Sequence[float],
         _QuadratureCurveComponent("sin", ks),
         Var(1, "w"),
     )
-    return ImmersionChart(name or f"curvature_cylinder{ks}", 2,
-                          "euclidean", variables, components,
-                          (tuple(s_interval), tuple(w_interval)))
+    return ImmersionChart(f"curvature_cylinder{ks}", 2, "euclidean", variables,
+                          components, ((-1.0, 1.0), (-1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -77,13 +77,6 @@ class IsoparametricSpec:
     def m(self) -> int:
         return sum(self.multiplicities)
 
-    @property
-    def q(self) -> int:
-        """log2 of the common multiplicity (type 3 only)."""
-        if self.ell != 3:
-            raise ValueError("q is defined for type 3")
-        return self.multiplicities[0].bit_length() - 1
-
     @classmethod
     def type1(cls, m: int) -> "IsoparametricSpec":
         return cls(1, (m,))

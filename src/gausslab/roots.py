@@ -19,7 +19,7 @@ sum of c_i p^i d^(n-i). Isolation bisects on integer endpoints over one
 power-of-two multiple of a common denominator per interval, carrying the
 sign variations of both ends so each split evaluates the chain only at the
 midpoint. Once an interval holds one root of the square-free q, refinement to
-the requested width needs only the sign of q at each midpoint against its
+a width of 1e-12 needs only the sign of q at each midpoint against its
 sign just right of the left end (the sign of q' there when that end is itself
 a root). A single guarded Newton step polishes the float estimate; Fractions
 are built only for the returned intervals.
@@ -35,7 +35,6 @@ from typing import Iterable, Sequence, Union
 __all__ = [
     "Polynomial",
     "RootInterval",
-    "sturm_sequence",
     "count_real_roots_in",
     "isolate_and_refine",
     "NEG_INF",
@@ -87,20 +86,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    # --- arithmetic ---------------------------------------------------------
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.from_coeffs([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1) \
-            if self.coeffs and other.coeffs else []
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial.from_coeffs(out)
-
-    __rmul__ = __mul__
-
     # --- evaluation ---------------------------------------------------------
 
     def eval_exact(self, x: Fraction) -> Fraction:
@@ -109,9 +94,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def eval_float(self, x: float) -> float:
-        return _float_at([float(c) for c in reversed(self.coeffs)], x)
-
     # --- normal forms -------------------------------------------------------
 
     def content_normalized(self) -> "Polynomial":
@@ -119,37 +101,11 @@ class Polynomial:
         cs = _int_coeffs(self)
         if cs and cs[0] < 0:
             cs = tuple(-c for c in cs)
-        return _from_ints(cs)
-
-    def square_free_part(self) -> "Polynomial":
-        """A positive multiple of p / gcd(p, p'), primitive with integer
-        coefficients."""
-        return _from_ints(_square_free(_int_coeffs(self)))
-
-    def deflate_root(self, r: Rational) -> "Polynomial":
-        """A positive multiple of p / (x - r), primitive with integer
-        coefficients; requires r to be an exact root."""
-        r = _to_fraction(r)
-        q, rem = _pdiv(_int_coeffs(self), (r.denominator, -r.numerator))
-        if rem:
-            raise ValueError(f"{r} is not a root")
-        return _from_ints(q)
-
-
-def sturm_sequence(p: Polynomial) -> list[Polynomial]:
-    """Sturm chain p0 = p, p1 = p', p_(i+1) = -rem(p_(i-1), p_i), each member
-    a positive multiple, primitive with integer coefficients."""
-    if p.is_zero:
-        raise ValueError("Sturm chain of the zero polynomial")
-    return [_from_ints(cs) for cs in _sturm(_int_coeffs(p))]
+        return Polynomial.from_coeffs(cs[::-1])
 
 
 # ---------------------------------------------------------------------------
 # Integer coefficient tuples, highest degree first
-
-
-def _from_ints(cs: tuple[int, ...]) -> Polynomial:
-    return Polynomial.from_coeffs(cs[::-1])
 
 
 def _primitive(cs: Sequence[int]) -> tuple[int, ...]:
@@ -308,6 +264,9 @@ class RootInterval:
     certified: bool = True
 
 
+_WIDTH = Fraction(1, 10 ** 12)  # the width of a refined isolating interval
+
+
 def _cauchy_bound(cs: tuple[int, ...]) -> Fraction:
     return 1 + Fraction(max(abs(c) for c in cs[1:]), abs(cs[0]))
 
@@ -319,10 +278,9 @@ def _past_floats(x: int, y: int, d: int) -> bool:
     return (x > 0 and x.bit_length() > limit) or (y < 0 and y.bit_length() > limit)
 
 
-def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF,
-                       width: float = 1e-12) -> list[RootInterval]:
+def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF) -> list[RootInterval]:
     """Isolating intervals for every distinct real root of p in (a, b],
-    bisected to `width` and polished with one guarded Newton step."""
+    bisected to width _WIDTH and polished with one guarded Newton step."""
     if p.is_zero or p.degree == 0:
         return []
     a = _as_endpoint(a)
@@ -356,7 +314,6 @@ def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF,
         vm = _variations(chain, mid, d)
         stack.append((x, mid, d, vx, vm))
         stack.append((mid, y, d, vm, vy))
-    w = _to_fraction(width) if width > 0 else Fraction(1, 10 ** 12)
     dq = _derivative(q)
     # the Newton step reads q scaled to the leading coefficient of p, which
     # p divided by a monic gcd keeps, so the float polish does not depend on
@@ -373,9 +330,9 @@ def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF,
         s = _sign_at(q, x, d) or _sign_at(dq, x, d)
         # bisection keeps y - x and doubles d, so the width is (y - x)/d; an
         # interval that reaches past the float range stops once it lies past
-        span = (y - x) * w.denominator
+        span = (y - x) * _WIDTH.denominator
         inside = max(x.bit_length(), y.bit_length()) < d.bit_length() + 1024
-        while span > w.numerator * d and (inside or not _past_floats(x, y, d)):
+        while span > _WIDTH.numerator * d and (inside or not _past_floats(x, y, d)):
             x, y, mid, d = 2 * x, 2 * y, x + y, 2 * d
             if _sign_at(q, mid, d) == s:
                 x = mid

@@ -1,8 +1,13 @@
 """Shared helpers: finite-difference probes and quick chart builders."""
 
 import numpy as np
+from hypothesis import settings
 
 from gausslab.geometry import SamplingSpec, chart_from_strings
+
+# `pytest --hypothesis-profile=ci` runs the same examples on every push;
+# local runs keep the default random profile
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def central_partial(fn, point, i, h=1e-5):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, payload schema, determinism."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -12,8 +13,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gausslab.cli import load_config, main
+from gausslab.exprjet import FUNCTIONS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DATA = Path(__file__).resolve().parent / "data"
@@ -695,3 +698,52 @@ def test_gallery_script_rejects_a_bad_thread_count_before_any_work(value):
     assert proc.stdout == ""
     assert proc.stderr.startswith("config error: GAUSSLAB_THREADS must be a positive integer")
     assert proc.stderr.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the expression grammar, fuzzed through `verify`
+
+_NUMBERS = st.one_of(
+    st.integers(0, 10 ** 6).map(str),
+    st.floats(0.0, 1e6, allow_nan=False).map(repr),
+    st.builds(lambda m, sign, k: f"{m}e{sign}{k}",
+              st.sampled_from(["1", "2.5", "0.0", "7."]),
+              st.sampled_from(["", "+", "-"]), st.integers(0, 400)),
+)
+_NAMES = st.sampled_from(["u", "v", "pi", "e", "w", "x1", "sinh2", "U", "cosu"])
+_OPERATORS = st.sampled_from(["+", "-", "*", "/", "^"])
+
+
+def _balanced(leaves):
+    """Expressions with balanced parentheses, built from `leaves`."""
+    return st.one_of(
+        st.builds(lambda a, op, b: f"{a}{op}{b}", leaves, _OPERATORS, leaves),
+        st.builds(lambda a: f"({a})", leaves),
+        st.builds(lambda fn, a: f"{fn}({a})", st.sampled_from(FUNCTIONS), leaves),
+        st.builds(lambda op, a: f"{op}{a}", st.sampled_from(["-", "+"]), leaves),
+    )
+
+
+_TOKENS = st.one_of(_NUMBERS, _NAMES, _OPERATORS, st.sampled_from(["(", ")"]),
+                    st.sampled_from(FUNCTIONS).map(lambda fn: f"{fn}("))
+_COMPONENTS = st.one_of(
+    st.recursive(st.one_of(_NUMBERS, _NAMES), _balanced, max_leaves=12),
+    st.lists(_TOKENS, min_size=1, max_size=12).flatmap(
+        lambda tokens: st.sampled_from(["", " "]).map(lambda sep: sep.join(tokens))),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_COMPONENTS)
+def test_fuzzed_component_gives_a_documented_exit_code(tmp_path, component):
+    path = write_config(tmp_path, name="fuzz", components=["u", "v", component],
+                        samples=[[0.25, -0.5], [-0.75, 0.125]])
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--config", path])
+    assert time.perf_counter() - start < 5.0
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert "internal error:" not in err.getvalue()

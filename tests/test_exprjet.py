@@ -49,6 +49,13 @@ def test_pow_exponent_must_be_constant():
         parse_expression("x^2^3", ("x",))
 
 
+@pytest.mark.parametrize("fn", FUNCTIONS)
+def test_every_function_folds_in_a_constant_exponent(fn):
+    # `math` has no cot, so the fold must not look it up there
+    want = 1.0 / math.tan(0.5) if fn == "cot" else getattr(math, fn)(0.5)
+    assert parse_expression(f"x^{fn}(0.5)", ("x",)).exponent == pytest.approx(want, rel=1e-15)
+
+
 @pytest.mark.parametrize("src,offset", [
     ("1 + * 2", 4),
     ("cos(u)*", 7),

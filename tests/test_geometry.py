@@ -179,7 +179,7 @@ def test_ricci_of_great_sphere_and_small_sphere_link():
 
 def test_generalized_cylinder_structure():
     sph = unit_sphere_chart()
-    cyl = generalized_cylinder(sph, w_interval=(-1.0, 1.0))
+    cyl = generalized_cylinder(sph)
     assert cyl.dim == 3 and cyl.ambient_dim == 4
     assert cyl.variables == ("w", "u", "v")
     sd_base = shape_data_euclidean(sph, (0.7, 0.4))

@@ -27,7 +27,6 @@ def test_spec_accepts_known_families():
     assert IsoparametricSpec.type1(4).m == 4
     assert IsoparametricSpec.type2(2, 3).m == 5
     assert IsoparametricSpec.type3(2).multiplicities == (4, 4, 4)
-    assert IsoparametricSpec.type3(2).q == 2
     assert IsoparametricSpec.type4(7, 2).multiplicities == (7, 2, 7, 2)
     assert IsoparametricSpec.type6(2).m == 12
 

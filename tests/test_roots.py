@@ -9,14 +9,37 @@ from gausslab.roots import (
     NEG_INF,
     POS_INF,
     Polynomial,
+    _int_coeffs,
+    _pdiv,
+    _square_free,
+    _sturm,
     count_real_roots_in,
     isolate_and_refine,
-    sturm_sequence,
 )
 
 
 def poly(*coeffs):
     return Polynomial.from_coeffs(coeffs)
+
+
+def mul(*polys):
+    """Product of polynomials, by convolution of their coefficients."""
+    out = [Fraction(1)]
+    for p in polys:
+        prod = [Fraction(0)] * (len(out) + len(p.coeffs) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p.coeffs):
+                prod[i + j] += a * b
+        out = prod
+    return Polynomial.from_coeffs(out)
+
+
+def horner(cs, x):
+    """Value at x of the coefficients `cs`, low degree first."""
+    acc = 0 * x
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
 
 
 def test_cubic_with_known_roots():
@@ -79,9 +102,7 @@ def test_content_normalized():
 
 
 def test_wilkinson_style_product_on_subranges():
-    p = poly(1)
-    for k in range(1, 8):
-        p = p * poly(-k, 1)
+    p = mul(*(poly(-k, 1) for k in range(1, 8)))
     assert count_real_roots_in(p, NEG_INF, POS_INF) == 7
     assert count_real_roots_in(p, Fraction(5, 2), Fraction(11, 2)) == 3
     roots = isolate_and_refine(p, Fraction(5, 2), Fraction(11, 2))
@@ -89,9 +110,11 @@ def test_wilkinson_style_product_on_subranges():
 
 
 def test_sturm_chain_ends_in_constant_for_square_free():
-    chain = sturm_sequence(poly(-2, 0, 1))
-    assert chain[0].coeffs == (Fraction(-2), Fraction(0), Fraction(1))
-    assert chain[-1].degree == 0
+    # integer tuples, highest degree first: x^2 - 2, its derivative and -2
+    chain = _sturm((1, 0, -2))
+    assert chain[0] == (1, 0, -2)
+    assert len(chain) == 3
+    assert len(chain[-1]) == 1
 
 
 def test_zero_and_constant_polynomials():
@@ -116,7 +139,8 @@ def test_isolation_agrees_with_count(coeffs):
         else:
             # residual at the polished estimate is tiny at the local scale
             scale = max(abs(float(c)) for c in p.coeffs)
-            assert abs(p.eval_float(r.value)) <= 1e-6 * scale * (
+            value = horner([float(c) for c in p.coeffs], r.value)
+            assert abs(value) <= 1e-6 * scale * (
                 1.0 + abs(r.value)) ** p.degree
 
 
@@ -128,21 +152,23 @@ WIDTH = Fraction(1, 10 ** 12)
 
 def reference_intervals(p, a=NEG_INF, b=POS_INF):
     """(lo, hi] of every root in (a, b], bisected on Fractions by full Sturm
-    counts from the Cauchy bound down to WIDTH."""
-    q = p.square_free_part()
+    counts from the Cauchy bound down to WIDTH. Every step is Euclid on
+    Fraction coefficients, low degree first (the helpers below), so the
+    reference shares no code with the integer kernel."""
+    q = square_free(list(p.coeffs))
     out = []
-    if a != NEG_INF and q.eval_exact(a) == 0:
-        q = q.deflate_root(a)
-    if b != POS_INF and q.eval_exact(b) == 0:
-        q = q.deflate_root(b)
+    if a != NEG_INF and horner(q, a) == 0:
+        q = fraction_divmod(q, [-a, 1])[0]
+    if b != POS_INF and horner(q, b) == 0:
+        q = fraction_divmod(q, [-b, 1])[0]
         out.append((b, b))
-    if q.degree <= 0:
+    if len(q) <= 1:
         return out
-    bound = 1 + max(abs(c) for c in q.coeffs[:-1]) / abs(q.leading)
-    chain = sturm_sequence(q)
+    bound = 1 + max(abs(c) for c in q[:-1]) / abs(q[-1])
+    chain = euclid_chain(q)
 
     def variations(x):
-        signs = [v > 0 for v in (r.eval_exact(x) for r in chain) if v != 0]
+        signs = [v > 0 for v in (horner(r, x) for r in chain) if v != 0]
         return sum(s != t for s, t in zip(signs, signs[1:]))
 
     stack = [(-bound if a == NEG_INF else a, bound if b == POS_INF else b)]
@@ -189,7 +215,7 @@ def test_root_at_a_dyadic_midpoint():
     assert roots[0].hi == Fraction(1, 2)
     assert roots[0].lo < Fraction(1, 2)
     # the same root found from the whole line, with a second root at 3/8
-    assert_certified(poly(-1, 2) * poly(-3, 8))
+    assert_certified(mul(poly(-1, 2), poly(-3, 8)))
 
 
 def test_roots_at_range_endpoints():
@@ -265,7 +291,18 @@ def euclid_chain(cs):
     return chain
 
 
+def square_free(cs):
+    """cs / gcd(cs, cs'), with the gcd made monic."""
+    g, rem = cs, derivative(cs)
+    while rem:
+        g, rem = rem, fraction_divmod(g, rem)[1]
+    q, rem = fraction_divmod(cs, [c / g[-1] for c in g])
+    assert not rem
+    return q
+
+
 def is_positive_multiple(a, b):
+    """Whether `a` is a positive multiple of `b`; both low degree first."""
     return (len(a) == len(b) and a[-1] * b[-1] > 0
             and all(x * b[-1] == y * a[-1] for x, y in zip(a, b)))
 
@@ -276,26 +313,23 @@ def is_positive_multiple(a, b):
        st.lists(st.integers(-9, 9), min_size=1, max_size=4))
 def test_integer_chain_is_a_positive_multiple_of_fraction_euclid(factors, cofactor):
     # p = cofactor * prod (x - n/d)^k, so repeated roots are common
-    p = poly(*cofactor)
-    for n, d, k in factors:
-        for _ in range(k):
-            p = p * poly(Fraction(-n, d), 1)
+    p = mul(poly(*cofactor), *(poly(Fraction(-n, d), 1)
+                               for n, d, k in factors for _ in range(k)))
     if p.degree < 1:
         return
     cs = list(p.coeffs)
-    chain = sturm_sequence(p)
+    ints = _int_coeffs(p)  # highest degree first
+    assert is_positive_multiple(ints[::-1], cs)
+    chain = _sturm(ints)
     want = euclid_chain(cs)
     assert len(chain) == len(want)
     for got, ref in zip(chain, want):
-        assert is_positive_multiple(got.coeffs, ref)
-    g, rem = cs, derivative(cs)
-    while rem:
-        g, rem = rem, fraction_divmod(g, rem)[1]
-    q, rem = fraction_divmod(cs, [c / g[-1] for c in g])
-    assert not rem
-    assert is_positive_multiple(p.square_free_part().coeffs, q)
+        assert is_positive_multiple(got[::-1], ref)
+    assert is_positive_multiple(_square_free(ints)[::-1], square_free(cs))
     root = Fraction(factors[0][0], factors[0][1])
     q, rem = fraction_divmod(cs, [-root, 1])
     assert not rem
-    assert is_positive_multiple(p.deflate_root(root).coeffs, q)
+    got, got_rem = _pdiv(ints, (root.denominator, -root.numerator))
+    assert not got_rem
+    assert is_positive_multiple(got[::-1], q)
 
