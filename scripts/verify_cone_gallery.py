@@ -9,9 +9,9 @@ sphere link and valid Clifford root of `report --all` with 8 <= m <= 12 (95
 rows), at two fixed interior points each, next to wrong-radius sphere
 controls at m = 8 and m = 12. Budget: 30 s wall and 90 MB peak RSS on a
 2-core x86-64 machine, serial (GAUSSLAB_THREADS=1) or with the default pool
-of two, the m <= 7 rows included; measured 10-12 s and 79 MB serial, 13-14 s
-and 83 MB with the pool (only the 625-point S^1 x S^3 link row is large
-enough to use it).
+of two, the m <= 7 rows included; measured 4.2-5.5 s and 78-83 MB serial,
+4.1-4.3 s and 84 MB with the pool (only the 625-point S^1 x S^3 link row is
+large enough to use it).
 
 Usage: python3 scripts/verify_cone_gallery.py [--full]
 Exits 2, before any work, when GAUSSLAB_THREADS is set but not a positive

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprjet import DomainError, JetValue, _mul_tables
+from .exprjet import DomainError, JetValue
 from .geometry import (
     GeometryError,
     ImmersionChart,
@@ -108,8 +108,9 @@ def _batch_size(dim: int, order: int) -> int:
     """Points per jet pass: the gathered pairs of one product at this
     dimension and order (8 bytes a pair and point) stay within 128 KiB. That
     is 130 points at dimension 2 and one at dimension 7, where order-5
-    products cost the same per point batched or not."""
-    return max(1, 16384 // len(_mul_tables(dim, order)[0]))
+    products cost the same per point batched or not. A dense product has
+    C(2 dim + order, order) pairs: the multi-indices of both factors at once."""
+    return max(1, 16384 // math.comb(2 * dim + order, order))
 
 
 def _map_points(fn: Callable, points: Sequence, workers: int | None,

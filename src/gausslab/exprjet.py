@@ -438,8 +438,9 @@ def _own_fields(cls: type) -> tuple[str, ...]:
 
 class _TableCache:
     """A decorator that keeps the tables its functions build, by function
-    and arguments, and drops the least recently used while their bytes
-    exceed `budget` (the newest is always kept)."""
+    and arguments (omitted ones read as their defaults), and drops the least
+    recently used while their bytes exceed `budget` (the newest is always
+    kept)."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -447,8 +448,11 @@ class _TableCache:
         self.entries: OrderedDict = OrderedDict()  # key -> (tables, bytes)
 
     def __call__(self, build):
+        defaults, arity = build.__defaults__ or (), build.__code__.co_argcount
+
         @wraps(build)
         def cached(*args):
+            args += defaults[len(args) + len(defaults) - arity:]
             key = (build.__name__,) + args
             entry = self.entries.get(key)
             if entry is not None:
@@ -466,7 +470,7 @@ class _TableCache:
 
 
 # The tables share one budget. The tables one residual reads at dimension
-# 12, the largest in the catalog, take 12.9 MiB together, so a sweep over
+# 12, the largest in the catalog, take 11.3 MiB together, so a sweep over
 # dimensions keeps about one high dimension's tables, not those of every
 # dimension it met, and the tables of all the dimensions up to 8 fit at once.
 _TABLES = _TableCache(14 * 2 ** 20)
@@ -503,17 +507,38 @@ def _rows(m: int, order: int, keys) -> np.ndarray:
 
 
 @_TABLES
-def _mul_tables(m: int, order: int):
+def _mul_tables(m: int, order: int, va: int = -1, vb: int = -1):
     """Every pair (i, j) of coefficients whose product lands at or below
-    `order`, i-major, and the row lo of each product."""
+    `order`, with i in the rows of the variable mask `va` and j in those of
+    `vb` (the multi-indices with no exponent outside the mask), i-major, and
+    the row lo of each product. A mask of -1 holds every variable, so the
+    default is the dense table; `_pair_sum` sets the bits past the m
+    variables, so that a mask of all of them keys it too."""
     table, keys, _, _ = _exponents(m, order)
     degree = table.sum(axis=1)
-    # the partners of a degree-d index are those of degree <= order - d: a
-    # prefix of the graded layout
-    partners = np.searchsorted(degree, order - degree, side="right")
-    li = np.repeat(np.arange(len(table)), partners)
-    lj = np.arange(len(li)) - np.repeat(np.cumsum(partners) - partners, partners)
+    ra, rb = np.flatnonzero(_in_support(table, va)), np.flatnonzero(_in_support(table, vb))
+    # the partners of a degree-d row are the rows of degree <= order - d: a
+    # prefix of the graded layout, and of the rows of a mask
+    partners = np.searchsorted(degree[rb], order - degree[ra], side="right")
+    li = np.repeat(ra, partners)
+    lj = rb[np.arange(len(li)) - np.repeat(np.cumsum(partners) - partners, partners)]
     return li, lj, _rows(m, order, keys[li] + keys[lj])
+
+
+def _in_support(table: np.ndarray, support: int) -> np.ndarray:
+    """Which rows of the exponent table have no exponent outside the
+    variables of the mask `support`."""
+    outside = [i for i in range(table.shape[1]) if not support >> i & 1]
+    return ~table[:, outside].any(axis=1)
+
+
+@_TABLES
+def _pair_slots(m: int, order: int, va: int, vb: int, size: int):
+    """The output entry of every term of an entrywise product on the pairs
+    of `_mul_tables(m, order, va, vb)` with `size` entries per coefficient:
+    by pair, then entry, with the output laid out (coefficient, entry)."""
+    lo = _mul_tables(m, order, va, vb)[2]
+    return (lo[:, None] * size + np.arange(size)).ravel()
 
 
 @_TABLES
@@ -657,16 +682,26 @@ class JetValue:
     across it; an array laid out like `value` is a constant per entry (and
     per point). Operands of different orders truncate to the lower order;
     mixing dimensions is an error.
+
+    `support` is a bit mask of the variables the coefficients may depend
+    on: every coefficient of a multi-index with an exponent outside it is
+    exactly zero (-1, the default, holds every variable). A constant has
+    support 0 and variable i has 1 << i; `+ - * /` take the union, and
+    derivatives, truncation, indexing, composition and powers keep it.
+    Products skip the coefficient pairs with a factor outside the support
+    (Griewank & Walther, ch. 13, on sparsity in the independent variables).
     """
 
-    __slots__ = ("m", "order", "coeffs", "rank")
+    __slots__ = ("m", "order", "coeffs", "rank", "support")
     __array_ufunc__ = None  # ndarray <op> jet defers to the jet's operator
 
-    def __init__(self, m: int, order: int, coeffs: np.ndarray, rank: int = 0):
+    def __init__(self, m: int, order: int, coeffs: np.ndarray, rank: int = 0,
+                 support: int = -1):
         self.m = m
         self.order = order
         self.coeffs = coeffs
         self.rank = rank
+        self.support = support
 
     # construction ----------------------------------------------------------
 
@@ -674,7 +709,7 @@ class JetValue:
     def constant(cls, value, m: int, order: int, rank: int = 0) -> "JetValue":
         coeffs = np.zeros((math.comb(m + order, m),) + getattr(value, "shape", ()))
         coeffs[0] = value
-        return cls(m, order, coeffs, rank)
+        return cls(m, order, coeffs, rank, 0)
 
     @classmethod
     def variable(cls, index: int, value, m: int, order: int) -> "JetValue":
@@ -684,7 +719,7 @@ class JetValue:
         coeffs[0] = value
         if order >= 1:  # the degree-1 rows follow the constant, x_(m-1) first
             coeffs[m - index] = 1.0
-        return cls(m, order, coeffs)
+        return cls(m, order, coeffs, 0, 1 << index)
 
     # helpers ----------------------------------------------------------------
 
@@ -706,7 +741,7 @@ class JetValue:
         """The jet of entry `index` of the first tensor axis."""
         if not self.rank:
             raise TypeError("a scalar jet is not subscriptable")
-        return JetValue(self.m, self.order, self.coeffs[:, index], self.rank - 1)
+        return JetValue(self.m, self.order, self.coeffs[:, index], self.rank - 1, self.support)
 
     def truncate(self, order: int) -> "JetValue":
         if order == self.order:
@@ -714,7 +749,7 @@ class JetValue:
         if order > self.order:
             raise ValueError("cannot extend a jet to higher order")
         n = math.comb(self.m + order, self.m)
-        return JetValue(self.m, order, self.coeffs[:n].copy(), self.rank)
+        return JetValue(self.m, order, self.coeffs[:n].copy(), self.rank, self.support)
 
     def _truncated(self, other: "JetValue") -> tuple[int, np.ndarray, np.ndarray]:
         """The common order and both coefficient arrays truncated to it."""
@@ -773,7 +808,8 @@ class JetValue:
         src, fac = _deriv_tables(self.m, self.order, var)
         c = self.coeffs[src]
         return JetValue(self.m, self.order - 1,
-                        c * fac.reshape(fac.shape + (1,) * (c.ndim - 1)), self.rank)
+                        c * fac.reshape(fac.shape + (1,) * (c.ndim - 1)), self.rank,
+                        self.support)
 
     def gradient(self) -> "JetValue":
         """Jet of all first partials, one order lower and one rank higher:
@@ -787,22 +823,22 @@ class JetValue:
     def __add__(self, other):
         if isinstance(other, JetValue):
             k, rank, a, b = self._align(other)
-            return JetValue(self.m, k, a + b, rank)
+            return JetValue(self.m, k, a + b, rank, self.support | other.support)
         c, v = self._against(other)
         # a one-point jet plus one constant per point grows a point axis
         out = c.copy() if c is self.coeffs else np.repeat(c, np.shape(v)[-1], axis=-1)
         out[0] += v
-        return JetValue(self.m, self.order, out, self.rank)
+        return JetValue(self.m, self.order, out, self.rank, self.support)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return JetValue(self.m, self.order, -self.coeffs, self.rank)
+        return JetValue(self.m, self.order, -self.coeffs, self.rank, self.support)
 
     def __sub__(self, other):
         if isinstance(other, JetValue):
             k, rank, a, b = self._align(other)
-            return JetValue(self.m, k, a - b, rank)
+            return JetValue(self.m, k, a - b, rank, self.support | other.support)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -811,9 +847,10 @@ class JetValue:
     def __mul__(self, other):
         if not isinstance(other, JetValue):
             c, v = self._against(other)
-            return JetValue(self.m, self.order, c * v, self.rank)
+            return JetValue(self.m, self.order, c * v, self.rank, self.support)
         k, rank, a, b = self._align(other)
-        return JetValue(self.m, k, _pair_sum(self.m, k, a, b), rank)
+        return JetValue(self.m, k, _pair_sum(self.m, k, a, b, self.support, other.support),
+                        rank, self.support | other.support)
 
     __rmul__ = __mul__
 
@@ -822,7 +859,7 @@ class JetValue:
             if np.any(other == 0.0):
                 raise DomainError("division by zero constant")
             c, v = self._against(other)
-            return JetValue(self.m, self.order, c / v, self.rank)
+            return JetValue(self.m, self.order, c / v, self.rank, self.support)
         if other.order > self.order:
             other = other.truncate(self.order)
         if np.any(other.value == 0.0):
@@ -848,8 +885,11 @@ class JetValue:
         read only to order n - k, so step k runs at that order, r_(k+1)
         padded with zero coefficients. Each coefficient of r_0 sums the same
         pairs in the same order as a full-order step would; the pairs this
-        skips multiply the zero constant of w."""
+        skips multiply the zero constant of w. A jet of support 0 has w = 0,
+        so its composition is the constant a_0."""
         m, n = self.m, self.order
+        if not self.support:
+            return JetValue.constant(series[0], m, n, self.rank)
         w = self.coeffs.copy()
         w[0] = 0.0
         result = JetValue.constant(series[n], m, 0, self.rank)
@@ -857,8 +897,8 @@ class JetValue:
             size = math.comb(m + n - k, m)
             r = np.zeros((size,) + result.coeffs.shape[1:])
             r[:len(result.coeffs)] = result.coeffs
-            result = (JetValue(m, n - k, r, self.rank)
-                      * JetValue(m, n - k, w[:size], self.rank) + series[k])
+            result = (JetValue(m, n - k, r, self.rank, result.support)
+                      * JetValue(m, n - k, w[:size], self.rank, self.support) + series[k])
         return result
 
     def compose(self, fn: str) -> "JetValue":
@@ -885,25 +925,26 @@ class JetValue:
         return f"JetValue(m={self.m}, order={self.order}, value={self.value!r})"
 
 
-def _pair_sum(m: int, order: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _pair_sum(m: int, order: int, x: np.ndarray, y: np.ndarray, va: int, vb: int) -> np.ndarray:
     """The entrywise product kernel: the coefficients of the product of two
     jets of dimension m truncated to `order`, with coefficient arrays x and
-    y shaped to broadcast together. It gathers the coefficient pairs of
-    every output coefficient from `_mul_tables`, multiplies them entry by
-    entry, and sums them with one bincount over the flattened tensor and
-    point entries. Each output slot sums its pairs in table order, so every
-    entry, and every point of a batch, is summed exactly as a one-point
-    scalar product would be."""
-    li, lj, lo = _mul_tables(m, order)
+    y shaped to broadcast together and zero outside the rows of the variable
+    masks va and vb. It gathers the coefficient pairs of every output
+    coefficient from `_mul_tables`, multiplies them entry by entry, and sums
+    them with one bincount over the flattened tensor and point entries. Each
+    output slot sums its pairs in table order, so every entry, and every
+    point of a batch, is summed exactly as a one-point scalar product would
+    be; the pairs the masks leave out have an exactly zero factor."""
+    every = ~((1 << m) - 1)  # a mask that holds all m variables reads -1
+    va, vb = va | every, vb | every
+    li, lj, lo = _mul_tables(m, order, va, vb)
     p, q = x.take(li, axis=0), y.take(lj, axis=0)
     terms = np.multiply(p, q, out=p) if p.shape == q.shape else p * q
     n = len(x)
     if terms.ndim == 1:
         return np.bincount(lo, weights=terms, minlength=n)
-    # a pair's terms in row-major order: the slots of a contraction with
-    # `size` free entries of B and none of A, at one point
     size = terms.size // len(lo)
-    return np.bincount(_contract_slots(m, order, True, 1, 1, size)[1], weights=terms.ravel(),
+    return np.bincount(_pair_slots(m, order, va, vb, size), weights=terms.ravel(),
                        minlength=n * size).reshape((n,) + terms.shape[1:])
 
 
@@ -1071,8 +1112,24 @@ def _eval_node(node: ExprAst, ctx: EvalContext, memo: dict | None) -> JetValue:
         # non-integer exponent lowers to exp/log (positive base required)
         return (base.compose("log") * exp).compose("exp")
     if isinstance(node, Call):
+        if isinstance(node.arg, Var) and node.arg.index < ctx.dim:
+            return _on_variable(node.fn, node.arg.index, ctx)
         return eval_jet(node.arg, ctx, memo).compose(node.fn)
     raise TypeError(node)
+
+
+def _on_variable(fn: str, index: int, ctx: EvalContext) -> JetValue:
+    """The jet of fn(x_index): its Taylor series a_k placed on the rows of
+    the pure powers x_index^k. This is the Horner composition with w the
+    variable's unit jet, whose products each copy one coefficient."""
+    m, n = ctx.dim, ctx.order
+    value = ctx.seed(index).value  # the base value as the seed jet holds it
+    series = _series(fn, value, n)
+    coeffs = np.zeros((math.comb(m + n, m),) + np.shape(value))
+    rows = _rows(m, n, np.arange(n + 1) * (n + 1) ** (m - 1 - index))
+    for row, a in zip(rows, series):
+        coeffs[row] = a
+    return JetValue(m, n, coeffs, 0, 1 << index)
 
 
 def antiderivative_jet(djet: JetValue, var: int, value: float) -> JetValue:

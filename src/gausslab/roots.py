@@ -265,17 +265,25 @@ class RootInterval:
 
 
 _WIDTH = Fraction(1, 10 ** 12)  # the width of a refined isolating interval
+_PAST_FLOATS = "a root lies outside the float range (|x| > 1.8e308)"
 
 
 def _cauchy_bound(cs: tuple[int, ...]) -> Fraction:
     return 1 + Fraction(max(abs(c) for c in cs[1:]), abs(cs[0]))
 
 
-def _past_floats(x: int, y: int, d: int) -> bool:
-    """Whether (x/d, y/d] lies past the float range, |t| >= 2^1024, read
-    from bit lengths alone: x (or -y) has more than 1024 bits more than d."""
-    limit = d.bit_length() + 1024
-    return (x > 0 and x.bit_length() > limit) or (y < 0 and y.bit_length() > limit)
+def _root_past_floats(q: tuple[int, ...], x: int, y: int, d: int, s: int) -> bool:
+    """Whether the one root of q in (x/d, y/d], right of x/d of which q has
+    sign s, lies past the float range, |t| >= 2^1024: one exact sign test
+    at each of the edges -2^1024 and 2^1024 inside the interval."""
+    edge = d << 1024
+    if x >= edge or y <= -edge:
+        return True
+    if x < -edge and _sign_at(q, -edge, d) != s:  # the root is in (x/d, -2^1024]
+        return True
+    # else q keeps the sign s up to the root, which lies in (2^1024, y/d] if
+    # q keeps it at 2^1024 too, and at 2^1024 if q vanishes there
+    return y > edge and _sign_at(q, edge, d) in (s, 0)
 
 
 def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF) -> list[RootInterval]:
@@ -328,11 +336,11 @@ def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF) -> list[RootInterval
         # (x/d, y/d] holds one simple root, so q keeps the sign it has just
         # right of x/d up to that root (the sign of q' if x/d is a root too)
         s = _sign_at(q, x, d) or _sign_at(dq, x, d)
-        # bisection keeps y - x and doubles d, so the width is (y - x)/d; an
-        # interval that reaches past the float range stops once it lies past
+        if _root_past_floats(q, x, y, d, s):
+            raise OverflowError(_PAST_FLOATS)
+        # bisection keeps y - x and doubles d, so the width is (y - x)/d
         span = (y - x) * _WIDTH.denominator
-        inside = max(x.bit_length(), y.bit_length()) < d.bit_length() + 1024
-        while span > _WIDTH.numerator * d and (inside or not _past_floats(x, y, d)):
+        while span > _WIDTH.numerator * d:
             x, y, mid, d = 2 * x, 2 * y, x + y, 2 * d
             if _sign_at(q, mid, d) == s:
                 x = mid
@@ -341,7 +349,7 @@ def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF) -> list[RootInterval
         try:
             est = (x + y) / (2 * d)  # int / int rounds correctly, as float(Fraction)
         except OverflowError:
-            raise OverflowError("a root lies outside the float range (|x| > 1.8e308)") from None
+            raise OverflowError(_PAST_FLOATS) from None
         deriv = 0.0 if dq_f is None else _float_at(dq_f, est)
         if deriv != 0.0:
             newton = est - _float_at(q_f, est) / deriv

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from gausslab.exprjet import (
     DomainError,
@@ -27,6 +27,7 @@ from gausslab.exprjet import (
 )
 
 from conftest import central_partial
+from test_cli import _NUMBERS, _balanced
 
 
 def jet_of(src, names, point, order=5):
@@ -545,3 +546,142 @@ def test_repeated_subtrees_counts_each_reach_once():
     assert (2, (id(product), id(roots[1]))) in repeated_subtrees(roots)
     assert repeated_subtrees([Num(0.0), Num(-0.0)]) == ()
     assert [uses for uses, _ in repeated_subtrees([Num(0.0), Num(0.0)])] == [2]
+
+
+# ---------------------------------------------------------------------------
+# support masks: products skip only the pairs with an exactly zero factor
+
+
+def _rows_of(m, order, support):
+    """Which rows of the layout have no exponent outside the mask, read one
+    multi-index at a time."""
+    return np.array([all(e == 0 or support >> i & 1 for i, e in enumerate(alpha))
+                     for alpha in _exponents(m, order)[0].tolist()], dtype=bool)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_filtered_tables_are_the_dense_table_filtered_by_support(m):
+    for order in range(6):
+        dense = _mul_tables(m, order)
+        rows = [_rows_of(m, order, v) for v in range(1 << m)]
+        for va, vb in itertools.product(range(1 << m), repeat=2):
+            keep = rows[va][dense[0]] & rows[vb][dense[1]]
+            for got, want in zip(_mul_tables(m, order, va, vb), dense):
+                _assert_identical(got, want[keep].tolist(), np.intp)
+        # masks of every variable key the dense table itself
+        assert _mul_tables(m, order, -1, -1) is dense
+
+
+def test_products_of_full_support_read_the_dense_table(monkeypatch):
+    import gausslab.exprjet as exprjet
+
+    calls = []
+    tables = exprjet._mul_tables
+    monkeypatch.setattr(exprjet, "_mul_tables", lambda *args: calls.append(args) or tables(*args))
+    x, y, z = (JetValue.variable(i, 0.5, 3, 4) for i in range(3))
+    (x + y + z) * (x * y * z)  # both operands reach every variable
+    assert calls[-1] == (3, 4, -1, -1)
+
+
+def test_support_follows_the_operations():
+    m, order = 4, 3
+    x = [JetValue.variable(i, 0.3 + 0.1 * i, m, order) for i in range(m)]
+    c = JetValue.constant(2.0, m, order)
+    assert c.support == 0 and [v.support for v in x] == [1, 2, 4, 8]
+    assert (x[0] + x[2]).support == (x[0] - x[2]).support == 0b101
+    assert (x[1] * x[3]).support == (x[1] / x[3]).support == 0b1010
+    assert (x[1] * c + 1.0).support == (-x[1] / 2.0).support == 0b10
+    assert (c * c).support == c.compose("exp").support == (1.0 / c).support == 0
+    y = (x[0] * x[1]).compose("sin").ipow(3)
+    assert y.support == y.derivative(2).support == y.truncate(1).support == 0b11
+    assert JetValue(m, order, y.coeffs).support == -1  # any other construction
+    assert contract(",->", y, y).support == -1
+    # the composition of a constant is the constant series[0]
+    assert np.array_equal(c.compose("exp").coeffs,
+                          JetValue.constant(math.exp(2.0), m, order).coeffs)
+
+
+def _dense_pair_sum(m, order, x, y, *masks):
+    """The product kernel without support masks: every pair of the dense
+    table, summed in table order."""
+    li, lj, lo = _mul_tables(m, order)
+    terms = x.take(li, axis=0) * y.take(lj, axis=0)
+    n = len(x)
+    if terms.ndim == 1:
+        return np.bincount(lo, weights=terms, minlength=n)
+    size = terms.size // len(lo)
+    slots = (lo[:, None] * size + np.arange(size)).ravel()
+    return np.bincount(slots, weights=terms.ravel(),
+                       minlength=n * size).reshape((n,) + terms.shape[1:])
+
+
+def _dense_horner(jet, series):
+    """The order-graded Horner composition with no shortcut for a constant."""
+    m, n = jet.m, jet.order
+    w = jet.coeffs.copy()
+    w[0] = 0.0
+    result = JetValue.constant(series[n], m, 0, jet.rank)
+    for k in range(n - 1, -1, -1):
+        size = math.comb(m + n - k, m)
+        r = np.zeros((size,) + result.coeffs.shape[1:])
+        r[:len(result.coeffs)] = result.coeffs
+        result = JetValue(m, n - k, r, jet.rank) * JetValue(m, n - k, w[:size], jet.rank) \
+            + series[k]
+    return result
+
+
+def _evaluated(ast, ctx):
+    """The jet of `ast`, or the class of the error its evaluation raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return eval_jet(ast, ctx)
+    except (ValueError, ArithmeticError) as exc:  # DomainError is a ValueError
+        return type(exc)
+
+
+_VARIABLES = tuple(f"u{i}" for i in range(7))
+
+
+def _fuzzed_expressions(m):
+    """Expressions of the grammar fuzz of `verify` in m variables: two to
+    five of its sub-expressions, parenthesised and joined by + - * /, with
+    variables three times as likely as numbers among the leaves, so that
+    most expressions reach several variables."""
+    names = st.sampled_from(_VARIABLES[:m])
+    parts = st.recursive(st.one_of(_NUMBERS, names, names, names), _balanced, max_leaves=6)
+    joined = st.lists(st.tuples(st.sampled_from("+-*/"), parts), min_size=2, max_size=5).map(
+        lambda terms: "".join(f"{op}({part})" for op, part in terms)[1:])
+    return st.tuples(st.just(m), joined)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.integers(1, 7).flatmap(_fuzzed_expressions), batched=st.booleans(),
+       values=st.lists(st.floats(0.1, 0.9), min_size=7, max_size=7))
+def test_support_is_sound_and_products_equal_the_dense_kernel(case, batched, values):
+    import gausslab.exprjet as exprjet
+
+    m, source = case
+    try:
+        ast = parse_expression(source, _VARIABLES[:m])
+    except ExpressionError:
+        event("not an expression")
+        return
+    point = tuple(np.array([v, 1.0 - v, v / 2]) if batched else v for v in values[:m])
+    ctx = EvalContext(point, order=5)
+    got = _evaluated(ast, ctx)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exprjet, "_pair_sum", _dense_pair_sum)
+        patch.setattr(JetValue, "_horner", _dense_horner)
+        patch.setattr(exprjet, "_on_variable", lambda fn, i, ctx: ctx.seed(i).compose(fn))
+        want = _evaluated(ast, ctx)
+    # every coefficient outside the rows of the support is exactly zero
+    if not isinstance(got, type):
+        assert not got.coeffs[~_rows_of(m, 5, got.support)].any(), source
+    # where the dense kernel gives a finite jet, the same one, bit for bit
+    # (only zeros may differ in sign); it can fail where the masks do not,
+    # as an infinite series term times an exact zero is NaN there: the
+    # exponent of 1e-62^1.5 reads log(1e-62), whose fifth term is infinite
+    if not isinstance(want, type) and np.isfinite(want.coeffs).all():
+        event(f"compared, support {bin(got.support).count('1')} of {m}")
+        assert not isinstance(got, type), source
+        assert np.array_equal(got.coeffs, want.coeffs), source

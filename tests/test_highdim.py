@@ -203,6 +203,20 @@ def test_wrong_radius_sphere_fails_both_reductions(m):
     assert _both_verdicts(sphere_link_chart(m, 0.6)) == (NOT_BIHARMONIC, NOT_BIHARMONIC)
 
 
+@pytest.mark.parametrize("name, link", CATALOG, ids=[name for name, _ in CATALOG])
+def test_cone_component_jets_make_no_dense_product(monkeypatch, name, link):
+    # the cone charts are products of one-variable factors, so every product
+    # of their component jets has a factor of narrower support than the chart
+    import gausslab.exprjet as exprjet
+
+    masks = []
+    tables = exprjet._mul_tables
+    monkeypatch.setattr(exprjet, "_mul_tables", lambda *args: masks.append(args[2:]) or tables(*args))
+    cone = build_cone_chart(link)
+    cone.component_jets(_seeded_point(cone.dim, 5), 5)
+    assert masks and (-1, -1) not in masks
+
+
 def test_table_caches_hold_one_residual_after_a_sweep_over_dimensions():
     # the jet tables of m = 3..12 share one byte budget: after a sweep the
     # cache is within it, and it holds every table one m = 12 residual

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gausslab import roots as roots_module
 from gausslab.roots import (
     NEG_INF,
     POS_INF,
@@ -226,6 +227,34 @@ def test_roots_at_range_endpoints():
     assert roots[0].value == pytest.approx(2.0, abs=1e-12)
     assert_certified(p, 2, Fraction(5, 2))
     assert_certified(p, Fraction(1, 2), 1)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (-10 ** 3990, 0, 1),            # roots +-10^1995
+    (-10 ** 3990, 0, 0, 1),         # root 10^1330
+    (10 ** 3990, 1),                # root -10^3990
+    (1, Fraction(1, 10 ** 400)),    # root -10^400
+    (-10 ** 700, 0, 1),
+])
+def test_a_root_past_the_float_range_is_reported_without_bisecting_to_it(monkeypatch, coeffs):
+    # one exact sign test at each float-range edge an isolating interval
+    # spans tells that its root lies past it; bisecting there from the
+    # Cauchy bound took thousands of sign tests
+    calls = []
+    sign_at = roots_module._sign_at
+    monkeypatch.setattr(roots_module, "_sign_at", lambda *args: calls.append(args) or sign_at(*args))
+    with pytest.raises(OverflowError, match="outside the float range"):
+        isolate_and_refine(poly(*coeffs))
+    assert len(calls) <= 20
+
+
+def test_roots_inside_the_float_range_past_a_huge_cauchy_bound():
+    # the isolating intervals of x^2 - 10^616 reach past 2^1024, but the
+    # edge tests find the roots +-10^308 inside it; they are refined as before
+    roots = isolate_and_refine(poly(-10 ** 616, 0, 1))
+    assert [r.value for r in roots] == [-1e308, 1e308]
+    for r, root in zip(roots, (-10 ** 308, 10 ** 308)):
+        assert r.lo < root <= r.hi and r.hi - r.lo <= WIDTH
 
 
 def test_clifford_quadratics_match_the_reference(monkeypatch):
