@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import sys
@@ -26,29 +27,36 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from . import __version__
-from .biharmonic import (
-    INCONCLUSIVE,
-    Tolerances,
-    hypersurface_residual,
-    link_residual_system,
-    r3_ode_check,
-    r4_obstruction,
-    worker_count,
-)
-from .exprjet import DomainError, ExpressionError
-from .geometry import (
-    _SAMPLE_CAP,
-    GeometryError,
-    ImmersionChart,
-    SamplingSpec,
-    chart_from_strings,
-)
 from .hypercone import clifford_link_solver, sphere_link_solver
 from .isoparametric import IsoparametricSpec, classify_type, condition_polynomial, takagi_solver
 from .roots import NEG_INF, POS_INF, Polynomial, isolate_and_refine
 
 __all__ = ["main", "SurfaceConfig", "ConfigError",
            "EXIT_OK", "EXIT_CONFIG", "EXIT_PARSE", "EXIT_NUMERIC"]
+
+
+def _lazy_module(name: str):
+    """The module `name`, executed on its first attribute access (the
+    `importlib.util.LazyLoader` recipe). It sits in `sys.modules` and on its
+    package from the start, as after a plain import; the benchmark's tracer
+    looks it up there by name."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)
+    return module
+
+
+# The jet layer (numpy, jets, geometry, residuals) serves only the verify
+# and check commands; solve, roots and report never load it.
+biharmonic = _lazy_module("gausslab.biharmonic")
+exprjet = _lazy_module("gausslab.exprjet")
+geometry = _lazy_module("gausslab.geometry")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,7 +74,6 @@ class ConfigError(ValueError):
 
 _REQUIRED_FIELDS = ("name", "dim", "ambient", "variables", "components", "domain")
 _OPTIONAL_FIELDS = ("samples", "orientation", "tolerances")
-_TOLERANCE_FIELDS = {f.name for f in dataclasses.fields(Tolerances)}
 
 
 @dataclass(frozen=True)
@@ -154,9 +161,9 @@ def parse_config(raw: Any) -> SurfaceConfig:
         elif isinstance(samples, list):
             if not samples:
                 raise ConfigError("explicit sample point list must not be empty")
-            if len(samples) > _SAMPLE_CAP:
+            if len(samples) > geometry._SAMPLE_CAP:
                 raise ConfigError(f"explicit sample point list has {len(samples)} points,"
-                                  f" more than {_SAMPLE_CAP}")
+                                  f" more than {geometry._SAMPLE_CAP}")
             pts = []
             for p in samples:
                 if (not isinstance(p, list) or len(p) != dim
@@ -176,7 +183,7 @@ def parse_config(raw: Any) -> SurfaceConfig:
         tol_raw = raw["tolerances"]
         if not isinstance(tol_raw, dict):
             raise ConfigError("tolerances must be an object")
-        bad = sorted(set(tol_raw) - _TOLERANCE_FIELDS)
+        bad = sorted(set(tol_raw) - {f.name for f in dataclasses.fields(biharmonic.Tolerances)})
         if bad:
             raise ConfigError(f"unknown tolerance fields: {', '.join(bad)}")
         for key, val in tol_raw.items():
@@ -199,25 +206,25 @@ def load_config(path: str) -> tuple[dict, SurfaceConfig]:
     return raw, parse_config(raw)
 
 
-def build_chart(cfg: SurfaceConfig) -> ImmersionChart:
-    sampling = SamplingSpec(counts=cfg.sample_counts) if cfg.sample_counts else None
+def build_chart(cfg: SurfaceConfig) -> geometry.ImmersionChart:
+    sampling = geometry.SamplingSpec(counts=cfg.sample_counts) if cfg.sample_counts else None
     try:
-        return chart_from_strings(cfg.name, cfg.variables, cfg.components,
-                                  cfg.domain, ambient=cfg.ambient, sampling=sampling)
-    except ExpressionError:
+        return geometry.chart_from_strings(cfg.name, cfg.variables, cfg.components,
+                                           cfg.domain, ambient=cfg.ambient, sampling=sampling)
+    except exprjet.ExpressionError:
         raise
-    except GeometryError as exc:
+    except geometry.GeometryError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _tolerances(cfg: SurfaceConfig) -> Tolerances:
-    return Tolerances(**cfg.tolerances) if cfg.tolerances else Tolerances()
+def _tolerances(cfg: SurfaceConfig) -> biharmonic.Tolerances:
+    return biharmonic.Tolerances(**(cfg.tolerances or {}))
 
 
 def _require_workers_valid():
     # surfaces a bad GAUSSLAB_THREADS before any numerics run
     try:
-        worker_count()
+        biharmonic.worker_count()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -300,15 +307,15 @@ def _cmd_verify(args) -> _Outcome:
         raise ConfigError('verify needs ambient "euclidean" (use verify-link for links)')
     _require_workers_valid()
     chart = build_chart(cfg)
-    report = hypersurface_residual(chart, points=cfg.explicit_points,
-                                   orientation=cfg.orientation,
-                                   tolerances=_tolerances(cfg))
+    report = biharmonic.hypersurface_residual(chart, points=cfg.explicit_points,
+                                              orientation=cfg.orientation,
+                                              tolerances=_tolerances(cfg))
     headers = list(cfg.variables) + ["ok", "f", "grad_f_norm", "residual_norm",
                                      "near_minimal", "error", "verdict"]
     rows = [[*p.point, p.ok, p.f, p.grad_f_norm, p.residual_norm,
              p.near_minimal, p.error or "", report.verdict]
             for p in report.points]
-    code = EXIT_NUMERIC if report.verdict == INCONCLUSIVE else EXIT_OK
+    code = EXIT_NUMERIC if report.verdict == biharmonic.INCONCLUSIVE else EXIT_OK
     return _Outcome("verify", {"config": raw}, report.as_dict(), code,
                     tables={"points": (headers, rows)})
 
@@ -319,10 +326,10 @@ def _cmd_verify_link(args) -> _Outcome:
         raise ConfigError('verify-link needs ambient "sphere"')
     _require_workers_valid()
     chart = build_chart(cfg)
-    report = link_residual_system(chart, points=cfg.explicit_points,
-                                  orientation=cfg.orientation,
-                                  tolerances=_tolerances(cfg))
-    code = EXIT_NUMERIC if report.verdict == INCONCLUSIVE else EXIT_OK
+    report = biharmonic.link_residual_system(chart, points=cfg.explicit_points,
+                                             orientation=cfg.orientation,
+                                             tolerances=_tolerances(cfg))
+    code = EXIT_NUMERIC if report.verdict == biharmonic.INCONCLUSIVE else EXIT_OK
     return _Outcome("verify-link", {"config": raw}, report.as_dict(), code)
 
 
@@ -432,7 +439,7 @@ def _cmd_check_r3(args) -> _Outcome:
                       "k = k' = 0, hence k == 0: the Gauss map of such a cone "
                       "is harmonic, never proper biharmonic",
     }
-    probes = [r3_ode_check(k0, k0_dot) for k0, k0_dot in _R3_PROBES]
+    probes = [biharmonic.r3_ode_check(k0, k0_dot) for k0, k0_dot in _R3_PROBES]
     only_trivial = probes[0].consistent and not any(p.consistent for p in probes[1:])
     results = {"certificate": certificate,
                "probes": probes,
@@ -447,7 +454,7 @@ def _cmd_check_r4(args) -> _Outcome:
         raise ConfigError("cone-r4 needs a 2d sphere-ambient link chart")
     _require_workers_valid()
     chart = build_chart(cfg)
-    obstruction = r4_obstruction(chart)
+    obstruction = biharmonic.r4_obstruction(chart)
     return _Outcome("check cone-r4", {"config": raw}, obstruction.as_dict())
 
 
@@ -658,10 +665,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ExpressionError as exc:
+    except exprjet.ExpressionError as exc:
         print(f"expression error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (GeometryError, DomainError, ArithmeticError) as exc:
+    except (geometry.GeometryError, exprjet.DomainError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except Exception as exc:  # a fault of the program: one line, no traceback

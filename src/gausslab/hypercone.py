@@ -24,29 +24,18 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .exprjet import (
-    BinOp,
-    Call,
-    EvalContext,
-    JetValue,
-    Var,
-    antiderivative_jet,
-    eval_jet,
-    parse_expression,
-    shift_variables,
-)
-from .geometry import (
-    GeometryError,
-    ImmersionChart,
-    SamplingSpec,
-    ShapeData,
-    chart_from_strings,
-)
 from .roots import Polynomial, isolate_and_refine
+
+# The solvers are exact and need no numpy. The chart, cone-data and
+# quadrature builders import numpy and the jet modules where they run, so
+# that `import gausslab.cli` loads neither.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .exprjet import JetValue
+    from .geometry import ImmersionChart, ShapeData
 
 __all__ = [
     "ConeShapeValues",
@@ -88,6 +77,8 @@ class ConeShapeValues:
 
 def cone_shape_from_link(link_sd: ShapeData, t: float) -> ConeShapeValues:
     """A(d_t) = 0 and A = A_link / t on the slice directions."""
+    import numpy as np
+
     if t <= 0.0:
         raise ValueError("cone radius t must be positive")
     m = link_sd.dim
@@ -207,6 +198,8 @@ _LINK_BOX = 0.6  # half-width of a link chart's box in a non-periodic variable
 def sphere_link_chart(m: int, a_sq) -> ImmersionChart:
     """Small sphere S^m(a) at constant height in S^(m+1); `a_sq` may be a
     Fraction/int pair-friendly exact value or a float."""
+    from .geometry import chart_from_strings
+
     a_sq_f = Fraction(a_sq) if not isinstance(a_sq, float) else None
     if a_sq_f is not None:
         a_src = f"sqrt({a_sq_f.numerator}/{a_sq_f.denominator})"
@@ -226,6 +219,8 @@ def sphere_link_chart(m: int, a_sq) -> ImmersionChart:
 
 def clifford_link_chart(m1: int, m2: int, r1_sq) -> ImmersionChart:
     """Product link S^m1(r1) x S^m2(r2) in the unit sphere, r2^2 = 1 - r1^2."""
+    from .geometry import chart_from_strings
+
     r1_sq_f = Fraction(r1_sq) if not isinstance(r1_sq, float) else None
     if r1_sq_f is not None:
         r1_src = f"sqrt({r1_sq_f.numerator}/{r1_sq_f.denominator})"
@@ -247,6 +242,9 @@ def build_cone_chart(link: ImmersionChart, t_count: int = 5) -> ImmersionChart:
     """Euclidean chart (t, p) -> t * X(p) over a sphere-ambient link chart
     for t in [0.5, 2], sampled at `t_count` radii when the link has sample
     counts."""
+    from .exprjet import BinOp, Var, shift_variables
+    from .geometry import GeometryError, ImmersionChart, SamplingSpec
+
     if link.ambient != "sphere":
         raise GeometryError("cone links must be sphere-ambient charts")
     if "t" in link.variables:
@@ -274,6 +272,8 @@ _MAX_DOUBLINGS = 12
 
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     return np.polynomial.legendre.leggauss(_GAUSS_NODES)
 
 
@@ -293,10 +293,16 @@ class _QuadratureCurveComponent:
         return tuple(k / (i + 1) for i, k in enumerate(self.k_coeffs))
 
     def _integrand(self, s: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         theta = sum(t * s ** (i + 1) for i, t in enumerate(self._theta_coeffs))
         return np.cos(theta) if self.kind == "cos" else np.sin(theta)
 
     def _position(self, s: float) -> float:
+        import numpy as np
+
+        from .geometry import GeometryError
+
         nodes, weights = _gauss_legendre()
         previous = math.nan
         for doubling in range(_MAX_DOUBLINGS):
@@ -309,6 +315,8 @@ class _QuadratureCurveComponent:
         raise GeometryError(f"curve position at s = {s!r} did not converge")
 
     def jet(self, point: tuple[float, ...], dim: int, order: int) -> JetValue:
+        from .exprjet import Call, EvalContext, antiderivative_jet, eval_jet, parse_expression
+
         names = tuple(f"_x{i}" for i in range(dim))
         terms = [f"{t!r}*{names[0]}^{i + 1}" for i, t in enumerate(self._theta_coeffs)
                  if t != 0.0]
@@ -323,6 +331,9 @@ def polynomial_curvature_cylinder(k_coeffs: Sequence[float]) -> ImmersionChart:
     the arc-length plane curve with signed curvature k(s) = sum k_i s^i
     (coefficients low degree first). |sigma'| = 1 by construction, since the
     curve is reconstructed from its tangent angle."""
+    from .exprjet import Var
+    from .geometry import ImmersionChart
+
     ks = tuple(float(k) for k in k_coeffs)
     variables = ("s", "w")
     components = (
@@ -352,6 +363,8 @@ def composition_energy_check(m: int, t: float) -> CompositionEnergy:
     """Energy density e = m/(2 t^2) of the cone's Gauss map and its cone
     Laplacian, computed both in closed form m(m-3)/t^4 and by applying the
     radial Laplacian -d^2/dt^2 - (m/t) d/dt to a jet of e."""
+    from .exprjet import EvalContext, eval_jet, parse_expression
+
     if m < 1:
         raise ValueError("link dimension must be positive")
     if t <= 0.0:

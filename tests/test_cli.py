@@ -247,6 +247,35 @@ def test_verify_starts_a_pool_only_for_more_than_one_batch(tmp_path, samples, po
     assert proc.stdout.split() == ["0", str(pooled)]
 
 
+# the exact commands run on Fractions and integers; the jet layer loads on
+# first use, while its modules sit in sys.modules from the start, where the
+# benchmark's tracer looks them up by name
+def test_exact_commands_do_not_load_numpy():
+    exact = [["solve", "sphere-cone", "--m", "3"],
+             ["solve", "clifford-cone", "--m", "4", "--m1", "1"],
+             ["solve", "isoparametric", "--l", "3", "--q", "2"],
+             ["solve", "takagi", "--n", "9"],
+             ["roots", "--coeffs", "-6,11,-6,1", "--range", "0,5/2"],
+             ["report", "--all"],
+             ["report", "--all", "--format", "csv"]]
+    verify = ["verify", "--config", str(CONFIGS / "sphere_S2.json")]
+    script = ("import contextlib, io, sys\n"
+              "from gausslab.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    codes = [main(argv) for argv in {exact!r}]\n"
+              "print(codes, 'numpy' in sys.modules, all(f'gausslab.{m}' in sys.modules\n"
+              "      for m in ('exprjet', 'geometry', 'biharmonic')))\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = main({verify!r})\n"
+              "print(code, 'numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{[0] * len(exact)} False True", "0 True"]
+
+
 # JSON stdout recorded with GAUSSLAB_THREADS=1 before the hypersurface and
 # link residuals shared one kernel; the torus link is NotBiharmonic, so its
 # scalar link residuals are non-zero
