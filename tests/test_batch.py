@@ -1,6 +1,7 @@
 """The batched jet pass: a batch of sample points carried through one jet
 sweep must give the rows, errors and integrals of one-point evaluation."""
 
+import json
 import math
 import os
 import subprocess
@@ -19,7 +20,6 @@ from gausslab.biharmonic import (
 )
 from gausslab.exprjet import FUNCTIONS, DomainError, JetValue, _exponents
 from gausslab.geometry import (
-    GeometryError,
     SphereConstraintError,
     chart_from_strings,
     fundamental_data,
@@ -125,13 +125,15 @@ def test_batch_rows_match_single_point_rows(chart):
     _assert_rows_close(batch, _single_rows(worker, points))
     # the sweep cuts the sample at the derived batch size
     check = hypersurface_residual if chart.ambient == "euclidean" else link_residual_system
-    report = check(chart, points=points, workers=1)
+    report = check(chart, points=points)
     _assert_rows_close(report.points, batch)
 
 
 def test_batch_sizes_follow_the_product_tables():
-    assert [_batch_size(d, 5) for d in range(2, 8)] == [130, 35, 12, 5, 2, 1]
-    assert _batch_size(2, 4) == 234
+    assert [_batch_size(d, 5) for d in range(2, 10)] == [520, 141, 50, 21, 10, 5, 3, 1]
+    assert [_batch_size(d, 5) for d in (12, 24)] == [1, 1]
+    # the R^4 grid's 576 cells are one pass
+    assert _batch_size(2, 4) == 936
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +174,7 @@ def test_one_bad_point_gives_point_by_point_rows(chart, points, error):
     failed = [r for r in batch if not r.ok]
     assert len(failed) == 1 and error in failed[0].error
     check = hypersurface_residual if chart.ambient == "euclidean" else link_residual_system
-    assert repr(check(chart, points=points, workers=1).points) == repr(single)
+    assert repr(check(chart, points=points).points) == repr(single)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +211,7 @@ WAVY = ("0.8*cos(u + 0.3*sin(v))", "0.8*sin(u + 0.3*sin(v))", "0.6*cos(v)", "0.6
 
 
 @pytest.mark.parametrize("components", [TORUS, WAVY], ids=["torus", "wavy"])
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_r4_obstruction_equals_per_point_loop(monkeypatch, components, threads):
-    monkeypatch.setenv("GAUSSLAB_THREADS", threads)
+def test_r4_obstruction_equals_per_point_loop(components):
     chart = _torus(components)
     r4 = r4_obstruction(chart)
     lap, weighted, fw, area = _r4_reference(chart, (24, 24))
@@ -222,22 +222,17 @@ def test_r4_obstruction_equals_per_point_loop(monkeypatch, components, threads):
     assert _close(r4.mean_f, sign * fw / area)
 
 
-def test_r4_first_failing_cell_raises_the_same_error_serial_and_pooled(monkeypatch):
+def test_r4_first_failing_cell_raises_its_own_error():
     # leaves the sphere for |u - 4| < 0.6 and nowhere near the box edges
     bump = "(1 + exp(0 - 60*(u - 4)^2))"
     chart = _torus(tuple(f"{c}*{bump}" for c in TORUS), name="bumped")
-    errors = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("GAUSSLAB_THREADS", threads)
-        with pytest.raises(GeometryError) as info:
-            r4_obstruction(chart)
-        errors.append((type(info.value), str(info.value)))
-    assert errors[0] == errors[1]
-    assert errors[0][0] is SphereConstraintError
+    with pytest.raises(SphereConstraintError) as info:
+        r4_obstruction(chart)
+    assert type(info.value) is SphereConstraintError
     # the first cell in grid order with |X|^2 - 1 > 1e-10
     du = TWO_PI / 24
     first = next(i for i in range(24) if math.exp(-60 * ((i + 0.5) * du - 4) ** 2) > 1e-10)
-    assert f"at ({(first + 0.5) * du!r}, {0.5 * du!r})" in errors[0][1]
+    assert f"at ({(first + 0.5) * du!r}, {0.5 * du!r})" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +310,27 @@ def test_batched_compose_raises_where_one_point_leaves_the_domain(fn, value):
 # start-up
 
 
-def test_cli_import_does_not_load_the_process_pool():
+def test_cli_import_does_not_load_the_process_pool(tmp_path):
+    # every sweep runs in the calling process: neither the import nor a
+    # 144-point verify, a link system or the R^4 grid loads a pool
+    configs = SRC.parent / "configs"
+    cfg = json.loads((configs / "sphere_S2.json").read_text())
+    cfg["samples"] = {"u": 12, "v": 12}
+    sphere = tmp_path / "sphere.json"
+    sphere.write_text(json.dumps(cfg))
+    runs = [["verify", "--config", str(sphere)],
+            ["verify-link", "--config", str(configs / "sphere_link_S3.json")],
+            ["check", "cone-r4", "--config", str(configs / "torus_link.json")]]
+    code = ("import contextlib, io, sys\n"
+            "import gausslab.cli\n"
+            "pool = ('concurrent.futures.process', 'multiprocessing')\n"
+            "print([m for m in pool if m in sys.modules])\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [gausslab.cli.main(argv) for argv in {runs!r}]\n"
+            "print(codes, [m for m in pool if m in sys.modules])\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, gausslab.cli; "
-            "print('concurrent.futures.process' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=60)
+                         env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["[]", "[0, 0, 0] []"]

@@ -226,27 +226,6 @@ def test_verify_non_ascii_digit_is_parse_error(tmp_path, component):
     assert "Traceback" not in proc.stderr
 
 
-# sphere_S2 is 64 points at dimension 2, one batch of at most 130: it runs
-# serially whatever the worker count; a 12 x 12 sample is two batches
-@pytest.mark.parametrize("samples, pooled", [(8, False), (12, True)])
-def test_verify_starts_a_pool_only_for_more_than_one_batch(tmp_path, samples, pooled):
-    cfg = json.loads((CONFIGS / "sphere_S2.json").read_text())
-    cfg["samples"] = {"u": samples, "v": samples}
-    path = tmp_path / "sphere.json"
-    path.write_text(json.dumps(cfg))
-    script = ("import contextlib, io, sys\n"
-              "from gausslab.cli import main\n"
-              "with contextlib.redirect_stdout(io.StringIO()):\n"
-              f"    code = main(['verify', '--config', {str(path)!r}])\n"
-              "print(code, 'concurrent.futures.process' in sys.modules)\n")
-    env = dict(os.environ, GAUSSLAB_THREADS="2", PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", str(pooled)]
-
-
 # the exact commands run on Fractions and integers; the jet layer loads on
 # first use, while its modules sit in sys.modules from the start, where the
 # benchmark's tracer looks them up by name
@@ -276,16 +255,15 @@ def test_exact_commands_do_not_load_numpy():
     assert proc.stdout.splitlines() == [f"{[0] * len(exact)} False True", "0 True"]
 
 
-# JSON stdout recorded with GAUSSLAB_THREADS=1 before the hypersurface and
-# link residuals shared one kernel; the torus link is NotBiharmonic, so its
-# scalar link residuals are non-zero
+# JSON stdout recorded before the hypersurface and link residuals shared one
+# kernel; the torus link is NotBiharmonic, so its scalar link residuals are
+# non-zero
 @pytest.mark.parametrize("command, config, recorded", [
     ("verify", "sphere_S2.json", "verify_sphere_S2.json"),
     ("verify-link", "sphere_link_S3.json", "verify_link_sphere_link_S3.json"),
     ("verify-link", "torus_link.json", "verify_link_torus_link.json"),
 ])
-def test_verify_output_matches_recorded(capsys, monkeypatch, command, config, recorded):
-    monkeypatch.setenv("GAUSSLAB_THREADS", "1")
+def test_verify_output_matches_recorded(capsys, command, config, recorded):
     code, payload, _ = run_json(capsys, command, "--config", str(CONFIGS / config))
     assert code == 0
     expected = json.loads((DATA / recorded).read_text())
@@ -368,12 +346,30 @@ def test_explicit_sample_list_is_capped_at_10000_points(capsys, tmp_path, count,
     assert "more than 10000" in err and "Traceback" not in err
 
 
-def test_bad_thread_env_is_config_error(capsys, monkeypatch):
-    monkeypatch.setenv("GAUSSLAB_THREADS", "zero")
-    code, _, err = run(capsys, "verify", "--config",
-                       str(CONFIGS / "sphere_S2.json"))
-    assert code == 2
-    assert "GAUSSLAB_THREADS" in err
+# Counts are at least 2 per variable, so from dimension 14 up even the
+# thinnest grid (2^14 = 16,384 points) is past the 10,000 cap: the run stops
+# before any point is evaluated, with default counts and with explicit ones
+@pytest.mark.parametrize("command, ambient, samples", [
+    ("verify", "euclidean", None),
+    ("verify", "euclidean", 2),
+    ("verify-link", "sphere", None),
+])
+def test_a_grid_past_the_cap_at_dimension_14_is_numeric_failure(capsys, tmp_path, command,
+                                                                ambient, samples):
+    names = [f"x{i}" for i in range(14)]
+    extra = ["0"] if ambient == "euclidean" else ["0", "1"]
+    cfg = {"name": "dim14", "dim": 14, "ambient": ambient, "variables": names,
+           "components": names + extra, "domain": dict.fromkeys(names, [-1.0, 1.0])}
+    if samples is not None:
+        cfg["samples"] = dict.fromkeys(names, samples)
+    path = tmp_path / "dim14.json"
+    path.write_text(json.dumps(cfg))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert time.perf_counter() - start < 10.0
+    assert (code, out) == (4, "")
+    assert "2^14 points, more than the cap of 10000; give explicit samples" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -691,14 +687,6 @@ def test_verify_overflowing_component_fails_points_not_the_run(tmp_path, compone
     assert "Traceback" not in proc.stderr
 
 
-def test_check_cone_r4_bad_thread_env_is_config_error(capsys, monkeypatch):
-    monkeypatch.setenv("GAUSSLAB_THREADS", "zero")
-    code, _, err = run(capsys, "check", "cone-r4", "--config",
-                       str(CONFIGS / "torus_link.json"))
-    assert code == 2
-    assert "GAUSSLAB_THREADS" in err
-
-
 @pytest.mark.parametrize("error", [ValueError("operands could not be broadcast"),
                                    IndexError("index 3 is out of bounds")])
 def test_unexpected_exception_is_one_line_internal_error(capsys, monkeypatch, error):
@@ -712,21 +700,6 @@ def test_unexpected_exception_is_one_line_internal_error(capsys, monkeypatch, er
     assert code == 4
     assert out == ""
     assert err == f"internal error: {type(error).__name__}: {error}\n"
-
-
-@pytest.mark.parametrize("value", ["", "0", "two"])
-def test_gallery_script_rejects_a_bad_thread_count_before_any_work(value):
-    script = SRC.parent / "scripts" / "verify_cone_gallery.py"
-    env = dict(os.environ, GAUSSLAB_THREADS=value, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                          timeout=60, env=env)
-    assert time.perf_counter() - start < 10.0
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("config error: GAUSSLAB_THREADS must be a positive integer")
-    assert proc.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

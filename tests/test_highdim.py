@@ -166,14 +166,13 @@ def test_catalog_covers_every_report_row_up_to_m7():
 @pytest.mark.parametrize("name, link", CATALOG, ids=[n for n, _ in CATALOG])
 def test_catalog_cone_is_proper_biharmonic_pointwise(name, link):
     cone = build_cone_chart(link)
-    rep = hypersurface_residual(cone, points=[_seeded_point(cone.dim, cone.dim)],
-                                workers=1)
+    rep = hypersurface_residual(cone, points=[_seeded_point(cone.dim, cone.dim)])
     assert rep.verdict == PROPER_BIHARMONIC, (name, rep.max_residual, rep.residual_threshold)
 
 
 def test_wrong_radius_cone_over_s7_is_not_biharmonic():
     cone = build_cone_chart(sphere_link_chart(7, 0.5))
-    rep = hypersurface_residual(cone, points=[_seeded_point(8, 8)], workers=1)
+    rep = hypersurface_residual(cone, points=[_seeded_point(8, 8)])
     assert rep.verdict == NOT_BIHARMONIC
 
 
@@ -185,8 +184,8 @@ def test_wrong_radius_cone_over_s7_is_not_biharmonic():
 def _both_verdicts(link):
     cone = build_cone_chart(link)
     point = _seeded_point(cone.dim, cone.dim)
-    cone_rep = hypersurface_residual(cone, points=[point], workers=1)
-    link_rep = link_residual_system(link, points=[point[1:]], workers=1)
+    cone_rep = hypersurface_residual(cone, points=[point])
+    link_rep = link_residual_system(link, points=[point[1:]])
     return cone_rep.verdict, link_rep.verdict
 
 
@@ -224,11 +223,11 @@ def test_table_caches_hold_one_residual_after_a_sweep_over_dimensions():
     for m in range(3, 13):
         link = sphere_link_chart(m, sphere_link_solver(m).a_sq_exact)
         point = [tuple(0.2 * (-1) ** i for i in range(m))]
-        link_residual_system(link, points=point, workers=1)
+        link_residual_system(link, points=point)
         assert _TABLES.bytes <= _TABLES.budget
         assert _TABLES.bytes == sum(size for _, size in _TABLES.entries.values())
     kept = set(_TABLES.entries)
-    link_residual_system(link, points=point, workers=1)
+    link_residual_system(link, points=point)
     assert set(_TABLES.entries) == kept
     # and few of the lower dimensions' tables are left
     assert {key[1] for key in kept if key[0] == "_mul_tables"} <= {11, 12}

@@ -64,7 +64,7 @@ def _clifford_link(m, m1):
 
 
 def _link_row(chart, f, shape_sq):
-    report = link_residual_system(chart, points=_interior_points(chart), workers=1)
+    report = link_residual_system(chart, points=_interior_points(chart))
     return [(r, f, shape_sq, 0.0,
              max(r.residual_norm, abs(r.scalar_residual))) for r in report.points]
 
@@ -75,7 +75,7 @@ def _cone_row(link, f, shape_sq):
     m = link.dim
     cone = build_cone_chart(link)
     points = [(t,) + p for t, p in zip((0.6, 1.6), _interior_points(link))]
-    report = hypersurface_residual(cone, points=points, workers=1)
+    report = hypersurface_residual(cone, points=points)
     rows = []
     for r, (t, *_) in zip(report.points, points):
         cone_f = m * f / ((m + 1) * t)
@@ -89,7 +89,7 @@ def _cylinder_row(k_coeffs, biharmonic):
     k = np.polynomial.Polynomial(k_coeffs)
     points = [(0.0, 0.0), (0.4, 0.3), (-0.6, -0.2)]
     report = hypersurface_residual(polynomial_curvature_cylinder(k_coeffs),
-                                   points=points, workers=1)
+                                   points=points)
     return [(r, abs(k(s)) / 2, k(s) ** 2, abs(k.deriv()(s)) / 2,
              r.residual_norm if biharmonic else None)
             for r, (s, _) in zip(report.points, points)]
