@@ -606,6 +606,20 @@ def test_report_csv_has_one_block_per_family(capsys):
      "b501e99c021c9810d6bb04b417319d4dee8c3d54a9072f3e15ef5104d496a658"),
     (("roots", "--coeffs", "-6,11,-6,1", "--range", "0,5/2"),
      "f76c98ad400fb3464376d1499c1c28fabf2aacad89f752d1ba3664e71fdaca8c"),
+    # recorded while the result types were still dataclasses: the records
+    # reach the JSON payload through `_sanitize` as objects of their fields
+    (("check", "cone-r3"),
+     "dcb244a9b3e8486c8ec759d26d5abde1ce452eea9455ce68f64dfd5b4316222d"),
+    (("solve", "sphere-cone", "--m", "3"),
+     "7585c142b6716e67f7c67b7295cdbe5a2bb206b224805dca835aceb0b6a77c63"),
+    (("solve", "clifford-cone", "--m", "4", "--m1", "1"),
+     "3baa4cf9b83bf83f4b83d6a28735963d9d00db31e8616cf1450330ff4d5bfd76"),
+    (("solve", "isoparametric", "--l", "3", "--q", "2"),
+     "6bb46a8ac93e400a41ff276a0a415a6a75900d8fa7390305678bce42757e1fbb"),
+    (("solve", "isoparametric", "--l", "1", "--m1", "3"),
+     "2c5defb20f450c72f0faf33112b47eca17b894b4161632e236062a3fe9e7d565"),
+    (("solve", "takagi", "--n", "9"),
+     "3f0ebbeea4d3cf0fbb819708b222a3e9f0dd38b2d000440fc326910191120661"),
 ])
 def test_catalog_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
