@@ -9,8 +9,8 @@ where f is the signed mean curvature, A the shape operator and Delta the
 (geometer-sign) rough Laplacian. This module evaluates R pointwise over a
 sample set, classifies the outcome, and implements the reductions used for
 cones: the link system on M in S^(m+1), its algebraic consequence through the
-Ricci operator, and the two low-dimension non-existence certificates (the ODE
-prolongation in R^3 and the integral obstruction in R^4).
+Ricci operator, and the integral obstruction for cones in R^4 (the exact
+prolongation certificate for cones in R^3 lives in `hypercone`).
 
 Verdicts: HarmonicGauss (grad f vanishes on the sample), ProperBiharmonicGauss
 (residual vanishes at scale, grad f does not), NotBiharmonic, Inconclusive
@@ -22,8 +22,7 @@ excluded from the residual classification, since the equation's hypothesis
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,8 +55,6 @@ __all__ = [
     "LinkSystemReport",
     "link_residual_system",
     "corollary_necessary_condition",
-    "R3CheckResult",
-    "r3_ode_check",
     "R4Obstruction",
     "r4_obstruction",
 ]
@@ -68,10 +65,26 @@ NOT_BIHARMONIC = "NotBiharmonic"
 INCONCLUSIVE = "Inconclusive"
 
 _FAIL_FRACTION = 0.10
+# Sample points per variable of a chart without sampling counts: a
+# hypersurface chart, and a link chart.
+_GRID_COUNT = 20
+_LINK_COUNT = 5
 
 
-@dataclass(frozen=True)
-class Tolerances:
+def __getattr__(name: str):
+    """`R3CheckResult` and `r3_ode_check` of `hypercone`, for the benchmark's
+    tracer, which still looks `r3_ode_check` up in this module. Resolved on
+    first use rather than imported, so that a jet command loads neither
+    `hypercone` nor `roots`. Kept only until the benchmark change of ROADMAP
+    item 5."""
+    if name in ("R3CheckResult", "r3_ode_check"):
+        from . import hypercone
+
+        return getattr(hypercone, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class Tolerances(NamedTuple):
     """Residual-zero test: max |R| < eps_abs + eps_rel * S where S is the
     largest sampled term magnitude |A|^2 |grad f| + |Delta grad f|. The
     gradient-zero test compares against grad_rel * (1 + max |f|)."""
@@ -82,7 +95,7 @@ class Tolerances:
     near_minimal_f: float = 1e-10
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _batch_size(dim: int, order: int) -> int:
@@ -126,8 +139,7 @@ class _BatchWorker:
 # Pointwise residuals: the bitension of the Gauss map, and the link system
 
 
-@dataclass
-class PointResidual:
+class PointResidual(NamedTuple):
     """One sample point. On a euclidean chart `residual` is the bitension R;
     on a sphere chart it is the vector link equation, and the scalar link
     equation fills `scalar_residual` and `scalar_scale`."""
@@ -223,8 +235,7 @@ def _sweep(chart: ImmersionChart, points: Sequence, orientation: int, tol: Toler
 # Hypersurface residual
 
 
-@dataclass
-class ResidualReport:
+class ResidualReport(NamedTuple):
     chart: str
     verdict: str
     tolerances: Tolerances
@@ -280,7 +291,7 @@ def hypersurface_residual(chart: ImmersionChart,
         raise GeometryError("hypersurface residual needs a euclidean chart")
     tol = tolerances or Tolerances()
     if points is None:
-        points = chart.sample_points()
+        points = chart.sample_points(default_count=_GRID_COUNT)
     if not points:
         raise GeometryError("empty sample set")
     rows, ok_rows, failed, inconclusive = _sweep(chart, points, orientation, tol)
@@ -310,8 +321,7 @@ def hypersurface_residual(chart: ImmersionChart,
 # Grassmannian curvature
 
 
-@dataclass(frozen=True)
-class GrassmannTangent:
+class GrassmannTangent(NamedTuple):
     """Tangent vector to the Grassmannian of m-planes in R^(m+n), stored as
     the m x n coefficient matrix against a split orthonormal frame; the
     rank-one element X* (x) eta has matrix X eta^T."""
@@ -353,8 +363,7 @@ def grassmann_curvature(r1: GrassmannTangent, r2: GrassmannTangent,
 # Link system for cones
 
 
-@dataclass
-class LinkSystemReport:
+class LinkSystemReport(NamedTuple):
     chart: str
     verdict: str
     tolerances: Tolerances
@@ -409,7 +418,7 @@ def link_residual_system(chart: ImmersionChart,
         raise GeometryError("the link system needs a sphere-ambient chart")
     tol = tolerances or Tolerances()
     if points is None:
-        points = chart.sample_points(default_count=5)
+        points = chart.sample_points(default_count=_LINK_COUNT)
     rows, ok_rows, failed, inconclusive = _sweep(chart, points, orientation, tol)
     max_vec = max((r.residual_norm for r in ok_rows), default=0.0)
     max_scal = max((abs(r.scalar_residual) for r in ok_rows), default=0.0)
@@ -445,58 +454,10 @@ def corollary_necessary_condition(sd: ShapeData, v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# R^3: prolongation certificate
-
-
-@dataclass
-class R3CheckResult:
-    k0: float
-    k0_dot: float
-    k0_ddot: float
-    second_eq_residual: float
-    prolongation1: float  # k' k^2
-    prolongation2: float  # k'' k^2 + 2 k k'^2
-    prolongation3: float  # k''' k^2 + 6 k k' k'' + 2 k'^3, with k''' = -k'
-    consistent: bool
-    message: str
-
-
-def r3_ode_check(k0: float, k0_dot: float, k0_ddot: float | None = None) -> R3CheckResult:
-    """Consistency of curvature initial data with the planar-cone system
-    k''' + k' = 0 and k(3 + k^2) + 3k'' = 0.
-
-    Eliminating k''' between the first equation and the derivative of the
-    second yields k' k^2 = 0; differentiating again (and once more, using
-    k''' = -k') closes the certificate: the only consistent data is
-    k0 = k0' = 0, i.e. k == 0 and the cone's Gauss map is harmonic, never
-    proper biharmonic."""
-    if k0_ddot is None:
-        k0_ddot = -k0 * (3.0 + k0 * k0) / 3.0
-        second_residual = 0.0
-    else:
-        second_residual = k0 * (3.0 + k0 * k0) + 3.0 * k0_ddot
-    p1 = k0_dot * k0 * k0
-    p2 = k0_ddot * k0 * k0 + 2.0 * k0 * k0_dot * k0_dot
-    k0_dddot = -k0_dot
-    p3 = k0_dddot * k0 * k0 + 6.0 * k0 * k0_dot * k0_ddot + 2.0 * k0_dot ** 3
-    scale = 1.0 + abs(k0) + abs(k0_dot) + abs(k0_ddot)
-    tolerance = 1e-12 * scale ** 3
-    consistent = (abs(second_residual) <= tolerance and abs(p1) <= tolerance
-                  and abs(p2) <= tolerance and abs(p3) <= tolerance)
-    message = ("only k = 0 admissible: data consistent with the system and "
-               "its prolongations" if consistent else
-               "inconsistent initial data: the prolongation chain forces k = 0")
-    return R3CheckResult(float(k0), float(k0_dot), float(k0_ddot),
-                         float(second_residual), float(p1), float(p2),
-                         float(p3), consistent, message)
-
-
-# ---------------------------------------------------------------------------
 # R^4: integral obstruction
 
 
-@dataclass
-class R4Obstruction:
+class R4Obstruction(NamedTuple):
     chart: str
     grid: tuple[int, int]
     closures: tuple[str, str]  # per-variable: "periodic" | "capped"
@@ -508,7 +469,7 @@ class R4Obstruction:
     obstruction_holds: bool
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 _R4_GRID = (24, 24)

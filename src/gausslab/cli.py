@@ -15,21 +15,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import importlib.util
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from . import __version__
-from .hypercone import clifford_link_solver, sphere_link_solver
-from .isoparametric import IsoparametricSpec, classify_type, condition_polynomial, takagi_solver
-from .roots import NEG_INF, POS_INF, Polynomial, isolate_and_refine
 
 __all__ = ["main", "SurfaceConfig", "ConfigError",
            "EXIT_OK", "EXIT_CONFIG", "EXIT_PARSE", "EXIT_NUMERIC"]
@@ -52,11 +47,18 @@ def _lazy_module(name: str):
     return module
 
 
-# The jet layer (numpy, jets, geometry, residuals) serves only the verify
-# and check commands; solve, roots and report never load it.
+# Every library module loads on first use, so that a command executes only
+# the modules it runs: the jet layer (numpy, jets, geometry, residuals)
+# serves verify, verify-link and check cone-r4; roots alone serves the roots
+# command; hypercone (with the R^3 certificate) and isoparametric serve
+# solve, report and check cone-r3. Calls go through the module attributes,
+# which the benchmark's tracer patches in place.
 biharmonic = _lazy_module("gausslab.biharmonic")
 exprjet = _lazy_module("gausslab.exprjet")
 geometry = _lazy_module("gausslab.geometry")
+hypercone = _lazy_module("gausslab.hypercone")
+isoparametric = _lazy_module("gausslab.isoparametric")
+roots = _lazy_module("gausslab.roots")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,8 +78,7 @@ _REQUIRED_FIELDS = ("name", "dim", "ambient", "variables", "components", "domain
 _OPTIONAL_FIELDS = ("samples", "orientation", "tolerances")
 
 
-@dataclass(frozen=True)
-class SurfaceConfig:
+class SurfaceConfig(NamedTuple):
     """Validated chart description as read from a JSON config file."""
 
     name: str
@@ -183,7 +184,7 @@ def parse_config(raw: Any) -> SurfaceConfig:
         tol_raw = raw["tolerances"]
         if not isinstance(tol_raw, dict):
             raise ConfigError("tolerances must be an object")
-        bad = sorted(set(tol_raw) - {f.name for f in dataclasses.fields(biharmonic.Tolerances)})
+        bad = sorted(set(tol_raw) - set(biharmonic.Tolerances._fields))
         if bad:
             raise ConfigError(f"unknown tolerance fields: {', '.join(bad)}")
         for key, val in tol_raw.items():
@@ -221,12 +222,30 @@ def _tolerances(cfg: SurfaceConfig) -> biharmonic.Tolerances:
     return biharmonic.Tolerances(**(cfg.tolerances or {}))
 
 
+def _note_thinned_grid(command: str, cfg: SurfaceConfig, chart, default_count: int):
+    """One stderr line when the sample grid is cut to the point cap: its
+    requested and its sampled counts per variable."""
+    if cfg.explicit_points is not None:
+        return
+    requested, sampled = chart.grid_counts(default_count)
+    if requested != sampled:
+        print(f"{command}: sample grid {'x'.join(map(str, requested))} -> "
+              f"{'x'.join(map(str, sampled))} (cap {geometry._SAMPLE_CAP} points)",
+              file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 
 
+def _is_record(obj) -> bool:
+    """Whether `obj` is one of the package's NamedTuple records rather than
+    a plain tuple."""
+    return isinstance(obj, tuple) and hasattr(obj, "_fields")
+
+
 def _sanitize(obj):
-    """JSON-safe copy: dataclasses to dicts of their fields, fractions to
+    """JSON-safe copy: records to dicts of their fields, fractions to
     exact strings, non-finite floats to null, tuples to lists. Output
     ordering is left to the sorted-keys dump."""
     if hasattr(obj, "item") and not isinstance(obj, (list, tuple, dict)):
@@ -237,8 +256,8 @@ def _sanitize(obj):
         return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, Fraction):
         return str(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _sanitize(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if _is_record(obj):
+        return {k: _sanitize(v) for k, v in obj._asdict().items()}
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -263,7 +282,7 @@ def _csv_cell(value) -> str:
         return repr(float(value)) if math.isfinite(value) else ""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple)) and not _is_record(value):
         return json.dumps(_sanitize(value))
     return str(value)
 
@@ -280,8 +299,7 @@ def _emit_csv(tables: dict[str, tuple[list[str], list[list]]]):
             writer.writerow([name] + [_csv_cell(v) for v in row])
 
 
-@dataclass
-class _Outcome:
+class _Outcome(NamedTuple):
     command: str
     inputs: dict
     results: Any
@@ -298,6 +316,7 @@ def _cmd_verify(args) -> _Outcome:
     if cfg.ambient != "euclidean":
         raise ConfigError('verify needs ambient "euclidean" (use verify-link for links)')
     chart = build_chart(cfg)
+    _note_thinned_grid("verify", cfg, chart, biharmonic._GRID_COUNT)
     report = biharmonic.hypersurface_residual(chart, points=cfg.explicit_points,
                                               orientation=cfg.orientation,
                                               tolerances=_tolerances(cfg))
@@ -316,6 +335,7 @@ def _cmd_verify_link(args) -> _Outcome:
     if cfg.ambient != "sphere":
         raise ConfigError('verify-link needs ambient "sphere"')
     chart = build_chart(cfg)
+    _note_thinned_grid("verify-link", cfg, chart, biharmonic._LINK_COUNT)
     report = biharmonic.link_residual_system(chart, points=cfg.explicit_points,
                                              orientation=cfg.orientation,
                                              tolerances=_tolerances(cfg))
@@ -325,7 +345,7 @@ def _cmd_verify_link(args) -> _Outcome:
 
 def _cmd_sphere_cone(args) -> _Outcome:
     try:
-        sol = sphere_link_solver(args.m)
+        sol = hypercone.sphere_link_solver(args.m)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if sol is None:
@@ -338,7 +358,7 @@ def _cmd_sphere_cone(args) -> _Outcome:
 
 def _cmd_clifford_cone(args) -> _Outcome:
     try:
-        roots = clifford_link_solver(args.m, args.m1)
+        found = hypercone.clifford_link_solver(args.m, args.m1)
     except ValueError as exc:
         if "no real solutions" in str(exc):
             return _Outcome("solve clifford-cone", {"m": args.m, "m1": args.m1},
@@ -346,11 +366,11 @@ def _cmd_clifford_cone(args) -> _Outcome:
                              "roots": [], "note": str(exc)})
         raise ConfigError(str(exc)) from exc
     results = {"m": args.m, "m1": args.m1, "m2": args.m - args.m1,
-               "roots": roots}
+               "roots": found}
     return _Outcome("solve clifford-cone", {"m": args.m, "m1": args.m1}, results)
 
 
-def _iso_spec_from_args(args) -> IsoparametricSpec:
+def _iso_spec_from_args(args) -> isoparametric.IsoparametricSpec:
     given = {k for k in ("q", "m1", "m2", "mult") if getattr(args, k) is not None}
     needed = {1: ({"m1"}, "--l 1 takes --m1 (the single multiplicity)"),
               2: ({"m1", "m2"}, "--l 2 takes --m1 and --m2"),
@@ -362,16 +382,17 @@ def _iso_spec_from_args(args) -> IsoparametricSpec:
     required, usage = needed[args.ell]
     if given != required:
         raise ConfigError(usage)
+    Spec = isoparametric.IsoparametricSpec
     try:
         if args.ell == 1:
-            return IsoparametricSpec.type1(args.m1)
+            return Spec.type1(args.m1)
         if args.ell == 2:
-            return IsoparametricSpec.type2(args.m1, args.m2)
+            return Spec.type2(args.m1, args.m2)
         if args.ell == 3:
-            return IsoparametricSpec.type3(args.q)
+            return Spec.type3(args.q)
         if args.ell == 4:
-            return IsoparametricSpec.type4(args.m1, args.m2)
-        return IsoparametricSpec.type6(args.mult)
+            return Spec.type4(args.m1, args.m2)
+        return Spec.type6(args.mult)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -383,25 +404,25 @@ def _cmd_isoparametric(args) -> _Outcome:
         if getattr(args, k) is not None:
             inputs[k] = getattr(args, k)
     try:
-        roots = classify_type(spec)
+        found = isoparametric.classify_type(spec)
     except ValueError as exc:
         if "no real solutions" in str(exc):
-            roots = []
+            found = []
         else:
             raise ConfigError(str(exc)) from exc
     results = {"ell": spec.ell, "multiplicities": list(spec.multiplicities),
-               "m": spec.m, "roots": roots}
+               "m": spec.m, "roots": found}
     if spec.ell in (3, 4, 6):
-        poly = condition_polynomial(spec).content_normalized()
+        poly = isoparametric.condition_polynomial(spec).content_normalized()
         results["condition_coefficients"] = [str(c) for c in poly.coeffs]
-    if not roots:
+    if not found:
         results["note"] = "no real roots"
     return _Outcome("solve isoparametric", inputs, results)
 
 
 def _cmd_takagi(args) -> _Outcome:
     try:
-        sols = takagi_solver(args.n)
+        sols = isoparametric.takagi_solver(args.n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     results = {"n": args.n,
@@ -429,7 +450,7 @@ def _cmd_check_r3(args) -> _Outcome:
                       "k = k' = 0, hence k == 0: the Gauss map of such a cone "
                       "is harmonic, never proper biharmonic",
     }
-    probes = [biharmonic.r3_ode_check(k0, k0_dot) for k0, k0_dot in _R3_PROBES]
+    probes = [hypercone.r3_ode_check(k0, k0_dot) for k0, k0_dot in _R3_PROBES]
     only_trivial = probes[0].consistent and not any(p.consistent for p in probes[1:])
     results = {"certificate": certificate,
                "probes": probes,
@@ -469,8 +490,8 @@ def _cmd_roots(args) -> _Outcome:
     coeffs = [_rational(t.strip(), "coefficient") for t in args.coeffs.split(",")]
     if not coeffs or all(c == 0 for c in coeffs):
         raise ConfigError("the zero polynomial has no isolated roots")
-    poly = Polynomial.from_coeffs(coeffs)
-    lo, hi = NEG_INF, POS_INF
+    poly = roots.Polynomial.from_coeffs(coeffs)
+    lo, hi = roots.NEG_INF, roots.POS_INF
     lo_s, hi_s = "-inf", "inf"
     inputs = {"coeffs": [str(c) for c in coeffs], "range": None}
     if args.range_spec is not None:
@@ -483,7 +504,7 @@ def _cmd_roots(args) -> _Outcome:
         lo, hi = lo_f, hi_f
         lo_s, hi_s = str(lo_f), str(hi_f)
         inputs["range"] = [lo_s, hi_s]
-    intervals = isolate_and_refine(poly, lo, hi)
+    intervals = roots.isolate_and_refine(poly, lo, hi)
     results = {
         "coefficients": [str(c) for c in coeffs],
         "degree": poly.degree,
@@ -516,18 +537,17 @@ def _cmd_report(args) -> _Outcome:
     n_max = args.n_max
     if n_max < 9:
         raise ConfigError("--n-max must be at least 9")
-    sphere = [sphere_link_solver(m) for m in range(3, 13)]
+    Spec = isoparametric.IsoparametricSpec
+    classify = isoparametric.classify_type
+    sphere = [hypercone.sphere_link_solver(m) for m in range(3, 13)]
     clifford = [r for m in range(4, 13) for m1 in range(1, m)
-                for r in clifford_link_solver(m, m1) if r.flag == "valid"]
-    l3 = [r for q in range(4)
-          for r in classify_type(IsoparametricSpec.type3(q)) if not r.minimal]
+                for r in hypercone.clifford_link_solver(m, m1) if r.flag == "valid"]
+    l3 = [r for q in range(4) for r in classify(Spec.type3(q)) if not r.minimal]
     l4_homogeneous = [r for pair in ((2, 2), (4, 5))
-                      for r in classify_type(IsoparametricSpec.type4(*pair))
-                      if not r.minimal]
+                      for r in classify(Spec.type4(*pair)) if not r.minimal]
     l4_takagi = [s for n in range(9, n_max + 1, 2)
-                 for s in takagi_solver(n) if not s.minimal]
-    l6 = [r for mult in (1, 2)
-          for r in classify_type(IsoparametricSpec.type6(mult)) if not r.minimal]
+                 for s in isoparametric.takagi_solver(n) if not s.minimal]
+    l6 = [r for mult in (1, 2) for r in classify(Spec.type6(mult)) if not r.minimal]
     results = {
         "sphere_links": sphere,
         "clifford_links": clifford,

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, fields
 from functools import lru_cache, wraps
 from types import SimpleNamespace
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -77,37 +76,31 @@ class DomainError(ValueError):
 # AST
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     index: int
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "ExprAst"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * /
     left: "ExprAst"
     right: "ExprAst"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: "ExprAst"
     exponent: float
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     fn: str
     arg: "ExprAst"
 
@@ -127,8 +120,7 @@ def _subtrees(node: ExprAst) -> list[ExprAst]:
 # Tokenizer
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUMBER IDENT OP END
     text: str
     offset: int
@@ -429,7 +421,7 @@ def _classify(node: ExprAst, classes: dict, below: list, met: list, met_class: l
 @lru_cache(maxsize=None)
 def _own_fields(cls: type) -> tuple[str, ...]:
     """The fields of a node type that hold no sub-tree."""
-    return tuple(f.name for f in fields(cls) if f.name not in _SUBTREE_FIELDS)
+    return tuple(name for name in cls._fields if name not in _SUBTREE_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -1051,8 +1043,7 @@ def _contract_slots(m: int, order: int, jet: bool, points: int, na: int, nb: int
 # Evaluation
 
 
-@dataclass(frozen=True)
-class EvalContext:
+class EvalContext(NamedTuple):
     """Base point and truncation order for jet evaluation. The point holds
     one float per variable, or one array per variable for a batch of points
     evaluated in one pass."""

@@ -30,9 +30,8 @@ Laplacians is the geometer's: Delta = -trace(Hess).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,48 +90,52 @@ class SphereConstraintError(GeometryError):
 # Charts
 
 
-@dataclass(frozen=True)
-class SamplingSpec:
-    """Per-variable sample counts of a uniform grid."""
-
+class _SamplingFields(NamedTuple):
     counts: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(c < 2 for c in self.counts):
+
+class SamplingSpec(_SamplingFields):
+    """Per-variable sample counts of a uniform grid."""
+
+    __slots__ = ()
+
+    def __new__(cls, counts: tuple[int, ...]):
+        if any(c < 2 for c in counts):
             raise GeometryError("per-variable sample counts must be >= 2")
+        return super().__new__(cls, counts)
 
 
-@dataclass(frozen=True)
 class ImmersionChart:
     """Declarative chart. Components are expression ASTs; constructors that
     need quadrature-backed components may pass any object with a
     ``jet(point, dim, order)`` method instead."""
 
-    name: str
-    dim: int
-    ambient: str  # "euclidean" | "sphere"
-    variables: tuple[str, ...]
-    components: tuple[object, ...]
-    domain: tuple[tuple[float, float], ...]
-    sampling: SamplingSpec | None = None
-
-    def __post_init__(self):
-        if self.ambient not in ("euclidean", "sphere"):
-            raise GeometryError(f"unknown ambient {self.ambient!r}")
-        if len(self.variables) != self.dim:
+    def __init__(self, name: str, dim: int, ambient: str, variables: tuple[str, ...],
+                 components: tuple[object, ...], domain: tuple[tuple[float, float], ...],
+                 sampling: SamplingSpec | None = None):
+        self.name = name
+        self.dim = dim
+        self.ambient = ambient  # "euclidean" | "sphere"
+        self.variables = variables
+        self.components = components
+        self.domain = domain
+        self.sampling = sampling
+        if ambient not in ("euclidean", "sphere"):
+            raise GeometryError(f"unknown ambient {ambient!r}")
+        if len(variables) != dim:
             raise GeometryError("variable count does not match dimension")
-        if len(self.components) != self.ambient_dim:
+        if len(components) != self.ambient_dim:
             raise GeometryError(
-                f"{self.ambient} ambient over dimension {self.dim} needs "
-                f"{self.ambient_dim} components, got {len(self.components)}")
-        if len(self.domain) != self.dim:
+                f"{ambient} ambient over dimension {dim} needs "
+                f"{self.ambient_dim} components, got {len(components)}")
+        if len(domain) != dim:
             raise GeometryError("domain box does not match dimension")
-        for lo, hi in self.domain:
+        for lo, hi in domain:
             if not lo < hi:
                 raise GeometryError("domain intervals must satisfy lo < hi")
-        if self.sampling is not None and len(self.sampling.counts) != self.dim:
+        if sampling is not None and len(sampling.counts) != dim:
             raise GeometryError(
-                f"sample counts {self.sampling.counts} do not match dimension {self.dim}")
+                f"sample counts {sampling.counts} do not match dimension {dim}")
 
     @property
     def ambient_dim(self) -> int:
@@ -178,21 +181,27 @@ class ImmersionChart:
             jets.append(jet)
         return jets
 
+    def grid_counts(self, default_count: int = 20) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per-variable counts of the sample grid, as requested (the sampling
+        counts, or `default_count` per variable without them) and as sampled.
+        A grid of more than _SAMPLE_CAP points is cut to at most
+        _SAMPLE_CAP^(1/dim) points per variable. From dimension 14 up even 2
+        per variable is past the cap, and it raises GeometryError."""
+        requested = (self.sampling.counts if self.sampling is not None
+                     else (default_count,) * self.dim)
+        if math.prod(requested) <= _SAMPLE_CAP:
+            return requested, requested
+        if 2 ** self.dim > _SAMPLE_CAP:
+            raise GeometryError(
+                f"a sample grid at dimension {self.dim} holds at least 2^{self.dim}"
+                f" points, more than the cap of {_SAMPLE_CAP}; give explicit samples")
+        per = int(_SAMPLE_CAP ** (1.0 / self.dim))
+        return requested, tuple(min(c, per) for c in requested)
+
     def sample_points(self, default_count: int = 20) -> list[tuple[float, ...]]:
         """The uniform grid over the domain box, edges included, with the
-        sampling counts (`default_count` per variable without them). A grid
-        of more than _SAMPLE_CAP points is cut to at most _SAMPLE_CAP^(1/dim)
-        points per variable. From dimension 14 up even 2 per variable is past
-        the cap, and it raises GeometryError."""
-        counts = (self.sampling.counts if self.sampling is not None
-                  else (default_count,) * self.dim)
-        if math.prod(counts) > _SAMPLE_CAP:
-            if 2 ** self.dim > _SAMPLE_CAP:
-                raise GeometryError(
-                    f"a sample grid at dimension {self.dim} holds at least 2^{self.dim}"
-                    f" points, more than the cap of {_SAMPLE_CAP}; give explicit samples")
-            per = int(_SAMPLE_CAP ** (1.0 / self.dim))
-            counts = [min(c, per) for c in counts]
+        sampled counts of `grid_counts`."""
+        _, counts = self.grid_counts(default_count)
         axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(self.domain, counts)]
         grids = np.meshgrid(*axes, indexing="ij")
         stacked = np.stack([g.ravel() for g in grids], axis=-1)
@@ -281,8 +290,7 @@ def _off_tangents(T: JetValue, ginv: JetValue, v) -> JetValue:
 # Data containers
 
 
-@dataclass
-class FundamentalData:
+class FundamentalData(NamedTuple):
     """First-order data of a chart at one point, or at a batch of points
     (`point` then holds one array per variable). Every field is one jet
     with tensor axes."""
@@ -291,8 +299,8 @@ class FundamentalData:
     metric: JetValue  # [i, j] = g_ij
     inverse_metric: JetValue  # [i, j] = g^ij
     christoffels: JetValue  # [k, i, j] = Gamma^k_ij
-    position: JetValue = field(repr=False)  # [a] = X_a
-    frame: JetValue = field(repr=False)  # [i, a] = d_i X_a
+    position: JetValue  # [a] = X_a
+    frame: JetValue  # [i, a] = d_i X_a
 
     def norm(self, vec: np.ndarray):
         """|vec|_g: a float, or an array over a batch (vec of shape (m, N))."""
@@ -302,8 +310,7 @@ class FundamentalData:
         return np.sqrt(np.maximum(np.einsum("i...,ij...,j...->...", vec, g, vec), 0.0))
 
 
-@dataclass
-class ShapeData:
+class ShapeData(NamedTuple):
     """Second-order data: unit normal, shape operator, signed mean
     curvature, |A|^2 (jets, at one point or over a batch)."""
 

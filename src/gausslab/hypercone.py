@@ -16,21 +16,23 @@ is certified exactly and flagged: "minimal" links give a harmonic Gauss map,
 and the m = 3 product solution satisfies the curvature condition while
 falling outside the m > 3 range of the catalog statement, so it is flagged
 "paper-range conflict" rather than dropped.
+
+The planar-cone certificate (cones in R^3) is exact too: the curvature ODE
+system of the link and its prolongations admit only k = 0.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .roots import Polynomial, isolate_and_refine
 
-# The solvers are exact and need no numpy. The chart, cone-data and
-# quadrature builders import numpy and the jet modules where they run, so
-# that `import gausslab.cli` loads neither.
+# The solvers and the R^3 certificate are exact and need no numpy. The
+# chart, cone-data and quadrature builders import numpy and the jet modules
+# where they run, so that the exact commands load neither.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -51,6 +53,8 @@ __all__ = [
     "composition_energy_check",
     "sphere_link_chart",
     "clifford_link_chart",
+    "R3CheckResult",
+    "r3_ode_check",
 ]
 
 _CONDITION_TOL = 1e-9
@@ -65,8 +69,7 @@ FLAG_PAPER_RANGE = "paper-range conflict"
 # Pointwise cone data
 
 
-@dataclass
-class ConeShapeValues:
+class ConeShapeValues(NamedTuple):
     """Shape invariants of the cone at radius t from link shape data."""
 
     t: float
@@ -94,8 +97,7 @@ def cone_shape_from_link(link_sd: ShapeData, t: float) -> ConeShapeValues:
 # Catalog solvers
 
 
-@dataclass
-class SphereConeSolution:
+class SphereConeSolution(NamedTuple):
     m: int
     a: float
     a_sq_exact: Fraction
@@ -126,8 +128,7 @@ def clifford_shape_norm_sq(m1: int, m2: int, r1_sq: float) -> float:
     return m1 * r2_sq / r1_sq + m2 * r1_sq / r2_sq
 
 
-@dataclass
-class CliffordRoot:
+class CliffordRoot(NamedTuple):
     m: int
     m1: int
     m2: int
@@ -277,8 +278,7 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(_GAUSS_NODES)
 
 
-@dataclass(frozen=True)
-class _QuadratureCurveComponent:
+class _QuadratureCurveComponent(NamedTuple):
     """Plane-curve coordinate of the arc-length curve with polynomial signed
     curvature: tangent angle theta(s) = sum k_i s^(i+1)/(i+1). Derivatives
     come from jets of cos/sin(theta); the position value from composite
@@ -349,8 +349,7 @@ def polynomial_curvature_cylinder(k_coeffs: Sequence[float]) -> ImmersionChart:
 # Composition energy
 
 
-@dataclass
-class CompositionEnergy:
+class CompositionEnergy(NamedTuple):
     m: int
     t: float
     energy: float            # e = m / (2 t^2)
@@ -375,3 +374,49 @@ def composition_energy_check(m: int, t: float) -> CompositionEnergy:
     closed = m * (m - 3.0) / t ** 4
     return CompositionEnergy(m, float(t), jet.value, closed, float(numeric),
                              m == 3)
+
+
+# ---------------------------------------------------------------------------
+# R^3: prolongation certificate
+
+
+class R3CheckResult(NamedTuple):
+    k0: float
+    k0_dot: float
+    k0_ddot: float
+    second_eq_residual: float
+    prolongation1: float  # k' k^2
+    prolongation2: float  # k'' k^2 + 2 k k'^2
+    prolongation3: float  # k''' k^2 + 6 k k' k'' + 2 k'^3, with k''' = -k'
+    consistent: bool
+    message: str
+
+
+def r3_ode_check(k0: float, k0_dot: float, k0_ddot: float | None = None) -> R3CheckResult:
+    """Consistency of curvature initial data with the planar-cone system
+    k''' + k' = 0 and k(3 + k^2) + 3k'' = 0.
+
+    Eliminating k''' between the first equation and the derivative of the
+    second yields k' k^2 = 0; differentiating again (and once more, using
+    k''' = -k') closes the certificate: the only consistent data is
+    k0 = k0' = 0, i.e. k == 0 and the cone's Gauss map is harmonic, never
+    proper biharmonic."""
+    if k0_ddot is None:
+        k0_ddot = -k0 * (3.0 + k0 * k0) / 3.0
+        second_residual = 0.0
+    else:
+        second_residual = k0 * (3.0 + k0 * k0) + 3.0 * k0_ddot
+    p1 = k0_dot * k0 * k0
+    p2 = k0_ddot * k0 * k0 + 2.0 * k0 * k0_dot * k0_dot
+    k0_dddot = -k0_dot
+    p3 = k0_dddot * k0 * k0 + 6.0 * k0 * k0_dot * k0_ddot + 2.0 * k0_dot ** 3
+    scale = 1.0 + abs(k0) + abs(k0_dot) + abs(k0_ddot)
+    tolerance = 1e-12 * scale ** 3
+    consistent = (abs(second_residual) <= tolerance and abs(p1) <= tolerance
+                  and abs(p2) <= tolerance and abs(p3) <= tolerance)
+    message = ("only k = 0 admissible: data consistent with the system and "
+               "its prolongations" if consistent else
+               "inconsistent initial data: the prolongation chain forces k = 0")
+    return R3CheckResult(float(k0), float(k0_dot), float(k0_ddot),
+                         float(second_residual), float(p1), float(p2),
+                         float(p3), consistent, message)

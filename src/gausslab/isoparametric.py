@@ -15,8 +15,8 @@ sin^2(2 theta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .hypercone import (
     FLAG_MINIMAL,
@@ -47,31 +47,34 @@ _MINIMAL_TOL = 1e-9
 _VALID_ELLS = (1, 2, 3, 4, 6)
 
 
-@dataclass(frozen=True)
-class IsoparametricSpec:
-    """Type number and multiplicities of an isoparametric family."""
-
+class _SpecFields(NamedTuple):
     ell: int
     multiplicities: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.ell not in _VALID_ELLS:
-            raise ValueError(f"type must be one of {_VALID_ELLS}, got {self.ell}")
-        mults = tuple(int(v) for v in self.multiplicities)
-        object.__setattr__(self, "multiplicities", mults)
-        if len(mults) != self.ell:
+
+class IsoparametricSpec(_SpecFields):
+    """Type number and multiplicities of an isoparametric family."""
+
+    __slots__ = ()
+
+    def __new__(cls, ell: int, multiplicities):
+        if ell not in _VALID_ELLS:
+            raise ValueError(f"type must be one of {_VALID_ELLS}, got {ell}")
+        mults = tuple(int(v) for v in multiplicities)
+        if len(mults) != ell:
             raise ValueError("need one multiplicity per curvature")
         if any(v < 1 for v in mults):
             raise ValueError("multiplicities must be positive")
-        if self.ell == 3:
+        if ell == 3:
             if len(set(mults)) != 1 or mults[0] not in (1, 2, 4, 8):
                 raise ValueError("type 3 multiplicities are all 2^q, q in 0..3")
-        if self.ell == 4:
+        if ell == 4:
             if mults[0] != mults[2] or mults[1] != mults[3]:
                 raise ValueError("type 4 needs m1 = m3 and m2 = m4")
-        if self.ell == 6:
+        if ell == 6:
             if len(set(mults)) != 1 or mults[0] not in (1, 2):
                 raise ValueError("type 6 multiplicities are all 1 or all 2")
+        return super().__new__(cls, ell, mults)
 
     @property
     def m(self) -> int:
@@ -100,16 +103,20 @@ class IsoparametricSpec:
         return cls(6, (multiplicity,) * 6)
 
 
-@dataclass(frozen=True)
-class CurvatureSet:
-    """The l cotangent values at a given theta, strictly decreasing."""
-
+class _CurvatureFields(NamedTuple):
     values: tuple[float, ...]
     theta: float
 
-    def __post_init__(self):
-        if any(a <= b for a, b in zip(self.values, self.values[1:])):
+
+class CurvatureSet(_CurvatureFields):
+    """The l cotangent values at a given theta, strictly decreasing."""
+
+    __slots__ = ()
+
+    def __new__(cls, values: tuple[float, ...], theta: float):
+        if any(a <= b for a, b in zip(values, values[1:])):
             raise ValueError("principal curvatures must strictly decrease")
+        return super().__new__(cls, values, theta)
 
     def trace(self, multiplicities: tuple[int, ...]) -> float:
         return sum(m * k for m, k in zip(multiplicities, self.values))
@@ -159,8 +166,7 @@ def _verify_cotangent_identities(ell: int, k: tuple[float, ...]):
         raise ArithmeticError("cotangent addition identities violated")
 
 
-@dataclass(frozen=True)
-class ShapeNorm:
+class ShapeNorm(NamedTuple):
     """|A|^2 evaluated two independent ways."""
 
     closed: float
@@ -235,8 +241,7 @@ def condition_polynomial(spec: IsoparametricSpec) -> Polynomial:
     return Polynomial.from_coeffs(out)
 
 
-@dataclass(frozen=True)
-class ClassifiedRoot:
+class ClassifiedRoot(NamedTuple):
     """One admissible solution of the condition polynomial."""
 
     ell: int
@@ -313,8 +318,7 @@ def classify_type(spec: IsoparametricSpec) -> list[ClassifiedRoot]:
     return []
 
 
-@dataclass(frozen=True)
-class TakagiSolution:
+class TakagiSolution(NamedTuple):
     """One root of the homogeneous-family condition, x = sin^2(2 theta)."""
 
     n: int

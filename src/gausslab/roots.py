@@ -28,9 +28,8 @@ are built only for the returned intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 __all__ = [
     "Polynomial",
@@ -59,8 +58,7 @@ def _to_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(NamedTuple):
     """Exact-coefficient polynomial, coefficients low degree first."""
 
     coeffs: tuple[Fraction, ...]
@@ -254,8 +252,7 @@ def count_real_roots_in(p: Polynomial, a, b) -> int:
             - _variations(chain, *_projective(b)) + b_is_root)
 
 
-@dataclass(frozen=True)
-class RootInterval:
+class RootInterval(NamedTuple):
     """Certified isolating interval (lo, hi] with a refined float estimate."""
 
     lo: Fraction

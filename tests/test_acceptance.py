@@ -15,7 +15,6 @@ from gausslab.biharmonic import (
     GrassmannTangent,
     grassmann_curvature,
     hypersurface_residual,
-    r3_ode_check,
     r4_obstruction,
 )
 from gausslab.cli import main as cli_main
@@ -33,6 +32,7 @@ from gausslab.hypercone import (
     composition_energy_check,
     cone_shape_from_link,
     polynomial_curvature_cylinder,
+    r3_ode_check,
     sphere_link_chart,
     sphere_link_solver,
 )

@@ -18,7 +18,6 @@ from gausslab.biharmonic import (
     grassmann_curvature,
     hypersurface_residual,
     link_residual_system,
-    r3_ode_check,
     r4_obstruction,
 )
 from gausslab.exprjet import JetValue
@@ -34,6 +33,7 @@ from gausslab.geometry import (
 from gausslab.hypercone import (
     clifford_link_chart,
     polynomial_curvature_cylinder,
+    r3_ode_check,
     sphere_link_chart,
 )
 

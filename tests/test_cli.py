@@ -226,24 +226,32 @@ def test_verify_non_ascii_digit_is_parse_error(tmp_path, component):
     assert "Traceback" not in proc.stderr
 
 
-# the exact commands run on Fractions and integers; the jet layer loads on
-# first use, while its modules sit in sys.modules from the start, where the
-# benchmark's tracer looks them up by name
+# the exact commands run on Fractions and integers; every library module
+# loads on first use, while the modules sit in sys.modules from the start,
+# where the benchmark's tracer looks them up by name. `roots` executes the
+# roots module alone, and no exact command loads numpy or `dataclasses`
+# (whose import brings `inspect`)
 def test_exact_commands_do_not_load_numpy():
+    roots = ["roots", "--coeffs", "-6,11,-6,1", "--range", "0,5/2"]
     exact = [["solve", "sphere-cone", "--m", "3"],
              ["solve", "clifford-cone", "--m", "4", "--m1", "1"],
              ["solve", "isoparametric", "--l", "3", "--q", "2"],
              ["solve", "takagi", "--n", "9"],
-             ["roots", "--coeffs", "-6,11,-6,1", "--range", "0,5/2"],
+             ["check", "cone-r3"],
              ["report", "--all"],
              ["report", "--all", "--format", "csv"]]
     verify = ["verify", "--config", str(CONFIGS / "sphere_S2.json")]
-    script = ("import contextlib, io, sys\n"
+    script = ("import contextlib, importlib.util, io, sys\n"
               "from gausslab.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = main({roots!r})\n"
+              "print(code, [type(sys.modules[f'gausslab.{m}']) is importlib.util._LazyModule\n"
+              "             for m in ('hypercone', 'isoparametric', 'roots')])\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    codes = [main(argv) for argv in {exact!r}]\n"
-              "print(codes, 'numpy' in sys.modules, all(f'gausslab.{m}' in sys.modules\n"
-              "      for m in ('exprjet', 'geometry', 'biharmonic')))\n"
+              "print(codes, [m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')],\n"
+              "      all(f'gausslab.{m}' in sys.modules\n"
+              "          for m in ('exprjet', 'geometry', 'biharmonic')))\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    code = main({verify!r})\n"
               "print(code, 'numpy' in sys.modules)\n")
@@ -252,7 +260,20 @@ def test_exact_commands_do_not_load_numpy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [f"{[0] * len(exact)} False True", "0 True"]
+    assert proc.stdout.splitlines() == ["0 [True, True, False]",
+                                        f"{[0] * len(exact)} [False, False, False] True",
+                                        "0 True"]
+
+
+# the benchmark's tracer (perfbench/tracing.py) looks `r3_ode_check` up in
+# gausslab.biharmonic and patches the function it finds wherever it sits, so
+# that name must resolve to the one `check cone-r3` calls
+def test_biharmonic_resolves_the_r3_certificate_of_hypercone():
+    import gausslab.biharmonic
+    import gausslab.hypercone
+
+    assert gausslab.biharmonic.r3_ode_check is gausslab.hypercone.r3_ode_check
+    assert gausslab.biharmonic.R3CheckResult is gausslab.hypercone.R3CheckResult
 
 
 # JSON stdout recorded before the hypersurface and link residuals shared one
@@ -344,6 +365,18 @@ def test_explicit_sample_list_is_capped_at_10000_points(capsys, tmp_path, count,
     got, out, err = run(capsys, "verify", "--config", path)
     assert (got, out) == (code, "")
     assert "more than 10000" in err and "Traceback" not in err
+
+
+# A count grid past the cap is thinned with one stderr line naming the
+# requested and the sampled counts; a grid within the cap gives no such line
+def test_a_thinned_grid_is_reported_on_stderr(capsys, tmp_path):
+    code, payload, err = run_json(capsys, "verify", "--config", write_config(
+        tmp_path, name="big", samples={"u": 150, "v": 150}))
+    assert code == 0 and payload["results"]["sample_count"] == 10_000
+    assert [line for line in err.splitlines() if "sample grid" in line] == [
+        "verify: sample grid 150x150 -> 100x100 (cap 10000 points)"]
+    code, _, err = run_json(capsys, "verify", "--config", write_config(tmp_path))
+    assert code == 0 and "sample grid" not in err
 
 
 # Counts are at least 2 per variable, so from dimension 14 up even the
