@@ -14,8 +14,7 @@ too many sample points to decide.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
+import functools
 import importlib.util
 import json
 import math
@@ -266,6 +265,8 @@ def _sanitize(obj):
 
 
 def _digest(command: str, inputs: dict) -> str:
+    import hashlib  # here, not at the top: it loads OpenSSL, and CSV output needs none
+
     canonical = json.dumps({"command": command, "inputs": _sanitize(inputs)},
                            sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -288,6 +289,8 @@ def _csv_cell(value) -> str:
 
 
 def _emit_csv(tables: dict[str, tuple[list[str], list[list]]]):
+    import csv
+
     writer = csv.writer(sys.stdout)
     first = True
     for name, (headers, rows) in tables.items():
@@ -572,6 +575,11 @@ def _cmd_report(args) -> _Outcome:
 # Parser and entry point
 
 
+# Built on the first call of `main` and kept for the process, since its 13
+# parsers cost more to build than an exact command costs to run. A command
+# names its handler, and `main` looks that name up in this module when the
+# command runs, so a handler replaced after the build is the one called.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gausslab",
@@ -585,23 +593,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="residual report for a euclidean chart config")
     p.add_argument("--config", required=True, metavar="FILE")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler="_cmd_verify")
 
     p = sub.add_parser("verify-link", help="coupled link system for a sphere chart config")
     p.add_argument("--config", required=True, metavar="FILE")
-    p.set_defaults(handler=_cmd_verify_link)
+    p.set_defaults(handler="_cmd_verify_link")
 
     solve = sub.add_parser("solve", help="closed-form link solvers")
     ssub = solve.add_subparsers(dest="family")
 
     p = ssub.add_parser("sphere-cone", help="small-sphere link radius")
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(handler=_cmd_sphere_cone)
+    p.set_defaults(handler="_cmd_sphere_cone")
 
     p = ssub.add_parser("clifford-cone", help="product-of-spheres link radii")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--m1", type=int, required=True)
-    p.set_defaults(handler=_cmd_clifford_cone)
+    p.set_defaults(handler="_cmd_clifford_cone")
 
     p = ssub.add_parser("isoparametric", help="isoparametric link condition roots")
     p.add_argument("--l", dest="ell", type=int, required=True)
@@ -609,34 +617,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m1", type=int, default=None)
     p.add_argument("--m2", type=int, default=None)
     p.add_argument("--mult", type=int, default=None)
-    p.set_defaults(handler=_cmd_isoparametric)
+    p.set_defaults(handler="_cmd_isoparametric")
 
     p = ssub.add_parser("takagi", help="homogeneous family with n - 2 and 2 multiplicities")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_takagi)
+    p.set_defaults(handler="_cmd_takagi")
 
     check = sub.add_parser("check", help="non-existence certificates")
     csub = check.add_subparsers(dest="what")
 
     p = csub.add_parser("cone-r3", help="planar-cone elimination certificate")
-    p.set_defaults(handler=_cmd_check_r3)
+    p.set_defaults(handler="_cmd_check_r3")
 
     p = csub.add_parser("cone-r4", help="integral obstruction for a 2d link")
     p.add_argument("--config", required=True, metavar="FILE")
-    p.set_defaults(handler=_cmd_check_r4)
+    p.set_defaults(handler="_cmd_check_r4")
 
     p = sub.add_parser("roots", help="isolate real roots of a rational polynomial")
     p.add_argument("--coeffs", required=True,
                    help="comma-separated, constant term first; rationals like 1/3 allowed")
     p.add_argument("--range", dest="range_spec", default=None, metavar="A,B")
-    p.set_defaults(handler=_cmd_roots)
+    p.set_defaults(handler="_cmd_roots")
 
     p = sub.add_parser("report", help="regenerate the full hypercone catalog")
     p.add_argument("--all", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--n-max", dest="n_max", type=int, default=13,
                    help="largest n for the homogeneous family rows (default 13)")
-    p.set_defaults(handler=_cmd_report)
+    p.set_defaults(handler="_cmd_report")
 
     return parser
 
@@ -661,6 +669,9 @@ def _join_value_flags(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line (`sys.argv[1:]` by default) and return its exit
+    code. It may be called repeatedly in one process: the first call builds
+    the argument parser and later calls reuse it."""
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
@@ -670,7 +681,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
     start = time.perf_counter()
     try:
-        outcome = args.handler(args)
+        outcome = globals()[args.handler](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

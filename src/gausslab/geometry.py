@@ -30,7 +30,7 @@ Laplacians is the geometer's: Delta = -trace(Hess).
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -258,10 +258,19 @@ def _points_last(a: np.ndarray, rank: int) -> np.ndarray:
     return np.moveaxis(a, 0, -1) if a.ndim > rank else a
 
 
+@cache
+def _lower_triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices below the diagonal of an m x m matrix, read-only
+    since every caller shares them."""
+    i, j = np.tril_indices(m, -1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _mirror_upper(t: JetValue) -> JetValue:
     """A symmetric rank-2 jet with its lower triangle copied from the upper
     one, so that it is symmetric to the last bit."""
-    i, j = np.tril_indices(len(t), -1)
+    i, j = _lower_triangle(len(t))
     t.coeffs[:, i, j] = t.coeffs[:, j, i]
     return t
 

@@ -265,6 +265,31 @@ def test_exact_commands_do_not_load_numpy():
                                         "0 True"]
 
 
+def _fresh_python(script):
+    """stdout lines of `script` run in a fresh interpreter on this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+# the digest is the only use of hashlib, which loads OpenSSL, and CSV output
+# the only use of csv: importing the CLI loads neither, and a CSV command
+# loads no hashlib
+def test_cli_import_loads_no_hashlib_or_csv():
+    verify = ["verify", "--config", str(CONFIGS / "cone_S3.json"), "--format", "csv"]
+    script = ("import contextlib, io, sys\n"
+              "from gausslab.cli import main\n"
+              "heavy = ('hashlib', '_hashlib', 'csv')\n"
+              "print([m for m in heavy if m in sys.modules])\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = main({verify!r})\n"
+              "print(code, [m for m in heavy if m in sys.modules])\n")
+    assert _fresh_python(script) == ["[]", "0 ['csv']"]
+
+
 # the benchmark's tracer (perfbench/tracing.py) looks `r3_ode_check` up in
 # gausslab.biharmonic and patches the function it finds wherever it sits, so
 # that name must resolve to the one `check cone-r3` calls
@@ -687,6 +712,67 @@ def test_unknown_subcommand_exits_2():
 def test_no_subcommand_prints_usage(capsys):
     code, out, err = run(capsys)
     assert code == 2
+
+
+# `main` builds its parsers on the first call and reuses them: importing the
+# CLI builds none, and a second command builds none again
+def test_the_parser_is_built_once_per_process():
+    script = ("import argparse, contextlib, io\n"
+              "built = []\n"
+              "init = argparse.ArgumentParser.__init__\n"
+              "def counted(self, *args, **kwargs):\n"
+              "    built.append(self)\n"
+              "    init(self, *args, **kwargs)\n"
+              "argparse.ArgumentParser.__init__ = counted\n"
+              "from gausslab.cli import main\n"
+              "print(len(built))\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(['solve', 'sphere-cone', '--m', '3'])\n"
+              "    first = len(built)\n"
+              "    code += main(['roots', '--coeffs', '-2,0,1'])\n"
+              "print(code, first > 0, len(built) == first)\n")
+    assert _fresh_python(script) == ["0", "0 True True"]
+
+
+# handlers are looked up by name at call time, so a handler patched after
+# the parser was built is the one that runs
+def test_a_handler_patched_after_the_first_call_runs(capsys, monkeypatch):
+    import gausslab.cli as cli
+
+    assert run(capsys, "roots", "--coeffs", "-2,0,1")[0] == 0
+    monkeypatch.setattr(cli, "_cmd_roots",
+                        lambda args: cli._Outcome("roots", {"patched": True}, None))
+    code, payload, _ = run_json(capsys, "roots", "--coeffs", "-2,0,1")
+    assert code == 0 and payload["inputs"] == {"patched": True}
+
+
+# an argparse error leaves the reused parser as it was: the next command
+# prints the bytes pinned in test_catalog_stdout_is_pinned
+def test_a_command_after_an_argparse_error_is_unchanged(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "takagi"])
+    assert exc.value.code == 2
+    assert "--n" in capsys.readouterr().err
+    code, out, _ = run(capsys, "solve", "takagi", "--n", "9")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3f0ebbeea4d3cf0fbb819708b222a3e9f0dd38b2d000440fc326910191120661")
+
+
+# SHA-256 of the help text at 80 columns, recorded while the parser was
+# still built on every call; the reused parser prints it unchanged each time
+@pytest.mark.parametrize("argv, digest", [
+    (("--help",), "a72355e10b23f470c408cb84a35ddb2cdd20180eee6729f47bc8ba02e0cc5ff1"),
+    (("solve", "isoparametric", "--help"),
+     "fded4ecc38b3bad1debfcee933f4f276a372be92191b1cfca114e00433a7207e"),
+])
+def test_help_is_pinned_on_repeated_calls(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_console_script_end_to_end():
