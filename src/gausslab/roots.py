@@ -19,10 +19,14 @@ sum of c_i p^i d^(n-i). Isolation bisects on integer endpoints over one
 power-of-two multiple of a common denominator per interval, carrying the
 sign variations of both ends so each split evaluates the chain only at the
 midpoint. Once an interval holds one root of the square-free q, refinement to
-a width of 1e-12 needs only the sign of q at each midpoint against its
-sign just right of the left end (the sign of q' there when that end is itself
-a root). A single guarded Newton step polishes the float estimate; Fractions
-are built only for the returned intervals.
+a width of 1e-12 ends where halving it would: in the one cell of a level set
+by the width alone that holds the root. A float estimate, from a copy of q
+scaled by a power of two and sharpened by exact Newton steps where a float
+cannot tell the cells apart, names that cell; two signs of q against its sign
+just right of the left end (the sign of q' there when that end is itself a
+root) certify it, and a miss gallops over cell indices, then bisects. A single
+guarded Newton step polishes the float estimate; Fractions are built only for
+the returned intervals.
 """
 
 from __future__ import annotations
@@ -183,16 +187,23 @@ def _float_at(cs: Sequence[float], x: float) -> float:
     return acc
 
 
-def _sign_at(cs: tuple[int, ...], p: int, d: int) -> int:
-    """Sign at p/d of the polynomial with integer coefficients `cs`, highest
-    degree first: the sign of sum c_i p^i d^(n-i), by Horner. d > 0, or d = 0
-    and p = +-1 for +-inf, where the sum is c_n (+-1)^n."""
+def _value_at(cs: tuple[int, ...], p: int, d: int) -> int:
+    """d^n times the value at p/d of the polynomial with integer coefficients
+    `cs`, highest degree first: sum c_i p^i d^(n-i), by Horner. d > 0, or
+    d = 0 and p = +-1 for +-inf, where the sum is c_n (+-1)^n."""
     acc = cs[0]
     dk = 1
     for c in cs[1:]:
         dk *= d
         acc = acc * p + c * dk
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _sign_at(cs: tuple[int, ...], p: int, d: int) -> int:
+    """Sign at p/d of the polynomial with integer coefficients `cs`, the
+    sign of `_value_at`."""
+    v = _value_at(cs, p, d)
+    return (v > 0) - (v < 0)
 
 
 def _variations(chain: Sequence[tuple[int, ...]], p: int, d: int) -> int:
@@ -283,9 +294,137 @@ def _root_past_floats(q: tuple[int, ...], x: int, y: int, d: int, s: int) -> boo
     return y > edge and _sign_at(q, edge, d) in (s, 0)
 
 
+def _dyadic_float(p: int, d: int, e: int) -> float:
+    """p / (d 2^e) as a float clamped to [-2, 2], for d > 0."""
+    if e < 0:
+        p <<= -e
+    else:
+        d <<= e
+    return (2.0 if p > 0 else -2.0) if abs(p) >= 2 * d else p / d
+
+
+def _bound_exponent(cs: Sequence[int]) -> int:
+    """The least E with |c_i / c_0| < 2^(E i) for every coefficient c_i of
+    cs, highest degree first: by Fujiwara's bound every root has |t| < 2^(E+1)."""
+    lead = abs(cs[0]).bit_length()
+    return max((-((lead - abs(c).bit_length() - 1) // i) for i, c in enumerate(cs) if c and i),
+               default=0)
+
+
+def _scaled(q: tuple[int, ...]) -> tuple[int, list[float], list[float]]:
+    """e from `_bound_exponent`, so every root lies at |u| < 2 for t = 2^e u,
+    and the float coefficients of q(2^e u) / 2^top, top the largest bit
+    length among them, so each lies in [-1, 1], and of its derivative."""
+    n, e = len(q) - 1, _bound_exponent(q)
+    top = max(abs(c).bit_length() + e * (n - i) for i, c in enumerate(q))
+    u = [_dyadic_float(c, 1, top - e * (n - i)) for i, c in enumerate(q)]
+    return e, u, _derivative(u)
+
+
+def _split(lo: float, hi: float) -> float:
+    """A point of (lo, hi): 0 where the bracket holds it, else the midpoint,
+    or on a bracket whose ends differ by more than a factor 16 the power of
+    two halfway between their exponents (that of the least float for an end
+    at 0), so a wide bracket narrows by the exponent first."""
+    if lo < 0.0 < hi:
+        return 0.0
+    a, b = (lo, hi) if lo >= 0.0 else (-hi, -lo)
+    if b <= 16.0 * a:
+        return (lo + hi) / 2
+    mid = math.ldexp(0.5, ((math.frexp(a)[1] if a else -1074) + math.frexp(b)[1]) // 2)
+    return mid if lo >= 0.0 else -mid
+
+
+_FLOAT_STEPS = 100
+
+
+def _estimate(u: list[float], du: list[float], lo: float, hi: float, pos: bool,
+              tol: float) -> float:
+    """A float near the one root in (lo, hi] of the float polynomial u, with
+    derivative du, which is positive just right of lo if pos, else negative:
+    Newton steps kept inside the bracket its signs narrow, with a `_split`
+    of the bracket for a step that leaves it or does not halve the step
+    before. It stops at a Newton step or a bracket of at most tol."""
+    t, step = hi, hi - lo  # a root at hi, an isolation midpoint, ends this at once
+    for _ in range(_FLOAT_STEPS):
+        f = _float_at(u, t)
+        if f == 0.0:
+            return t
+        if (f > 0.0) == pos:
+            lo = t
+        else:
+            hi = t
+        if hi - lo <= tol:
+            return t
+        deriv = _float_at(du, t)
+        nxt = t - f / deriv if deriv else math.nan
+        if lo <= nxt <= hi and abs(nxt - t) <= tol:
+            return nxt
+        if not lo < nxt <= hi or abs(nxt - t) > step / 2:
+            nxt = _split(lo, hi)
+        step, t = abs(nxt - t), nxt
+    return t
+
+
+def _numerator(t: float, e: int, d: int) -> int:
+    """The floor of t 2^e d."""
+    tn, td = t.as_integer_ratio()
+    return (tn * d << e) // td if e >= 0 else tn * d // (td << -e)
+
+
+def _refine(q: tuple[int, ...], dq: tuple[int, ...], x: int, y: int, d: int, s: int,
+            scaled: tuple[int, list[float], list[float]]) -> tuple[int, int, int]:
+    """The interval (x, y] / d of width at most _WIDTH that bisecting the
+    isolating interval (x/d, y/d], right of x/d of which q has sign s, ends
+    in. Bisection keeps y - x and doubles d, so after K halvings, K fixed by
+    the width alone, it is one of the 2^K cells (x 2^K + j w, x 2^K + (j+1) w]
+    / (d 2^K), w = y - x: the cell j with q of sign s at its left end (or
+    j = 0) and not at its right end (or j = 2^K - 1). A float estimate of
+    the root, sharpened by exact Newton steps where a float cannot tell the
+    cells apart, names j; two sign tests certify it, and a miss gallops from
+    it over cell indices and then bisects."""
+    w = y - x
+    k = (-(-w * _WIDTH.denominator // (_WIDTH.numerator * d)) - 1).bit_length()
+    if not k:
+        return x, y, d
+    e, u, du = scaled
+    t = _estimate(u, du, _dyadic_float(x, d, e), _dyadic_float(y, d, e), s > 0,
+                  _dyadic_float(w, d << k, e) / 4)
+    cells = 1 << k
+    x, d = x << k, d << k
+    num = _numerator(t, e, d)  # the estimate as a numerator over d
+    scale = e + d.bit_length() - w.bit_length()  # turns a float's exponent into bits in cells
+    if math.frexp(t)[1] + scale > 53:
+        # a float step spans more than a cell: exact Newton steps on
+        # numerators over d, each a quotient of d^n q by d^(n-1) q', as many
+        # as double the float's 50 or so good bits past those of t in cells
+        for _ in range(((math.frexp(t)[1] + scale) // 50).bit_length()):
+            deriv = _value_at(dq, num, d)
+            if not deriv:
+                break
+            delta = _value_at(q, num, d) // deriv
+            num -= delta
+            if abs(delta) <= w:
+                break
+    m, step = max(min((num - x) // w, cells - 1), 1), 1
+    lo, hi = 0, cells  # q has sign s at the left end of cell lo, not at that of cell hi
+    while hi - lo > 1:
+        if not lo < m < hi:
+            m = (lo + hi) // 2
+        if _sign_at(q, x + m * w, d) == s:
+            lo, m = m, m + step
+        else:
+            hi, m = m, m - step
+        step *= 2
+    x += lo * w
+    return x, x + w, d
+
+
 def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF) -> list[RootInterval]:
-    """Isolating intervals for every distinct real root of p in (a, b],
-    bisected to width _WIDTH and polished with one guarded Newton step."""
+    """Isolating intervals for every distinct real root of p in (a, b], each
+    the interval of width at most _WIDTH that bisecting its isolating
+    interval ends in (found by `_refine` from an estimate and two sign
+    tests), and polished with one guarded Newton step."""
     if p.is_zero or p.degree == 0:
         return []
     a = _as_endpoint(a)
@@ -329,20 +468,14 @@ def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF) -> list[RootInterval
         dq_f = [c * num / den for c in dq]
     except OverflowError:  # a coefficient past the float range: no polish
         q_f = dq_f = None
+    scaled = _scaled(q)
     for x, y, d in isolated:
         # (x/d, y/d] holds one simple root, so q keeps the sign it has just
         # right of x/d up to that root (the sign of q' if x/d is a root too)
         s = _sign_at(q, x, d) or _sign_at(dq, x, d)
         if _root_past_floats(q, x, y, d, s):
             raise OverflowError(_PAST_FLOATS)
-        # bisection keeps y - x and doubles d, so the width is (y - x)/d
-        span = (y - x) * _WIDTH.denominator
-        while span > _WIDTH.numerator * d:
-            x, y, mid, d = 2 * x, 2 * y, x + y, 2 * d
-            if _sign_at(q, mid, d) == s:
-                x = mid
-            else:
-                y = mid
+        x, y, d = _refine(q, dq, x, y, d, s, scaled)
         try:
             est = (x + y) / (2 * d)  # int / int rounds correctly, as float(Fraction)
         except OverflowError:

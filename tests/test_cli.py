@@ -685,6 +685,20 @@ def test_catalog_stdout_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of stdout, recorded while refinement still halved each isolating
+# interval: the final cell it now names from an estimate is the same
+@pytest.mark.parametrize("argv, digest", [
+    (("roots", "--coeffs", "-1e616,0,1"),
+     "f5a2744b214d14de01b3b27c13a81a8847119ac97b67b41a05c0f263aef2acb1"),
+    (("roots", "--coeffs", "-1e300,0,0,1"),
+     "dd6aa6f2765e42668de2375b38efcb02afa0f5bef1f8107922c90272170b3355"),
+])
+def test_large_coefficient_roots_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_report_is_deterministic(capsys):
     _, a, _ = run(capsys, "report", "--all")
     _, b, _ = run(capsys, "report", "--all")

@@ -362,3 +362,132 @@ def test_integer_chain_is_a_positive_multiple_of_fraction_euclid(factors, cofact
     assert not got_rem
     assert is_positive_multiple(got[::-1], q)
 
+
+# ---------------------------------------------------------------------------
+# refinement: the final cell named by an estimate and certified by two sign
+# tests, against the halving of reference_intervals
+
+
+def dyadic_and_quadratic(dyadic, pairs):
+    """Product of x - a/2^k for each (a, k) and of the quadratic with roots
+    a/b +- sqrt(c) for each (a, b, c)."""
+    factors = [poly(Fraction(-a, 2 ** k), 1) for a, k in dyadic]
+    factors += [poly(Fraction(a, b) ** 2 - c, Fraction(-2 * a, b), 1) for a, b, c in pairs]
+    return mul(*factors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-64, 64), st.integers(0, 6)), max_size=3),
+       st.lists(st.tuples(st.integers(-8, 8), st.sampled_from((1, 2, 4)),
+                          st.sampled_from((2, 3, 5, 7))), max_size=1),
+       st.none() | st.tuples(st.integers(-64, 64), st.integers(1, 128), st.integers(0, 4)))
+def test_cell_search_matches_the_halving_reference(dyadic, pairs, window):
+    # roots a/2^k fall on cell edges of the final level wherever the range
+    # has power-of-two endpoints; the half-open rule puts each in the cell
+    # it closes, as halving does
+    p = dyadic_and_quadratic(dyadic, pairs)
+    if p.degree < 1:
+        return
+    if window is None:
+        assert_certified(p)
+    else:
+        lo, span, k = window
+        assert_certified(p, Fraction(lo, 2 ** k), Fraction(lo + span, 2 ** k))
+
+
+def count_sign_tests_past_isolation(monkeypatch):
+    """Counter of the sign tests made outside the Sturm counts of isolation:
+    the sign right of each isolating interval's left end, the float-range
+    edges and the refinement."""
+    counts = {"past_isolation": 0}
+    in_chain = []
+    sign_at, variations = roots_module._sign_at, roots_module._variations
+
+    def counted_variations(*args):
+        in_chain.append(True)
+        try:
+            return variations(*args)
+        finally:
+            in_chain.pop()
+
+    def counted_sign_at(*args):
+        counts["past_isolation"] += not in_chain
+        return sign_at(*args)
+
+    monkeypatch.setattr(roots_module, "_variations", counted_variations)
+    monkeypatch.setattr(roots_module, "_sign_at", counted_sign_at)
+    return counts
+
+
+def test_refinement_makes_a_few_sign_tests_per_root(monkeypatch, capsys):
+    # halving made one sign test per level, about 40 per root here
+    from gausslab import cli, hypercone, isoparametric
+
+    counts = count_sign_tests_past_isolation(monkeypatch)
+    returned = []
+
+    def counting(p, a=NEG_INF, b=POS_INF):
+        out = isolate_and_refine(p, a, b)
+        returned.append(len(out))
+        return out
+
+    for module in (roots_module, hypercone, isoparametric):
+        monkeypatch.setattr(module, "isolate_and_refine", counting)
+    assert cli.main(["solve", "takagi", "--n", "17"]) == 0
+    for m1 in range(1, 12):
+        hypercone.clifford_link_solver(12, m1)
+    assert cli.main(["roots", "--coeffs", "-6,11,-6,1", "--range", "0,5/2"]) == 0
+    capsys.readouterr()
+    assert sum(returned) >= 20
+    # per call: the range ends; per root: the sign right of the left end
+    # (and of q' where that end is a root), and two tests for the cell
+    assert counts["past_isolation"] <= 2 * len(returned) + 4 * sum(returned)
+
+
+def wrong_estimates():
+    """Replacements of roots._estimate that name the wrong cell: either end
+    of the bracket, and the cells next to the root's."""
+    estimate = roots_module._estimate
+    return {
+        "left end": lambda u, du, lo, hi, pos, tol: lo,
+        "right end": lambda u, du, lo, hi, pos, tol: hi,
+        # tol is a quarter of the cell width
+        "cell left": lambda *args: estimate(*args) - 4 * args[-1],
+        "cell right": lambda *args: estimate(*args) + 4 * args[-1],
+    }
+
+
+@pytest.mark.parametrize("case", ["left end", "right end", "cell left", "cell right"])
+@pytest.mark.parametrize("p, a, b", [
+    (poly(-2, 0, 1), NEG_INF, POS_INF),
+    (poly(-6, 11, -6, 1), 0, Fraction(5, 2)),  # roots 1 and 2 close cells
+    (dyadic_and_quadratic([(3, 3), (-5, 2)], [(1, 1, 3)]), Fraction(-3, 2), 4),
+    (poly(-10 ** 40, 0, 1), NEG_INF, POS_INF),  # roots +-1e20: exact Newton steps
+])
+def test_a_wrong_estimate_gallops_to_the_same_cell(monkeypatch, case, p, a, b):
+    monkeypatch.setattr(roots_module, "_estimate", wrong_estimates()[case])
+    assert_certified(p, a, b)
+
+
+def test_a_nan_float_layer_still_certifies(monkeypatch):
+    # every float value NaN: the estimate wanders the bracket, and the
+    # cell search and the Newton step's guard still hold
+    monkeypatch.setattr(roots_module, "_float_at", lambda cs, x: float("nan"))
+    assert_certified(poly(-6, 11, -6, 1), 0, Fraction(5, 2))
+    assert_certified(poly(-10 ** 40, 0, 1))
+
+
+@pytest.mark.parametrize("coeffs, values", [
+    ((-10 ** 616, 0, 1), [-1e308, 1e308]),
+    ((-10 ** 300, 0, 0, 1), [1e100]),
+])
+def test_huge_roots_are_refined_in_a_few_exact_evaluations(monkeypatch, coeffs, values):
+    # halving took 4,187 and 1,045 sign tests; every exact Horner sum counts
+    # here, the sign tests and the exact Newton steps alike
+    calls = []
+    value_at = roots_module._value_at
+    monkeypatch.setattr(roots_module, "_value_at",
+                        lambda *args: calls.append(args) or value_at(*args))
+    roots = isolate_and_refine(poly(*coeffs))
+    assert [r.value for r in roots] == values
+    assert len(calls) <= 20 * len(roots)
