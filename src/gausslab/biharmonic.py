@@ -12,6 +12,9 @@ cones: the link system on M in S^(m+1), its algebraic consequence through the
 Ricci operator, and the integral obstruction for cones in R^4 (the exact
 prolongation certificate for cones in R^3 lives in `hypercone`).
 
+Every sweep, over a residual sample or the R^4 grid, runs through
+`_sweep_rows` as batched jet passes in the calling process.
+
 Verdicts: HarmonicGauss (grad f vanishes on the sample), ProperBiharmonicGauss
 (residual vanishes at scale, grad f does not), NotBiharmonic, Inconclusive
 (too many failed sample points). Points where |f| < 1e-10 are reported but
@@ -111,28 +114,38 @@ def _batch_size(dim: int, order: int) -> int:
     return max(1, 65536 // math.comb(2 * dim + order, order))
 
 
-def _map_points(fn: Callable, points: Sequence, batch: int) -> list:
-    """Rows of `fn` over the sample, in sample order: the sample is cut into
-    batches of `batch` points, and `fn` maps each batch to its rows in the
-    calling process. An exception raised by `fn` propagates."""
-    return [row for i in range(0, len(points), batch) for row in fn(points[i:i + batch])]
+_NUMERICAL = (DomainError, GeometryError, FloatingPointError)
 
 
-class _BatchWorker:
-    """Worker over one batch of sample points. It evaluates the whole batch
-    in one jet pass; when that raises a numerical error, it evaluates the
-    batch again one point at a time, so that rows and errors are exactly
-    those of one-point evaluation. A single point runs on one-point jets."""
-
-    def __call__(self, points) -> list:
-        points = [tuple(p) for p in points]
-        if len(points) > 1:
+def _sweep_rows(evaluate: Callable, rows: Callable, points: Sequence, batch: int,
+                failed: Callable | None = None) -> list:
+    """Rows over the sample, in sample order. The sample is cut into batches
+    of `batch` points, and `evaluate` runs one jet pass per batch on one
+    array per variable; `rows(points, out)` reads the pass's output into
+    rows. When a pass raises a numerical error, the batch is evaluated again
+    one point at a time, so that rows and errors are exactly those of
+    one-point evaluation; a lone point always runs that way, on one-point
+    jets. A failing point gives the row `failed(point, exc)`, or its error
+    propagates when `failed` is None."""
+    out = []
+    for start in range(0, len(points), batch):
+        chunk = [tuple(p) for p in points[start:start + batch]]
+        if len(chunk) > 1:
             try:
-                batch = tuple(np.array(points, dtype=float).T.copy())
-                return self._rows(points, self._evaluate(batch))
-            except (DomainError, GeometryError, FloatingPointError):
+                out += rows(chunk, evaluate(tuple(np.array(chunk, dtype=float).T.copy())))
+                continue
+            except _NUMERICAL:
                 pass
-        return [self._single(p) for p in points]
+        for p in chunk:
+            try:
+                value = evaluate(p)
+            except _NUMERICAL as exc:
+                if failed is None:
+                    raise
+                out.append(failed(p, exc))
+            else:
+                out += rows([p], value)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -158,62 +171,47 @@ class PointResidual(NamedTuple):
     scalar_scale: float = math.nan
 
 
-class _PointWorker(_BatchWorker):
-    """Residual rows of a batch of sample points."""
+def _residual_fields(chart: ImmersionChart, point, orientation: int,
+                     near_minimal_f: float) -> dict:
+    """The fields of the residual rows: floats at one point, arrays over a
+    batch (the residual vectors then have shape (m, N))."""
+    fd = fundamental_data(chart, point)
+    shape = shape_data_euclidean if chart.ambient == "euclidean" else shape_data_spherical
+    sd = shape(chart, point, orientation, fd)
+    V = gradient_of_mean_curvature(fd, sd)
+    lap = rough_laplacian(fd, V)
+    A = sd.shape_operator.value
+    v = V.value
+    AAv = _apply(A, _apply(A, v))
+    norm_sq = sd.shape_norm_sq.value
+    f = sd.mean_curvature.value
+    grad_norm = fd.norm(v)
+    out = {"f": f, "grad_f_norm": grad_norm, "shape_norm_sq": norm_sq,
+           "near_minimal": abs(f) < near_minimal_f}
+    if chart.ambient == "euclidean":
+        residual = lap + AAv - norm_sq * v
+        out["scale_term"] = abs(norm_sq) * grad_norm + fd.norm(lap)
+    else:
+        m = chart.dim
+        coef = 2 * m - 3 - norm_sq
+        residual = lap + AAv + coef * v
+        out["scale_term"] = (fd.norm(lap) + abs(norm_sq) * grad_norm
+                             + abs(coef) * grad_norm + fd.norm(AAv))
+        lap_f = scalar_laplacian(fd, sd.mean_curvature)
+        out["scalar_residual"] = 3.0 * lap_f + (3 * m - 6 - norm_sq) * f
+        out["scalar_scale"] = 3.0 * abs(lap_f) + abs(3 * m - 6 - norm_sq) * abs(f)
+    out["residual"] = residual
+    out["residual_norm"] = fd.norm(residual)
+    return out
 
-    def __init__(self, chart, orientation, near_minimal_f):
-        self.chart = chart
-        self.orientation = orientation
-        self.near_minimal_f = near_minimal_f
 
-    def _single(self, point) -> PointResidual:
-        try:
-            fields = self._evaluate(point)
-        except (DomainError, GeometryError, FloatingPointError) as exc:
-            return PointResidual(point=point, ok=False, error=str(exc))
-        residual = tuple(float(x) for x in fields.pop("residual"))
-        return PointResidual(point, True, residual=residual, **fields)
-
-    def _evaluate(self, point) -> dict:
-        """The fields of the residual rows: floats at one point, arrays over
-        a batch (the residual vectors then have shape (m, N))."""
-        chart = self.chart
-        fd = fundamental_data(chart, point)
-        shape = shape_data_euclidean if chart.ambient == "euclidean" else shape_data_spherical
-        sd = shape(chart, point, self.orientation, fd)
-        V = gradient_of_mean_curvature(fd, sd)
-        lap = rough_laplacian(fd, V)
-        A = sd.shape_operator.value
-        v = V.value
-        AAv = _apply(A, _apply(A, v))
-        norm_sq = sd.shape_norm_sq.value
-        f = sd.mean_curvature.value
-        grad_norm = fd.norm(v)
-        out = {"f": f, "grad_f_norm": grad_norm, "shape_norm_sq": norm_sq,
-               "near_minimal": abs(f) < self.near_minimal_f}
-        if chart.ambient == "euclidean":
-            residual = lap + AAv - norm_sq * v
-            out["scale_term"] = abs(norm_sq) * grad_norm + fd.norm(lap)
-        else:
-            m = chart.dim
-            coef = 2 * m - 3 - norm_sq
-            residual = lap + AAv + coef * v
-            out["scale_term"] = (fd.norm(lap) + abs(norm_sq) * grad_norm
-                                 + abs(coef) * grad_norm + fd.norm(AAv))
-            lap_f = scalar_laplacian(fd, sd.mean_curvature)
-            out["scalar_residual"] = 3.0 * lap_f + (3 * m - 6 - norm_sq) * f
-            out["scalar_scale"] = 3.0 * abs(lap_f) + abs(3 * m - 6 - norm_sq) * abs(f)
-        out["residual"] = residual
-        out["residual_norm"] = fd.norm(residual)
-        return out
-
-    @staticmethod
-    def _rows(points, fields: dict) -> list[PointResidual]:
-        residual = fields.pop("residual")
-        columns = {k: v.tolist() for k, v in fields.items()}
-        return [PointResidual(p, True, residual=tuple(r),
-                              **{k: col[i] for k, col in columns.items()})
-                for i, (p, r) in enumerate(zip(points, residual.T.tolist()))]
+def _residual_rows(points, fields: dict) -> list[PointResidual]:
+    residual = fields.pop("residual")
+    vectors = residual.reshape(len(residual), -1).T.tolist()
+    columns = {k: np.ravel(v).tolist() for k, v in fields.items()}
+    return [PointResidual(p, True, residual=tuple(r),
+                          **{k: col[i] for k, col in columns.items()})
+            for i, (p, r) in enumerate(zip(points, vectors))]
 
 
 def _apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -221,11 +219,18 @@ def _apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return A @ v if v.ndim == 1 else np.einsum("ij...,j...->i...", A, v)
 
 
-def _sweep(chart: ImmersionChart, points: Sequence, orientation: int, tol: Tolerances):
-    """Rows over the sample, the rows that evaluated, the failed count, and
-    whether too many points failed to decide."""
-    rows = _map_points(_PointWorker(chart, orientation, tol.near_minimal_f),
-                       points, _batch_size(chart.dim, 5))
+def _sweep(chart: ImmersionChart, points: Sequence | None, orientation: int,
+           tol: Tolerances, default_count: int):
+    """Rows over the sample (the chart's default grid when `points` is None),
+    the rows that evaluated, the failed count, and whether too many points
+    failed to decide."""
+    if points is None:
+        points = chart.sample_points(default_count=default_count)
+    if not points:
+        raise GeometryError("empty sample set")
+    rows = _sweep_rows(lambda p: _residual_fields(chart, p, orientation, tol.near_minimal_f),
+                       _residual_rows, points, _batch_size(chart.dim, 5),
+                       lambda p, exc: PointResidual(p, False, error=str(exc)))
     ok_rows = [r for r in rows if r.ok]
     failed = len(rows) - len(ok_rows)
     return rows, ok_rows, failed, failed > _FAIL_FRACTION * len(rows) or not ok_rows
@@ -290,11 +295,7 @@ def hypersurface_residual(chart: ImmersionChart,
     if chart.ambient != "euclidean":
         raise GeometryError("hypersurface residual needs a euclidean chart")
     tol = tolerances or Tolerances()
-    if points is None:
-        points = chart.sample_points(default_count=_GRID_COUNT)
-    if not points:
-        raise GeometryError("empty sample set")
-    rows, ok_rows, failed, inconclusive = _sweep(chart, points, orientation, tol)
+    rows, ok_rows, failed, inconclusive = _sweep(chart, points, orientation, tol, _GRID_COUNT)
     classified = [r for r in ok_rows if not r.near_minimal]
     scale = max((r.scale_term for r in ok_rows), default=0.0)
     max_res = max((r.residual_norm for r in classified), default=0.0)
@@ -417,9 +418,7 @@ def link_residual_system(chart: ImmersionChart,
     if chart.ambient != "sphere":
         raise GeometryError("the link system needs a sphere-ambient chart")
     tol = tolerances or Tolerances()
-    if points is None:
-        points = chart.sample_points(default_count=_LINK_COUNT)
-    rows, ok_rows, failed, inconclusive = _sweep(chart, points, orientation, tol)
+    rows, ok_rows, failed, inconclusive = _sweep(chart, points, orientation, tol, _LINK_COUNT)
     max_vec = max((r.residual_norm for r in ok_rows), default=0.0)
     max_scal = max((abs(r.scalar_residual) for r in ok_rows), default=0.0)
     max_f = max((abs(r.f) for r in ok_rows), default=0.0)
@@ -508,7 +507,9 @@ def r4_obstruction(chart: ImmersionChart) -> R4Obstruction:
     weighted_sum = 0.0
     f_sum = 0.0
     area = 0.0
-    for lap, weighted, fw, w in _map_points(_R4Worker(chart, du, dv), cells, _batch_size(2, 4)):
+    # the first failing cell raises its own error
+    for lap, weighted, fw, w in _sweep_rows(lambda p: _r4_terms(chart, p, du, dv),
+                                            _r4_rows, cells, _batch_size(2, 4)):
         lap_sum += lap
         weighted_sum += weighted
         f_sum += fw
@@ -525,30 +526,20 @@ def r4_obstruction(chart: ImmersionChart) -> R4Obstruction:
                          float(f_sum / area), flipped, holds)
 
 
-class _R4Worker(_BatchWorker):
+def _r4_terms(chart: ImmersionChart, point, du: float, dv: float) -> tuple:
     """Per grid cell of the R^4 obstruction: (3 Delta f w, |A|^2 f w, f w, w)
-    with w = sqrt(det g) du dv. A failing cell raises its own error."""
+    with w = sqrt(det g) du dv."""
+    fd = fundamental_data(chart, point, order=4)
+    sd = shape_data_spherical(chart, point, 1, fd)
+    det = np.linalg.det(_points_first(fd.metric.value, 2))
+    w = np.sqrt(np.maximum(det, 0.0)) * du * dv
+    f = sd.mean_curvature.value
+    return (3.0 * scalar_laplacian(fd, sd.mean_curvature) * w,
+            sd.shape_norm_sq.value * f * w, f * w, w)
 
-    def __init__(self, chart, du, dv):
-        self.chart = chart
-        self.du = du
-        self.dv = dv
 
-    def _single(self, point) -> tuple:
-        return tuple(float(c) for c in self._evaluate(point))
-
-    def _evaluate(self, point) -> tuple:
-        fd = fundamental_data(self.chart, point, order=4)
-        sd = shape_data_spherical(self.chart, point, 1, fd)
-        det = np.linalg.det(_points_first(fd.metric.value, 2))
-        w = np.sqrt(np.maximum(det, 0.0)) * self.du * self.dv
-        f = sd.mean_curvature.value
-        return (3.0 * scalar_laplacian(fd, sd.mean_curvature) * w,
-                sd.shape_norm_sq.value * f * w, f * w, w)
-
-    @staticmethod
-    def _rows(points, columns) -> list[tuple]:
-        return list(zip(*(c.tolist() for c in columns)))
+def _r4_rows(points, terms) -> list[tuple]:
+    return list(zip(*(np.ravel(t).tolist() for t in terms)))
 
 
 def _edge_frame(chart, var: int, at_hi: bool):

@@ -12,8 +12,12 @@ import numpy as np
 import pytest
 
 from gausslab.biharmonic import (
-    _PointWorker,
+    INCONCLUSIVE,
+    PointResidual,
     _batch_size,
+    _residual_fields,
+    _residual_rows,
+    _sweep_rows,
     hypersurface_residual,
     link_residual_system,
     r4_obstruction,
@@ -85,6 +89,13 @@ def _points(chart, count, seed):
                   for lo, hi in chart.domain) for _ in range(count)]
 
 
+def _worker(chart):
+    """The sweep's runner over a whole sample as one batch."""
+    return lambda points: _sweep_rows(
+        lambda p: _residual_fields(chart, p, 1, 1e-10), _residual_rows, points, len(points),
+        lambda p, exc: PointResidual(p, False, error=str(exc)))
+
+
 def _single_rows(worker, points):
     return [worker([p])[0] for p in points]
 
@@ -118,7 +129,7 @@ def _assert_rows_close(batch, single):
 
 @pytest.mark.parametrize("chart", CHARTS, ids=[c.name for c in CHARTS])
 def test_batch_rows_match_single_point_rows(chart):
-    worker = _PointWorker(chart, 1, 1e-10)
+    worker = _worker(chart)
     points = _points(chart, 7, seed=chart.dim)
     batch = worker(points)
     assert all(r.ok for r in batch)
@@ -167,7 +178,7 @@ def _bad_cases():
 @pytest.mark.parametrize("chart, points, error", _bad_cases(),
                          ids=["off-domain-log", "off-sphere", "singular-metric"])
 def test_one_bad_point_gives_point_by_point_rows(chart, points, error):
-    worker = _PointWorker(chart, 1, 1e-10)
+    worker = _worker(chart)
     batch = worker(points)
     single = _single_rows(worker, points)
     assert repr(batch) == repr(single)
@@ -175,6 +186,32 @@ def test_one_bad_point_gives_point_by_point_rows(chart, points, error):
     assert len(failed) == 1 and error in failed[0].error
     check = hypersurface_residual if chart.ambient == "euclidean" else link_residual_system
     assert repr(check(chart, points=points).points) == repr(single)
+
+
+def test_finiteness_gates_fail_their_own_points():
+    # 1e150 exp(340 u) overflows at u = 2 (a component value) and at u = 0.5
+    # (the metric, through its squared derivative); it is below 1e-70 for
+    # u <= -1.2, where the surface is the cubic graph
+    chart = chart_from_strings("overflow", ("u", "v"),
+                               ("u", "v", "u*v^2 + v^3 + 1e150*exp(340*u)"),
+                               [(-2.0, 2.0), (-1.0, 1.0)])
+    good = [(-1.5, 0.3), (-1.8, -0.4), (-1.3, 0.6), (-2.0, -0.1)]
+    points = good[:1] + [(2.0, 0.2)] + good[1:3] + [(0.5, 0.1)] + good[3:]
+    # each gate trips for the whole batch pass
+    for batch, gate in ((points, "component jets are"), (good + [(0.5, 0.1)], "metric is")):
+        with pytest.raises(DomainError, match=f"^{gate} not finite at"):
+            _residual_fields(chart, tuple(np.array(batch).T.copy()), 1, 1e-10)
+    worker = _worker(chart)
+    rows = worker(points)
+    assert repr(rows) == repr(_single_rows(worker, points))
+    assert [r.error for r in rows if not r.ok] == [
+        "component jets are not finite at (2.0, 0.2)",
+        "metric is not finite at (0.5, 0.1)"]
+    assert [r.point for r in rows if r.ok] == good
+    assert all(math.isfinite(r.residual_norm) for r in rows if r.ok)
+    report = hypersurface_residual(chart, points=points)
+    assert repr(report.points) == repr(rows)
+    assert (report.verdict, report.failed_points) == (INCONCLUSIVE, 2)
 
 
 # ---------------------------------------------------------------------------

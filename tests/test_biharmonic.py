@@ -244,6 +244,15 @@ def test_minimal_link_reports_harmonic():
     assert rep.max_abs_f < 1e-12
 
 
+@pytest.mark.parametrize("check, chart", [
+    (hypersurface_residual, unit_sphere_chart()),
+    (link_residual_system, sphere_link_chart(3, 0.5)),
+], ids=["hypersurface", "link"])
+def test_empty_sample_is_rejected(check, chart):
+    with pytest.raises(GeometryError, match="empty sample set"):
+        check(chart, points=[])
+
+
 def test_link_system_requires_sphere_ambient():
     with pytest.raises(GeometryError, match="sphere"):
         link_residual_system(unit_sphere_chart())

@@ -441,6 +441,20 @@ def test_verify_link_proper(capsys):
     assert payload["results"]["verdict"] == "ProperBiharmonicGauss"
 
 
+def test_verify_link_config_tolerances_reach_the_verdict(capsys, tmp_path):
+    # the S^3 link's vector residual is roundoff, 1.5e-14, far above a
+    # threshold of 1e-30 + 1e-30 * scale
+    cfg = json.loads((CONFIGS / "sphere_link_S3.json").read_text())
+    path = write_config(tmp_path, **cfg, tolerances={"eps_abs": 1e-30, "eps_rel": 1e-30})
+    code, payload, _ = run_json(capsys, "verify-link", "--config", path)
+    assert code == 0
+    results = payload["results"]
+    assert results["verdict"] == "NotBiharmonic"
+    assert results["tolerances"] == {"eps_abs": 1e-30, "eps_rel": 1e-30,
+                                     "grad_rel": 1e-7, "near_minimal_f": 1e-10}
+    assert results["max_vector_residual"] > results["vector_threshold"]
+
+
 def test_verify_link_torus_not_biharmonic(capsys):
     code, payload, _ = run_json(
         capsys, "verify-link", "--config", str(CONFIGS / "torus_link.json"))
