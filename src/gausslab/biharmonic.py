@@ -34,6 +34,7 @@ from .geometry import (
     GeometryError,
     ImmersionChart,
     ShapeData,
+    _apply,
     _points_first,
     fundamental_data,
     gradient_of_mean_curvature,
@@ -114,7 +115,7 @@ def _batch_size(dim: int, order: int) -> int:
     return max(1, 65536 // math.comb(2 * dim + order, order))
 
 
-_NUMERICAL = (DomainError, GeometryError, FloatingPointError)
+_NUMERICAL = (DomainError, GeometryError)
 
 
 def _sweep_rows(evaluate: Callable, rows: Callable, points: Sequence, batch: int,
@@ -125,20 +126,31 @@ def _sweep_rows(evaluate: Callable, rows: Callable, points: Sequence, batch: int
     rows. When a pass raises a numerical error, the batch is evaluated again
     one point at a time, so that rows and errors are exactly those of
     one-point evaluation; a lone point always runs that way, on one-point
-    jets. A failing point gives the row `failed(point, exc)`, or its error
-    propagates when `failed` is None."""
+    jets. A pass runs with numpy's floating-point warnings off, and an
+    output value that is not finite raises DomainError, so that such a row
+    fails as its own point. A failing point gives the row
+    `failed(point, exc)`, or its error propagates when `failed` is None."""
+
+    def finite(p):
+        with np.errstate(all="ignore"):
+            value = evaluate(p)
+        fields = value.values() if isinstance(value, dict) else value
+        if not np.isfinite(np.concatenate([np.ravel(v) for v in fields])).all():
+            raise DomainError(f"row fields are not finite at {p}")
+        return value
+
     out = []
     for start in range(0, len(points), batch):
         chunk = [tuple(p) for p in points[start:start + batch]]
         if len(chunk) > 1:
             try:
-                out += rows(chunk, evaluate(tuple(np.array(chunk, dtype=float).T.copy())))
+                out += rows(chunk, finite(tuple(np.array(chunk, dtype=float).T.copy())))
                 continue
             except _NUMERICAL:
                 pass
         for p in chunk:
             try:
-                value = evaluate(p)
+                value = finite(p)
             except _NUMERICAL as exc:
                 if failed is None:
                     raise
@@ -212,11 +224,6 @@ def _residual_rows(points, fields: dict) -> list[PointResidual]:
     return [PointResidual(p, True, residual=tuple(r),
                           **{k: col[i] for k, col in columns.items()})
             for i, (p, r) in enumerate(zip(points, vectors))]
-
-
-def _apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A v for one point; over a batch, per point (A of shape (m, m, N))."""
-    return A @ v if v.ndim == 1 else np.einsum("ij...,j...->i...", A, v)
 
 
 def _sweep(chart: ImmersionChart, points: Sequence | None, orientation: int,
@@ -448,7 +455,7 @@ def corollary_necessary_condition(sd: ShapeData, v: np.ndarray) -> np.ndarray:
     operator from the Gauss equation."""
     A = sd.shape_operator.value
     norm_sq = sd.shape_norm_sq.value
-    return (A @ (A @ v) - ricci_via_gauss_equation(sd, v)
+    return (_apply(A, _apply(A, v)) - ricci_via_gauss_equation(sd, v)
             + (sd.dim - 1 - (2.0 / 3.0) * norm_sq) * v)
 
 

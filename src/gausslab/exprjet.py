@@ -28,7 +28,7 @@ import math
 from collections import Counter, OrderedDict
 from functools import lru_cache, wraps
 from types import SimpleNamespace
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -580,77 +580,81 @@ _ARRAY_FUNCTIONS = SimpleNamespace(
     atan=np.arctan, asin=np.arcsin, acos=np.arccos)
 
 
-def _series(fn: str, c, n: int) -> list:
-    """Taylor coefficients a_j = fn^(j)(c)/j! for j = 0..n. The base value c
-    is a float (math functions) or an array of per-point values (numpy
-    functions); a value that is not finite raises DomainError."""
+def _series(fn: str, c, n: int, h=1.0) -> list:
+    """Taylor coefficients a_j h^j = fn^(j)(c) h^j / j! for j = 0..n, those of
+    t -> fn(c + h t). The base value c is a float (math functions) or an
+    array of per-point values (numpy functions), and h is a float or one per
+    value; a value that is not finite raises DomainError."""
     if isinstance(c, float):
         if not math.isfinite(c):
             raise DomainError(f"{fn} of a value that is not finite")
         try:
-            return _series_of(fn, c, n, math)
+            return _series_of(fn, c, n, math, h)
         except OverflowError:
             raise DomainError(f"{fn}({c!r}) is not finite") from None
     if not np.isfinite(c).all():
         raise DomainError(f"{fn} of a value that is not finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _series_of(fn, c, n, _ARRAY_FUNCTIONS)
+        v = _series_of(fn, c, n, _ARRAY_FUNCTIONS, h)
     if not np.isfinite(v[0]).all():
         raise DomainError(f"{fn} is not finite at some point")
     return v
 
 
-def _series_of(fn: str, c, n: int, lib) -> list:
+def _series_of(fn: str, c, n: int, lib, h) -> list:
+    """The series of `_series`. With h a power of two, each a_j h^j is
+    a_j scaled exactly, as h enters every recurrence as one factor."""
     if fn == "exp":
         v = [lib.exp(c)]
         for k in range(1, n + 1):
-            v.append(v[k - 1] / k)
+            v.append(v[k - 1] * h / k)
         return v
     if fn == "log":
         if np.any(c <= 0.0):
             raise DomainError("log of non-positive value")
-        v = [lib.log(c), 1.0 / c]
+        v = [lib.log(c), h / c]
         for k in range(2, n + 1):
-            v.append(-(k - 1) * v[k - 1] / (k * c))
+            v.append(-(k - 1) * v[k - 1] * h / (k * c))
         return v[: n + 1]
     if fn == "sqrt":
         if np.any(c <= 0.0):
             raise DomainError("sqrt of non-positive value")
-        return _poly_pow([c, 1.0], 0.5, n)
+        return _poly_pow([c, h], 0.5, n)
     if fn in ("sin", "cos"):
         s, co = [lib.sin(c)], [lib.cos(c)]
         for k in range(1, n + 1):
-            s.append(co[k - 1] / k)
-            co.append(-s[k - 1] / k)
+            s.append(co[k - 1] * h / k)
+            co.append(-s[k - 1] * h / k)
         return s if fn == "sin" else co
     if fn in ("sinh", "cosh"):
         s, co = [lib.sinh(c)], [lib.cosh(c)]
         for k in range(1, n + 1):
-            s.append(co[k - 1] / k)
-            co.append(s[k - 1] / k)
+            s.append(co[k - 1] * h / k)
+            co.append(s[k - 1] * h / k)
         return s if fn == "sinh" else co
     if fn == "tan":
-        return _poly_div(_series_of("sin", c, n, lib), _series_of("cos", c, n, lib), n)
+        return _poly_div(_series_of("sin", c, n, lib, h), _series_of("cos", c, n, lib, h), n)
     if fn == "cot":
-        return _poly_div(_series_of("cos", c, n, lib), _series_of("sin", c, n, lib), n)
+        return _poly_div(_series_of("cos", c, n, lib, h), _series_of("sin", c, n, lib, h), n)
     if fn == "tanh":
-        return _poly_div(_series_of("sinh", c, n, lib), _series_of("cosh", c, n, lib), n)
+        return _poly_div(_series_of("sinh", c, n, lib, h), _series_of("cosh", c, n, lib, h),
+                         n)
     if fn == "atan":
-        w = [1.0 + c * c, 2.0 * c, 1.0]
+        w = [1.0 + c * c, 2.0 * c * h, h * h]
         g = _poly_div([1.0], w, max(n - 1, 0))
         v = [lib.atan(c)]
         for k in range(1, n + 1):
-            v.append(g[k - 1] / k)
+            v.append(g[k - 1] * h / k)
         return v
     if fn in ("asin", "acos"):
         if np.any(abs(c) >= 1.0):
             raise DomainError(f"{fn} outside (-1, 1)")
-        w = _poly_pow([1.0 - c * c, -2.0 * c, -1.0], 0.5, max(n - 1, 0))
+        w = _poly_pow([1.0 - c * c, -2.0 * c * h, -h * h], 0.5, max(n - 1, 0))
         g = _poly_div([1.0], w, max(n - 1, 0))
         sign = 1.0 if fn == "asin" else -1.0
         v = [lib.asin(c) if fn == "asin" else lib.acos(c)]
         for k in range(1, n + 1):
-            v.append(sign * g[k - 1] / k)
+            v.append(sign * g[k - 1] * h / k)
         return v
     raise ValueError(f"unknown function {fn!r}")
 
@@ -865,25 +869,39 @@ class JetValue:
 
     def _reciprocal(self) -> "JetValue":
         c = self.value
-        series = [1.0 / c]
-        for _ in range(self.order):
-            series.append(-series[-1] / c)
+
+        def series(h):
+            out = [1.0 / c]
+            for _ in range(self.order):
+                out.append(-out[-1] * h / c)
+            return out
+
         return self._horner(series)
 
-    def _horner(self, series: list) -> "JetValue":
-        """Compose the univariate Taylor series a_0..a_n (n = order) with the
-        zero-constant part w of this jet by Horner's rule, r_k = a_k + w r_(k+1)
-        from r_n = a_n down to r_0. As w vanishes at the base point, r_k is
-        read only to order n - k, so step k runs at that order, r_(k+1)
-        padded with zero coefficients. Each coefficient of r_0 sums the same
-        pairs in the same order as a full-order step would; the pairs this
-        skips multiply the zero constant of w. A jet of support 0 has w = 0,
-        so its composition is the constant a_0."""
+    def _horner(self, series_of: Callable) -> "JetValue":
+        """Compose a univariate function with this jet, c + w with w of zero
+        constant, as f(c + h t) at t = w / h. `series_of(h)` gives the Taylor
+        series a_0..a_n (n = order) of t -> f(c + h t), and h is the largest
+        power of two at most the largest |coefficient| of w, per entry and
+        point: a tiny or huge argument keeps the a_k and w / h in range,
+        where f's own series would overflow. Scaling by a power of two is
+        exact, so elsewhere the composition keeps the bits of h = 1.
+
+        Horner's rule gives r_k = a_k + (w / h) r_(k+1) from r_n = a_n down
+        to r_0. As w vanishes at the base point, r_k is read only to order
+        n - k, so step k runs at that order, r_(k+1) padded with zero
+        coefficients. Each coefficient of r_0 sums the same pairs in the
+        same order as a full-order step would; the pairs this skips multiply
+        the zero constant of w. A jet of support 0 has w = 0, so its
+        composition is the constant a_0."""
         m, n = self.m, self.order
         if not self.support:
-            return JetValue.constant(series[0], m, n, self.rank)
+            return JetValue.constant(series_of(1.0)[0], m, n, self.rank)
         w = self.coeffs.copy()
         w[0] = 0.0
+        h = _scale_of(w)
+        w /= h
+        series = series_of(h)
         result = JetValue.constant(series[n], m, 0, self.rank)
         for k in range(n - 1, -1, -1):
             size = math.comb(m + n - k, m)
@@ -894,7 +912,7 @@ class JetValue:
         return result
 
     def compose(self, fn: str) -> "JetValue":
-        return self._horner(_series(fn, self.value, self.order))
+        return self._horner(lambda h: _series(fn, self.value, self.order, h))
 
     def ipow(self, n: int) -> "JetValue":
         """Binary powering from the top bit down, O(log |n|) products; raises
@@ -915,6 +933,15 @@ class JetValue:
 
     def __repr__(self):
         return f"JetValue(m={self.m}, order={self.order}, value={self.value!r})"
+
+
+def _scale_of(w: np.ndarray):
+    """The largest power of two at most the largest |coefficient| of the jet
+    coefficients w, per entry and point (a float for one scalar)."""
+    size = np.abs(w).max(axis=0)
+    if size.ndim:
+        return np.ldexp(1.0, np.frexp(size)[1] - 1)
+    return math.ldexp(1.0, math.frexp(size)[1] - 1)
 
 
 def _pair_sum(m: int, order: int, x: np.ndarray, y: np.ndarray, va: int, vb: int) -> np.ndarray:

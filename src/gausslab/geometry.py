@@ -17,7 +17,9 @@ e - T^T g^(-1) T e (and off the position on a sphere).
 
 Every tensor is one `JetValue` with tensor axes (see `exprjet`), and each of
 g = T T^T, the Neumann series for g^(-1), Gamma, h, A = g^(-1) h, tr A, |A|^2,
-the projected normal and grad f is one `contract` over those axes.
+the projected normal and grad f is one `contract` over those axes. One
+Laplacian serves functions and vector fields; it and the other algebra on
+values are einsums whose trailing `...` reads one point and a batch alike.
 
 Index conventions: i, j, k, l label chart variables (0..m-1); a, b label
 ambient coordinates. Tensor axes follow the index order written: the frame
@@ -312,11 +314,10 @@ class FundamentalData(NamedTuple):
     frame: JetValue  # [i, a] = d_i X_a
 
     def norm(self, vec: np.ndarray):
-        """|vec|_g: a float, or an array over a batch (vec of shape (m, N))."""
-        g = self.metric.value
-        if vec.ndim == 1:
-            return float(math.sqrt(max(vec @ g @ vec, 0.0)))
-        return np.sqrt(np.maximum(np.einsum("i...,ij...,j...->...", vec, g, vec), 0.0))
+        """|vec|_g at one point, or per point over a batch (vec of shape
+        (m, N))."""
+        return np.sqrt(np.maximum(
+            np.einsum("i...,ij...,j...->...", vec, self.metric.value, vec), 0.0))
 
 
 class ShapeData(NamedTuple):
@@ -456,46 +457,39 @@ def gradient_of_mean_curvature(fd: FundamentalData, sd: ShapeData) -> JetValue:
     return contract("ij,j->i", fd.inverse_metric, sd.mean_curvature.gradient())
 
 
-def rough_laplacian(fd: FundamentalData, V: JetValue) -> np.ndarray:
-    """Connection Laplacian Delta V = -trace_g(nabla^2 V) at the base point.
+def rough_laplacian(fd: FundamentalData, F: JetValue):
+    """Delta F = -trace_g(nabla^2 F) at the base point of a function (a
+    scalar jet) or a vector field (a vector jet, [k] = F^k) carried to order
+    >= 2, with the Christoffels to order >= 1.
 
-    Needs the vector jet V carried to order >= 2 and Christoffels to order
-    >= 1; returns the coordinate components of Delta V as floats (shape
-    (m, N) over a batch). The partials are the values of gradient jets.
+    W = nabla F is carried as a jet of order 1, W[j, k] = d_j F^k +
+    Gamma^k_jr F^r, and (nabla^2 F)_ij^k = d_i W_j^k + Gamma^k_ir W_j^r -
+    Gamma^l_ij W_l^k reads its partials; a function has no k and no Gamma W
+    term. The trailing `...` of each einsum holds k and the point axis of a
+    batch: the result has shape (), (m,), (N,) or (m, N).
     """
-    ginv = _points_first(fd.inverse_metric.value, 2)
-    Gam = _points_first(fd.christoffels.value, 3)  # Gam[k, i, j] = Gamma^k_ij
-    dGam = _points_first(fd.christoffels.gradient().value, 4)  # [i, k, j, r] = d_i Gamma^k_jr
-    dV = V.gradient()
-    ddV = _points_first(dV.gradient().value, 3)  # ddV[i, j, k] = d_i d_j V^k
-    dV = _points_first(dV.value, 2)  # dV[i, k] = d_i V^k
-    Vv = _points_first(V.value, 1)
-    # nabla_i nabla_j V - nabla_(Gamma^l_ij d_l) V, then minus the g-trace
-    term = (ddV
-            + np.einsum("...ikjr,...r->...ijk", dGam, Vv)
-            + np.einsum("...kjr,...ir->...ijk", Gam, dV)
-            + np.einsum("...kir,...jr->...ijk", Gam, dV)
-            + np.einsum("...kir,...rjs,...s->...ijk", Gam, Gam, Vv)
-            - np.einsum("...lij,...lk->...ijk", Gam, dV)
-            - np.einsum("...lij,...klr,...r->...ijk", Gam, Gam, Vv))
-    return _points_last(-np.einsum("...ij,...ijk->...k", ginv, term), 1)
+    W = F.truncate(2).gradient()
+    if F.rank:
+        W = W + contract("kjr,r->jk", fd.christoffels, F)
+    Gam = fd.christoffels.value  # [k, i, j] = Gamma^k_ij
+    hess = W.gradient().value - np.einsum("lij...,l...->ij...", Gam, W.value)
+    if F.rank:
+        hess = hess + np.einsum("kir...,jr...->ijk...", Gam, W.value)
+    return -np.einsum("ij...,ij...->...", fd.inverse_metric.value, hess)
 
 
-def scalar_laplacian(fd: FundamentalData, f: JetValue):
-    """Laplace-Beltrami with the geometer's sign: Delta f = -trace_g Hess f
-    (a float, or an array over a batch)."""
-    ginv = _points_first(fd.inverse_metric.value, 2)
-    Gam = _points_first(fd.christoffels.value, 3)
-    df = f.gradient()
-    hess = (_points_first(df.gradient().value, 2)
-            - np.einsum("...lij,...l->...ij", Gam, _points_first(df.value, 1)))
-    out = -np.einsum("...ij,...ij->...", ginv, hess)
-    return float(out) if out.ndim == 0 else out
+# the name the scalar callers use, so that a tracer times them apart
+scalar_laplacian = rough_laplacian
+
+
+def _apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v at one point, or per point over a batch (A of shape (m, m, N))."""
+    return np.einsum("ij...,j...->i...", A, v)
 
 
 def ricci_via_gauss_equation(sd: ShapeData, x: np.ndarray) -> np.ndarray:
     """Ricci operator of a link in the unit sphere applied to the vector x
     (its components at the base point): Ric(x) = (m-1) x + m f A(x) - A^2(x)."""
     m, A = sd.dim, sd.shape_operator.value
-    Ax = np.einsum("ij...,j...->i...", A, x)
-    return (m - 1) * x + m * sd.mean_curvature.value * Ax - np.einsum("ij...,j...->i...", A, Ax)
+    Ax = _apply(A, x)
+    return (m - 1) * x + m * sd.mean_curvature.value * Ax - _apply(A, Ax)

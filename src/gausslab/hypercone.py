@@ -196,18 +196,21 @@ def _sphere_components(variables: Sequence[str]) -> list[str]:
 _LINK_BOX = 0.6  # half-width of a link chart's box in a non-periodic variable
 
 
+def _radius_sources(r_sq) -> list[str]:
+    """The `sqrt(...)` sources of r and of sqrt(1 - r^2): exact quotients
+    for an exact r^2 (a Fraction or int), float literals for a float."""
+    if isinstance(r_sq, float):
+        return [f"sqrt({x!r})" for x in (r_sq, 1.0 - r_sq)]
+    r_sq = Fraction(r_sq)
+    return [f"sqrt({x.numerator}/{x.denominator})" for x in (r_sq, 1 - r_sq)]
+
+
 def sphere_link_chart(m: int, a_sq) -> ImmersionChart:
     """Small sphere S^m(a) at constant height in S^(m+1); `a_sq` may be a
     Fraction/int pair-friendly exact value or a float."""
     from .geometry import chart_from_strings
 
-    a_sq_f = Fraction(a_sq) if not isinstance(a_sq, float) else None
-    if a_sq_f is not None:
-        a_src = f"sqrt({a_sq_f.numerator}/{a_sq_f.denominator})"
-        c_src = f"sqrt({(1 - a_sq_f).numerator}/{(1 - a_sq_f).denominator})"
-    else:
-        a_src = f"sqrt({a_sq!r})"
-        c_src = f"sqrt({1.0 - a_sq!r})"
+    a_src, c_src = _radius_sources(a_sq)
     variables = tuple(f"u{i+1}" for i in range(m))
     comps = [f"({c})*{a_src}" for c in _sphere_components(variables)] + [c_src]
     if m == 1:
@@ -222,13 +225,7 @@ def clifford_link_chart(m1: int, m2: int, r1_sq) -> ImmersionChart:
     """Product link S^m1(r1) x S^m2(r2) in the unit sphere, r2^2 = 1 - r1^2."""
     from .geometry import chart_from_strings
 
-    r1_sq_f = Fraction(r1_sq) if not isinstance(r1_sq, float) else None
-    if r1_sq_f is not None:
-        r1_src = f"sqrt({r1_sq_f.numerator}/{r1_sq_f.denominator})"
-        r2_src = f"sqrt({(1 - r1_sq_f).numerator}/{(1 - r1_sq_f).denominator})"
-    else:
-        r1_src = f"sqrt({r1_sq!r})"
-        r2_src = f"sqrt({1.0 - r1_sq!r})"
+    r1_src, r2_src = _radius_sources(r1_sq)
     u_vars = tuple(f"u{i+1}" for i in range(m1))
     v_vars = tuple(f"v{i+1}" for i in range(m2))
     comps = [f"({c})*{r1_src}" for c in _sphere_components(u_vars)]

@@ -16,6 +16,7 @@ from gausslab.biharmonic import (
     PointResidual,
     _batch_size,
     _residual_fields,
+    _r4_rows,
     _residual_rows,
     _sweep_rows,
     hypersurface_residual,
@@ -212,6 +213,20 @@ def test_finiteness_gates_fail_their_own_points():
     report = hypersurface_residual(chart, points=points)
     assert repr(report.points) == repr(rows)
     assert (report.verdict, report.failed_points) == (INCONCLUSIVE, 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_row_that_is_not_finite_fails_its_own_point():
+    # 1 / (u - 0.5) divides by zero at u = 0.5 alone, with no numpy warning
+    def evaluate(p):
+        return (1.0 / (np.asarray(p[0]) - 0.5),)
+
+    points = [(0.25,), (0.5,), (0.75,)]
+    rows = _sweep_rows(evaluate, _r4_rows, points, len(points), lambda p, exc: str(exc))
+    assert rows == [(-4.0,), "row fields are not finite at (0.5,)", (4.0,)]
+    # with no row for a failed point, as the R^4 grid runs, the error propagates
+    with pytest.raises(DomainError, match=r"^row fields are not finite at \(0\.5,\)$"):
+        _sweep_rows(evaluate, _r4_rows, points, len(points))
 
 
 # ---------------------------------------------------------------------------

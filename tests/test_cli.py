@@ -171,6 +171,22 @@ def test_verify_overflowing_power_fails_points_without_numpy_warning(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_non_finite_rows_fail_their_points(capsys, tmp_path):
+    # the component jets and the metric of 1e308 u^2 are finite at u = 0,
+    # but its curvature overflows there: each point fails, and no row is a
+    # verdict
+    samples = [[0.0, 0.3], [0.0, -0.2], [0.0, 0.5]]
+    path = write_config(tmp_path, name="huge", components=["u", "v", "1e308*u*u"],
+                        samples=samples)
+    code, payload, _ = run_json(capsys, "verify", "--config", path)
+    assert code == 4
+    res = payload["results"]
+    assert (res["verdict"], res["failed_points"]) == ("Inconclusive", 3)
+    assert [p["error"] for p in res["points"]] == [
+        f"row fields are not finite at {tuple(p)}" for p in samples]
+
+
 def test_verify_past_the_jet_table_bound_is_numeric_failure(tmp_path):
     # order-5 jet tables key multi-indices in base 6, and 6^25 overflows a
     # machine integer: the run stops before any table is built

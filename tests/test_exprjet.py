@@ -16,6 +16,7 @@ from gausslab.exprjet import (
     _deriv_tables,
     _exponents,
     _mul_tables,
+    _scale_of,
     _series,
     antiderivative_jet,
     contract,
@@ -151,6 +152,21 @@ def test_integer_power_overflow_is_domain_error():
     with pytest.raises(DomainError, match="overflows"):
         jet_of("x^(0-1e300)", ("x",), (0.5,))
     assert jet_of("x^1e10", ("x",), (0.5,)).value == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("src, same", [
+    ("log(1e-62*u)", "log(u) + log(1e-62)"),
+    ("1/(1e-80*u)", "1e80*(1/u)"),
+    ("sqrt(1e-70*u)", "sqrt(1e-70)*sqrt(u)"),
+])
+@pytest.mark.parametrize("point", [(0.5,), (np.array([0.5, 0.7, 1.9]),)], ids=["point", "batch"])
+def test_composition_with_a_tiny_argument_stays_finite(src, same, point):
+    # the series of log, 1/x and sqrt at 5e-63 (5e-81, 5e-71) overflow past
+    # their fourth term; scaled to the argument's size they do not
+    got = eval_jet(parse_expression(src, ("u",)), EvalContext(point, order=5)).coeffs
+    want = eval_jet(parse_expression(same, ("u",)), EvalContext(point, order=5)).coeffs
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_shift_variables_embeds_chart_coordinates():
@@ -615,11 +631,15 @@ def _dense_pair_sum(m, order, x, y, *masks):
                        minlength=n * size).reshape((n,) + terms.shape[1:])
 
 
-def _dense_horner(jet, series):
-    """The order-graded Horner composition with no shortcut for a constant."""
+def _dense_horner(jet, series_of):
+    """The order-graded Horner composition, scaled as `JetValue._horner`
+    scales it, with no shortcut for a constant."""
     m, n = jet.m, jet.order
     w = jet.coeffs.copy()
     w[0] = 0.0
+    h = _scale_of(w)
+    w /= h
+    series = series_of(h)
     result = JetValue.constant(series[n], m, 0, jet.rank)
     for k in range(n - 1, -1, -1):
         size = math.comb(m + n - k, m)

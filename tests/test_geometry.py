@@ -23,7 +23,12 @@ from gausslab.geometry import (
     shape_data_euclidean,
     shape_data_spherical,
 )
-from gausslab.hypercone import build_cone_chart, sphere_link_chart, sphere_link_solver
+from gausslab.hypercone import (
+    _sphere_components,
+    build_cone_chart,
+    sphere_link_chart,
+    sphere_link_solver,
+)
 
 from conftest import graph_chart, unit_sphere_chart
 
@@ -136,15 +141,35 @@ def test_sphere_constraint_enforced():
         shape_data_spherical(bad, (0.3,))
 
 
-def test_scalar_laplacian_sphere_eigenfunction():
-    # height function on the unit sphere: Delta = -trace Hess, eigenvalue 2
-    sph = unit_sphere_chart()
-    for p in [(0.7, 0.4), (2.1, -0.3), (4.0, 0.9)]:
-        fd = fundamental_data(sph, p)
-        f_jet = eval_jet(parse_expression("sin(v)", ("u", "v")),
-                         EvalContext(p, order=5))
-        assert scalar_laplacian(fd, f_jet) == pytest.approx(
-            2.0 * math.sin(p[1]), rel=1e-10)
+def _height_function_on_sphere(m):
+    """The chart of S^m in R^(m+1) that the link charts use, and phi, its
+    first coordinate, at a lone point and at a batch of three points: fd,
+    the jet of phi and the jet of grad phi at each."""
+    names = tuple(f"u{i + 1}" for i in range(m))
+    comps = _sphere_components(names)
+    sphere = chart_from_strings(f"S^{m}", names, comps, [(-0.6, 0.6)] * m)
+    batch = tuple(np.random.default_rng(m).uniform(-0.5, 0.5, (m, 3)))
+    for point in (tuple(float(x[0]) for x in batch), batch):
+        fd = fundamental_data(sphere, point)
+        phi = eval_jet(parse_expression(comps[0], names), EvalContext(fd.point))
+        yield fd, phi, contract("ij,j->i", fd.inverse_metric, phi.gradient())
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_scalar_laplacian_sphere_eigenfunction(m):
+    # a height function on the unit sphere S^m: Delta = -trace Hess, eigenvalue m
+    for fd, phi, _ in _height_function_on_sphere(m):
+        assert np.allclose(scalar_laplacian(fd, phi), m * phi.value, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_rough_laplacian_sphere_gradient_field(m):
+    # Bochner: Delta(grad phi) = grad(Delta phi) - Ric(grad phi), and on S^m
+    # Ric = (m - 1) g, so the gradient of a height function is fixed
+    for fd, _, grad in _height_function_on_sphere(m):
+        lap = rough_laplacian(fd, grad)
+        assert lap.shape == grad.value.shape
+        assert np.abs(lap - grad.value).max() <= 1e-12 * np.abs(grad.value).max()
 
 
 def test_rough_laplacian_of_constant_field_on_flat_chart():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gausslab.biharmonic import HARMONIC, PROPER_BIHARMONIC, hypersurface_residual
+from gausslab.exprjet import parse_expression
 from gausslab.geometry import (
     fundamental_data,
     shape_data_euclidean,
@@ -121,6 +122,22 @@ def test_sphere_link_chart_stays_on_unit_sphere():
         fd = fundamental_data(chart, p)
         X = np.array([j.value for j in fd.position])
         assert X @ X == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("r_sq, r_src, rest_src", [
+    (Fraction(1, 3), "sqrt(1/3)", "sqrt(2/3)"),
+    (0.25, "sqrt(0.25)", "sqrt(0.75)"),
+], ids=["fraction", "float"])
+def test_link_charts_spell_the_radius_sources(r_sq, r_src, rest_src):
+    # an exact r^2 gives exact quotients, a float its repr
+    sphere = sphere_link_chart(2, r_sq)
+    want = [f"(cos(u1)*cos(u2))*{r_src}", f"(sin(u1)*cos(u2))*{r_src}",
+            f"(sin(u2))*{r_src}", rest_src]
+    assert list(sphere.components) == [parse_expression(c, ("u1", "u2")) for c in want]
+    clifford = clifford_link_chart(1, 1, r_sq)
+    want = [f"(cos(u1))*{r_src}", f"(sin(u1))*{r_src}",
+            f"(cos(v1))*{rest_src}", f"(sin(v1))*{rest_src}"]
+    assert list(clifford.components) == [parse_expression(c, ("u1", "v1")) for c in want]
 
 
 def link_shape_values(chart):
