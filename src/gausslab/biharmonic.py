@@ -13,7 +13,8 @@ Ricci operator, and the integral obstruction for cones in R^4 (the exact
 prolongation certificate for cones in R^3 lives in `hypercone`).
 
 Every sweep, over a residual sample or the R^4 grid, runs through
-`_sweep_rows` as batched jet passes in the calling process.
+`_sweep_rows` as batched jet passes in the calling process; a row has the
+same bits whatever batch computed it.
 
 Verdicts: HarmonicGauss (grad f vanishes on the sample), ProperBiharmonicGauss
 (residual vanishes at scale, grad f does not), NotBiharmonic, Inconclusive
@@ -123,41 +124,33 @@ def _sweep_rows(evaluate: Callable, rows: Callable, points: Sequence, batch: int
     """Rows over the sample, in sample order. The sample is cut into batches
     of `batch` points, and `evaluate` runs one jet pass per batch on one
     array per variable; `rows(points, out)` reads the pass's output into
-    rows. When a pass raises a numerical error, the batch is evaluated again
-    one point at a time, so that rows and errors are exactly those of
-    one-point evaluation; a lone point always runs that way, on one-point
-    jets. A pass runs with numpy's floating-point warnings off, and an
-    output value that is not finite raises DomainError, so that such a row
-    fails as its own point. A failing point gives the row
-    `failed(point, exc)`, or its error propagates when `failed` is None."""
+    rows. A row has the same bits whatever batch computed it, so a pass
+    that raises a numerical error runs again as two halves, and so on down
+    to lone points on one-point jets, whose errors name them: one bad
+    point among n costs at most 2 log2(n) + 1 passes. A pass runs with
+    numpy's floating-point warnings off, and an output value that is not
+    finite raises DomainError, so that such a row fails as its own point.
+    A failing point gives the row `failed(point, exc)`, or its error
+    propagates when `failed` is None."""
 
-    def finite(p):
-        with np.errstate(all="ignore"):
-            value = evaluate(p)
-        fields = value.values() if isinstance(value, dict) else value
-        if not np.isfinite(np.concatenate([np.ravel(v) for v in fields])).all():
-            raise DomainError(f"row fields are not finite at {p}")
-        return value
+    def run(chunk):
+        p = chunk[0] if len(chunk) == 1 else tuple(np.array(chunk, dtype=float).T.copy())
+        try:
+            with np.errstate(all="ignore"):
+                value = evaluate(p)
+            fields = value.values() if isinstance(value, dict) else value
+            if not np.isfinite(np.concatenate([np.ravel(v) for v in fields])).all():
+                raise DomainError(f"row fields are not finite at {p}")
+        except _NUMERICAL as exc:
+            if len(chunk) > 1:
+                return run(chunk[:len(chunk) // 2]) + run(chunk[len(chunk) // 2:])
+            if failed is None:
+                raise
+            return [failed(p, exc)]
+        return rows(chunk, value)
 
-    out = []
-    for start in range(0, len(points), batch):
-        chunk = [tuple(p) for p in points[start:start + batch]]
-        if len(chunk) > 1:
-            try:
-                out += rows(chunk, finite(tuple(np.array(chunk, dtype=float).T.copy())))
-                continue
-            except _NUMERICAL:
-                pass
-        for p in chunk:
-            try:
-                value = finite(p)
-            except _NUMERICAL as exc:
-                if failed is None:
-                    raise
-                out.append(failed(p, exc))
-            else:
-                out += rows([p], value)
-    return out
+    return [row for start in range(0, len(points), batch)
+            for row in run([tuple(p) for p in points[start:start + batch]])]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from collections import Counter, OrderedDict
 from functools import lru_cache, wraps
-from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -549,8 +548,13 @@ def _deriv_tables(m: int, order: int, var: int):
 # Univariate Taylor coefficient recurrences at a point
 
 
+def _any(mask):
+    """np.any, without the cost of first making a lone point's bool an array."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
 def _poly_div(a: list, b: list, n: int) -> list:
-    if np.any(b[0] == 0.0):
+    if _any(b[0] == 0.0):
         raise DomainError("division by zero constant term")
     out = [0.0] * (n + 1)
     for k in range(n + 1):
@@ -561,10 +565,10 @@ def _poly_div(a: list, b: list, n: int) -> list:
     return out
 
 def _poly_pow(s: list, a: float, n: int) -> list:
-    if np.any(s[0] <= 0.0):
+    if _any(s[0] <= 0.0):
         raise DomainError("fractional power of non-positive value")
     out = [0.0] * (n + 1)
-    out[0] = s[0] ** a
+    out[0] = _at(np.power, s[0], a)
     for k in range(1, n + 1):
         acc = 0.0
         for j in range(1, k + 1):
@@ -574,85 +578,80 @@ def _poly_pow(s: list, a: float, n: int) -> list:
     return out
 
 
-# elementary functions of an array of base values, one value per point
-_ARRAY_FUNCTIONS = SimpleNamespace(
-    exp=np.exp, log=np.log, sin=np.sin, cos=np.cos, sinh=np.sinh, cosh=np.cosh,
-    atan=np.arctan, asin=np.arcsin, acos=np.arccos)
+def _at(f, c, *args):
+    """numpy's f at c; a float for a float, whose recurrences then never warn."""
+    v = f(c, *args)
+    return float(v) if isinstance(c, float) else v
 
 
 def _series(fn: str, c, n: int, h=1.0) -> list:
     """Taylor coefficients a_j h^j = fn^(j)(c) h^j / j! for j = 0..n, those of
-    t -> fn(c + h t). The base value c is a float (math functions) or an
-    array of per-point values (numpy functions), and h is a float or one per
-    value; a value that is not finite raises DomainError."""
-    if isinstance(c, float):
-        if not math.isfinite(c):
-            raise DomainError(f"{fn} of a value that is not finite")
-        try:
-            return _series_of(fn, c, n, math, h)
-        except OverflowError:
-            raise DomainError(f"{fn}({c!r}) is not finite") from None
-    if not np.isfinite(c).all():
+    t -> fn(c + h t), at a base value c (a float) or per point (an array),
+    with h a float or one per value. Both take numpy's functions, so a lone
+    point gets its batch column's bits; a value that is not finite raises
+    DomainError. A lone |c| < 709 (e^709 < 2^1023) overflows nowhere, so it
+    skips numpy's error state, which costs about as much as the series."""
+    lone = isinstance(c, float)
+    finite = math.isfinite if lone else lambda x: np.isfinite(x).all()
+    if not finite(c):
         raise DomainError(f"{fn} of a value that is not finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = _series_of(fn, c, n, _ARRAY_FUNCTIONS, h)
-    if not np.isfinite(v[0]).all():
-        raise DomainError(f"{fn} is not finite at some point")
+    if lone and abs(c) < 709.0:
+        v = _series_of(fn, c, n, h)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = _series_of(fn, c, n, h)
+    if not finite(v[0]):
+        raise DomainError(f"{fn}({c!r}) is not finite" if lone
+                          else f"{fn} is not finite at some point")
     return v
 
 
-def _series_of(fn: str, c, n: int, lib, h) -> list:
+def _series_of(fn: str, c, n: int, h) -> list:
     """The series of `_series`. With h a power of two, each a_j h^j is
     a_j scaled exactly, as h enters every recurrence as one factor."""
     if fn == "exp":
-        v = [lib.exp(c)]
+        v = [_at(np.exp, c)]
         for k in range(1, n + 1):
             v.append(v[k - 1] * h / k)
         return v
     if fn == "log":
-        if np.any(c <= 0.0):
+        if _any(c <= 0.0):
             raise DomainError("log of non-positive value")
-        v = [lib.log(c), h / c]
+        v = [_at(np.log, c), h / c]
         for k in range(2, n + 1):
             v.append(-(k - 1) * v[k - 1] * h / (k * c))
         return v[: n + 1]
     if fn == "sqrt":
-        if np.any(c <= 0.0):
+        if _any(c <= 0.0):
             raise DomainError("sqrt of non-positive value")
         return _poly_pow([c, h], 0.5, n)
-    if fn in ("sin", "cos"):
-        s, co = [lib.sin(c)], [lib.cos(c)]
+    if fn in ("sin", "cos", "sinh", "cosh"):  # s' = co, co' = -s or s
+        hyp = fn[-1] == "h"
+        s, co = [_at(np.sinh if hyp else np.sin, c)], [_at(np.cosh if hyp else np.cos, c)]
         for k in range(1, n + 1):
             s.append(co[k - 1] * h / k)
-            co.append(-s[k - 1] * h / k)
-        return s if fn == "sin" else co
-    if fn in ("sinh", "cosh"):
-        s, co = [lib.sinh(c)], [lib.cosh(c)]
-        for k in range(1, n + 1):
-            s.append(co[k - 1] * h / k)
-            co.append(s[k - 1] * h / k)
-        return s if fn == "sinh" else co
+            co.append((s[k - 1] if hyp else -s[k - 1]) * h / k)
+        return s if fn[:3] == "sin" else co
     if fn == "tan":
-        return _poly_div(_series_of("sin", c, n, lib, h), _series_of("cos", c, n, lib, h), n)
+        return _poly_div(_series_of("sin", c, n, h), _series_of("cos", c, n, h), n)
     if fn == "cot":
-        return _poly_div(_series_of("cos", c, n, lib, h), _series_of("sin", c, n, lib, h), n)
+        return _poly_div(_series_of("cos", c, n, h), _series_of("sin", c, n, h), n)
     if fn == "tanh":
-        return _poly_div(_series_of("sinh", c, n, lib, h), _series_of("cosh", c, n, lib, h),
-                         n)
+        return _poly_div(_series_of("sinh", c, n, h), _series_of("cosh", c, n, h), n)
     if fn == "atan":
         w = [1.0 + c * c, 2.0 * c * h, h * h]
         g = _poly_div([1.0], w, max(n - 1, 0))
-        v = [lib.atan(c)]
+        v = [_at(np.arctan, c)]
         for k in range(1, n + 1):
             v.append(g[k - 1] * h / k)
         return v
     if fn in ("asin", "acos"):
-        if np.any(abs(c) >= 1.0):
+        if _any(abs(c) >= 1.0):
             raise DomainError(f"{fn} outside (-1, 1)")
         w = _poly_pow([1.0 - c * c, -2.0 * c * h, -h * h], 0.5, max(n - 1, 0))
         g = _poly_div([1.0], w, max(n - 1, 0))
         sign = 1.0 if fn == "asin" else -1.0
-        v = [lib.asin(c) if fn == "asin" else lib.acos(c)]
+        v = [_at(np.arcsin if fn == "asin" else np.arccos, c)]
         for k in range(1, n + 1):
             v.append(sign * g[k - 1] * h / k)
         return v
@@ -852,18 +851,18 @@ class JetValue:
 
     def __truediv__(self, other):
         if not isinstance(other, JetValue):
-            if np.any(other == 0.0):
+            if _any(other == 0.0):
                 raise DomainError("division by zero constant")
             c, v = self._against(other)
             return JetValue(self.m, self.order, c / v, self.rank, self.support)
         if other.order > self.order:
             other = other.truncate(self.order)
-        if np.any(other.value == 0.0):
+        if _any(other.value == 0.0):
             raise DomainError("division by zero constant term")
         return self * other._reciprocal()
 
     def __rtruediv__(self, other):
-        if np.any(self.value == 0.0):
+        if _any(self.value == 0.0):
             raise DomainError("division by zero constant term")
         return self._reciprocal() * other
 
@@ -939,9 +938,8 @@ def _scale_of(w: np.ndarray):
     """The largest power of two at most the largest |coefficient| of the jet
     coefficients w, per entry and point (a float for one scalar)."""
     size = np.abs(w).max(axis=0)
-    if size.ndim:
-        return np.ldexp(1.0, np.frexp(size)[1] - 1)
-    return math.ldexp(1.0, math.frexp(size)[1] - 1)
+    h = np.ldexp(1.0, np.frexp(size)[1] - 1)
+    return h if h.ndim else float(h)
 
 
 def _pair_sum(m: int, order: int, x: np.ndarray, y: np.ndarray, va: int, vb: int) -> np.ndarray:

@@ -19,7 +19,8 @@ Every tensor is one `JetValue` with tensor axes (see `exprjet`), and each of
 g = T T^T, the Neumann series for g^(-1), Gamma, h, A = g^(-1) h, tr A, |A|^2,
 the projected normal and grad f is one `contract` over those axes. One
 Laplacian serves functions and vector fields; it and the other algebra on
-values are einsums whose trailing `...` reads one point and a batch alike.
+values add their terms in one order (`_sum`), so a point alone and in a
+batch of any size gets the same bits.
 
 Index conventions: i, j, k, l label chart variables (0..m-1); a, b label
 ambient coordinates. Tensor axes follow the index order written: the frame
@@ -41,6 +42,7 @@ from .exprjet import (
     DomainError,
     EvalContext,
     JetValue,
+    _any,
     contract,
     eval_jet,
     parse_expression,
@@ -260,6 +262,12 @@ def _points_last(a: np.ndarray, rank: int) -> np.ndarray:
     return np.moveaxis(a, 0, -1) if a.ndim > rank else a
 
 
+def _sum(terms: np.ndarray) -> np.ndarray:
+    """The sum over the leading axis, term after term: einsum and np.sum
+    order their additions by the array's layout, which a batch changes."""
+    return sum(terms[1:], terms[0])
+
+
 @cache
 def _lower_triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices below the diagonal of an m x m matrix, read-only
@@ -316,8 +324,7 @@ class FundamentalData(NamedTuple):
     def norm(self, vec: np.ndarray):
         """|vec|_g at one point, or per point over a batch (vec of shape
         (m, N))."""
-        return np.sqrt(np.maximum(
-            np.einsum("i...,ij...,j...->...", vec, self.metric.value, vec), 0.0))
+        return np.sqrt(np.maximum(_sum(vec * _apply(self.metric.value, vec)), 0.0))
 
 
 class ShapeData(NamedTuple):
@@ -362,7 +369,7 @@ def fundamental_data(chart: ImmersionChart, point: Sequence,
             raise DomainError(f"component jets are not finite at {pt}")
         if chart.ambient == "sphere":
             radius_sq = sum(j.value * j.value for j in cjets)
-            if np.any(abs(radius_sq - 1.0) > _SPHERE_TOL):
+            if _any(abs(radius_sq - 1.0) > _SPHERE_TOL):
                 raise SphereConstraintError(
                     f"|X|^2 = {radius_sq!r} at {pt} (must be 1 within {_SPHERE_TOL})")
         T = X.gradient()
@@ -374,11 +381,11 @@ def fundamental_data(chart: ImmersionChart, point: Sequence,
     g0 = _points_first(g0, 2)
     eigs = np.linalg.eigvalsh(g0)
     lowest, highest = eigs[..., 0], eigs[..., -1]
-    if np.any(lowest <= 0.0):
+    if _any(lowest <= 0.0):
         raise SingularImmersionError(f"metric not positive definite at {pt}")
-    if np.any(highest / lowest > _METRIC_COND_CEIL):
+    if _any(highest / lowest > _METRIC_COND_CEIL):
         raise SingularImmersionError(f"metric condition number exceeds 1e10 at {pt}")
-    if np.any(lowest <= _METRIC_EIG_FLOOR * np.maximum(highest, 1.0)):
+    if _any(lowest <= _METRIC_EIG_FLOOR * np.maximum(highest, 1.0)):
         raise SingularImmersionError(f"metric numerically singular at {pt}")
     ginv = _inverse(metric, _points_last(np.linalg.inv(g0), 2))
     # the Laplacians read only the values and first derivatives of Gamma
@@ -416,7 +423,7 @@ def _shape_data(chart: ImmersionChart, point, orientation: int,
         fd = fundamental_data(chart, point)
     w = _normal_direction(fd, on_sphere=ambient == "sphere")
     norm_sq = contract("a,a->", w, w)
-    if np.any(norm_sq.value <= 0.0):
+    if _any(norm_sq.value <= 0.0):
         raise SingularImmersionError(f"degenerate tangent frame at {fd.point}")
     normal = w * (1.0 / norm_sq.compose("sqrt"))
     if orientation == -1:
@@ -465,17 +472,18 @@ def rough_laplacian(fd: FundamentalData, F: JetValue):
     W = nabla F is carried as a jet of order 1, W[j, k] = d_j F^k +
     Gamma^k_jr F^r, and (nabla^2 F)_ij^k = d_i W_j^k + Gamma^k_ir W_j^r -
     Gamma^l_ij W_l^k reads its partials; a function has no k and no Gamma W
-    term. The trailing `...` of each einsum holds k and the point axis of a
-    batch: the result has shape (), (m,), (N,) or (m, N).
+    term. Each product broadcasts over k and the point axis of a batch:
+    the result has shape (), (m,), (N,) or (m, N).
     """
     W = F.truncate(2).gradient()
     if F.rank:
         W = W + contract("kjr,r->jk", fd.christoffels, F)
-    Gam = fd.christoffels.value  # [k, i, j] = Gamma^k_ij
-    hess = W.gradient().value - np.einsum("lij...,l...->ij...", Gam, W.value)
-    if F.rank:
-        hess = hess + np.einsum("kir...,jr...->ijk...", Gam, W.value)
-    return -np.einsum("ij...,ij...->...", fd.inverse_metric.value, hess)
+    Gam, Wv = fd.christoffels.value, W.value  # Gam[k, i, j] = Gamma^k_ij
+    lift = (slice(None),) * 3 + (None,) * F.rank  # a unit axis for k after [l, i, j]
+    hess = W.gradient().value - _sum(Gam[lift] * Wv[:, None, None])  # over l
+    if F.rank:  # [r, i, j, k] = Gamma^k_ir W_j^r, over r
+        hess = hess + _sum(Gam.swapaxes(0, 2)[:, :, None] * Wv.swapaxes(0, 1)[:, None, :, None])
+    return -_sum(_sum(fd.inverse_metric.value[lift[1:]] * hess))  # over i, j
 
 
 # the name the scalar callers use, so that a tracer times them apart
@@ -484,7 +492,7 @@ scalar_laplacian = rough_laplacian
 
 def _apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A v at one point, or per point over a batch (A of shape (m, m, N))."""
-    return np.einsum("ij...,j...->i...", A, v)
+    return _sum(A.swapaxes(0, 1) * v[:, None])
 
 
 def ricci_via_gauss_equation(sd: ShapeData, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """The batched jet pass: a batch of sample points carried through one jet
-sweep must give the rows, errors and integrals of one-point evaluation."""
+sweep must give the rows, errors and integrals of one-point evaluation, bit
+for bit, at every batch size."""
 
 import json
 import math
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import gausslab.biharmonic as biharmonic
 from gausslab.biharmonic import (
     INCONCLUSIVE,
     PointResidual,
@@ -23,7 +26,7 @@ from gausslab.biharmonic import (
     link_residual_system,
     r4_obstruction,
 )
-from gausslab.exprjet import FUNCTIONS, DomainError, JetValue, _exponents
+from gausslab.exprjet import FUNCTIONS, DomainError, ExpressionError, JetValue, _exponents
 from gausslab.geometry import (
     SphereConstraintError,
     chart_from_strings,
@@ -32,6 +35,7 @@ from gausslab.geometry import (
     shape_data_spherical,
 )
 from gausslab.hypercone import clifford_link_chart, polynomial_curvature_cylinder
+from test_exprjet import _VARIABLES, _evaluated, _fuzzed_expressions
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TWO_PI = 6.283185307179586
@@ -78,6 +82,9 @@ def _charts():
     charts.append(clifford_link_chart(1, 3, 0.25))
     # quadrature components: evaluated point by point and stacked
     charts.append(polynomial_curvature_cylinder((1.0, 1.0, 1.0)))
+    # from 8 terms up numpy's np.sum adds in a pairwise order along a
+    # contiguous axis, so a lone point would sum apart from its batch
+    charts.append(_sphere_graph(8, np.random.default_rng(8)))
     return charts
 
 
@@ -90,38 +97,18 @@ def _points(chart, count, seed):
                   for lo, hi in chart.domain) for _ in range(count)]
 
 
-def _worker(chart):
-    """The sweep's runner over a whole sample as one batch."""
-    return lambda points: _sweep_rows(
-        lambda p: _residual_fields(chart, p, 1, 1e-10), _residual_rows, points, len(points),
-        lambda p, exc: PointResidual(p, False, error=str(exc)))
+def _sweep(chart, points, size):
+    """The sweep's rows over a sample in passes of `size` points; one at a
+    time they run on one-point jets."""
+    return _sweep_rows(lambda p: _residual_fields(chart, p, 1, 1e-10), _residual_rows, points,
+                       size, lambda p, exc: PointResidual(p, False, error=str(exc)))
 
 
-def _single_rows(worker, points):
-    return [worker([p])[0] for p in points]
-
-
-_FLOATS = ("f", "grad_f_norm", "residual_norm", "scale_term", "shape_norm_sq",
-           "scalar_residual", "scalar_scale")
-
-
-def _close(a, b):
-    if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
-    big = max(abs(a), abs(b))
-    return big < 1e-10 or abs(a - b) <= 1e-12 * big
-
-
-def _assert_rows_close(batch, single):
-    assert len(batch) == len(single)
-    for got, want in zip(batch, single):
-        assert got.point == want.point
-        assert (got.ok, got.error, got.near_minimal) == (want.ok, want.error, want.near_minimal)
-        assert len(got.residual) == len(want.residual)
-        for name in _FLOATS:
-            assert _close(getattr(got, name), getattr(want, name)), (name, got, want)
-        for a, b in zip(got.residual, want.residual):
-            assert _close(a, b), (got.residual, want.residual)
+def _batch_rows(chart, points, size):
+    """The rows of one pass per `size` points, on arrays even for one."""
+    return [row for start in range(0, len(points), size)
+            for row in _residual_rows(points[start:start + size], _residual_fields(
+                chart, tuple(np.array(points[start:start + size]).T.copy()), 1, 1e-10))]
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +117,14 @@ def _assert_rows_close(batch, single):
 
 @pytest.mark.parametrize("chart", CHARTS, ids=[c.name for c in CHARTS])
 def test_batch_rows_match_single_point_rows(chart):
-    worker = _worker(chart)
     points = _points(chart, 7, seed=chart.dim)
-    batch = worker(points)
-    assert all(r.ok for r in batch)
-    _assert_rows_close(batch, _single_rows(worker, points))
+    single = repr(_sweep(chart, points, 1))
+    assert "ok=False" not in single
+    for size in (1, 2, 3, _batch_size(chart.dim, 5)):
+        assert repr(_batch_rows(chart, points, size)) == single, size
     # the sweep cuts the sample at the derived batch size
     check = hypersurface_residual if chart.ambient == "euclidean" else link_residual_system
-    report = check(chart, points=points)
-    _assert_rows_close(report.points, batch)
+    assert repr(check(chart, points=points).points) == single
 
 
 def test_batch_sizes_follow_the_product_tables():
@@ -179,14 +165,33 @@ def _bad_cases():
 @pytest.mark.parametrize("chart, points, error", _bad_cases(),
                          ids=["off-domain-log", "off-sphere", "singular-metric"])
 def test_one_bad_point_gives_point_by_point_rows(chart, points, error):
-    worker = _worker(chart)
-    batch = worker(points)
-    single = _single_rows(worker, points)
-    assert repr(batch) == repr(single)
-    failed = [r for r in batch if not r.ok]
+    single = _sweep(chart, points, 1)
+    for size in (2, 3, len(points)):
+        assert repr(_sweep(chart, points, size)) == repr(single), size
+    failed = [r for r in single if not r.ok]
     assert len(failed) == 1 and error in failed[0].error
     check = hypersurface_residual if chart.ambient == "euclidean" else link_residual_system
     assert repr(check(chart, points=points).points) == repr(single)
+
+
+@pytest.mark.parametrize("size, bad", [(141, [97]), (300, range(5, 300, 10))],
+                         ids=["one-in-141", "every-tenth"])
+def test_bad_points_are_found_by_halving(size, bad, monkeypatch):
+    # a batch with a failing point runs again as two halves, and a half that
+    # fails is halved again: for one bad point, one pass and then two per
+    # level, where evaluating point by point made 1 + 141 passes
+    chart = _bad_cases()[0][0]  # off the log's domain for u <= -0.5
+    points = _points(chart, size, seed=6)
+    for k in bad:
+        points[k] = (-0.55 - k / 3000, *points[k][1:])
+    single = _sweep(chart, points, 1)
+    sizes, fields = [], biharmonic._residual_fields
+    monkeypatch.setattr(biharmonic, "_residual_fields", lambda chart, p, *args: (
+        sizes.append(np.size(p[0])) or fields(chart, p, *args)))
+    rows = hypersurface_residual(chart, points=points).points
+    assert repr(rows) == repr(single)
+    assert [r.point for r in rows if not r.ok] == [points[k] for k in bad]
+    assert len(sizes) <= len(bad) * (2 * math.ceil(math.log2(141)) + 1) and len(sizes) < size
 
 
 def test_finiteness_gates_fail_their_own_points():
@@ -202,9 +207,8 @@ def test_finiteness_gates_fail_their_own_points():
     for batch, gate in ((points, "component jets are"), (good + [(0.5, 0.1)], "metric is")):
         with pytest.raises(DomainError, match=f"^{gate} not finite at"):
             _residual_fields(chart, tuple(np.array(batch).T.copy()), 1, 1e-10)
-    worker = _worker(chart)
-    rows = worker(points)
-    assert repr(rows) == repr(_single_rows(worker, points))
+    rows = _sweep(chart, points, len(points))
+    assert repr(rows) == repr(_sweep(chart, points, 1))
     assert [r.error for r in rows if not r.ok] == [
         "component jets are not finite at (2.0, 0.2)",
         "metric is not finite at (0.5, 0.1)"]
@@ -268,10 +272,10 @@ def test_r4_obstruction_equals_per_point_loop(components):
     r4 = r4_obstruction(chart)
     lap, weighted, fw, area = _r4_reference(chart, (24, 24))
     sign = -1.0 if r4.orientation_flipped else 1.0
-    assert _close(r4.area, area)
-    assert _close(r4.integral_laplacian, sign * lap)
-    assert _close(r4.integral_weighted_f, sign * weighted)
-    assert _close(r4.mean_f, sign * fw / area)
+    assert r4.area == area
+    assert r4.integral_laplacian == sign * lap
+    assert r4.integral_weighted_f == sign * weighted
+    assert r4.mean_f == sign * fw / area
 
 
 def test_r4_first_failing_cell_raises_its_own_error():
@@ -301,13 +305,10 @@ def _batch(m, order, values, rng):
                                         for c in range(len(values))]
 
 
-def _assert_columns(batch, columns, exact=False):
+def _assert_columns(batch, columns):
     assert batch.coeffs.shape == (len(columns[0].coeffs), len(columns))
     for c, jet in enumerate(columns):
-        if exact:
-            assert np.array_equal(batch.coeffs[:, c], jet.coeffs)
-        else:
-            np.testing.assert_allclose(batch.coeffs[:, c], jet.coeffs, rtol=1e-12, atol=1e-13)
+        assert np.array_equal(batch.coeffs[:, c], jet.coeffs)
 
 
 _BASES = {"log": (0.3, 2.5), "sqrt": (0.3, 2.5), "asin": (-0.7, 0.7), "acos": (-0.7, 0.7),
@@ -319,23 +320,23 @@ def test_batched_products_and_quotients_match_columns(m):
     rng = np.random.default_rng(m)
     a, cols_a = _batch(m, 4, rng.uniform(-2.0, 2.0, 6), rng)
     b, cols_b = _batch(m, 3, rng.uniform(0.5, 2.0, 6), rng)
-    _assert_columns(a * b, [x * y for x, y in zip(cols_a, cols_b)], exact=True)
+    _assert_columns(a * b, [x * y for x, y in zip(cols_a, cols_b)])
     _assert_columns(a / b, [x / y for x, y in zip(cols_a, cols_b)])
-    _assert_columns(a - b + 2.0, [x - y + 2.0 for x, y in zip(cols_a, cols_b)], exact=True)
+    _assert_columns(a - b + 2.0, [x - y + 2.0 for x, y in zip(cols_a, cols_b)])
     # a one-point jet is a constant across the batch, both ways round
-    _assert_columns(a * cols_b[0], [x * cols_b[0] for x in cols_a], exact=True)
-    _assert_columns(cols_b[0] * a, [cols_b[0] * x for x in cols_a], exact=True)
-    _assert_columns(cols_b[1] - a, [cols_b[1] - x for x in cols_a], exact=True)
+    _assert_columns(a * cols_b[0], [x * cols_b[0] for x in cols_a])
+    _assert_columns(cols_b[0] * a, [cols_b[0] * x for x in cols_a])
+    _assert_columns(cols_b[1] - a, [cols_b[1] - x for x in cols_a])
     # an ndarray of per-point values defers to the jet's operators
     s = rng.uniform(0.5, 1.5, 6)
-    _assert_columns(s * a, [x * float(v) for x, v in zip(cols_a, s)], exact=True)
-    _assert_columns(s - a, [float(v) - x for x, v in zip(cols_a, s)], exact=True)
-    _assert_columns(cols_b[2] + s, [cols_b[2] + float(v) for v in s], exact=True)
+    _assert_columns(s * a, [x * float(v) for x, v in zip(cols_a, s)])
+    _assert_columns(s - a, [float(v) - x for x, v in zip(cols_a, s)])
+    _assert_columns(cols_b[2] + s, [cols_b[2] + float(v) for v in s])
     np.testing.assert_array_equal(a.value, [x.value for x in cols_a])
     alpha = (1,) + (0,) * (m - 2) + (2,)
     np.testing.assert_array_equal(a.partial(alpha), [x.partial(alpha) for x in cols_a])
     for var in range(m):
-        _assert_columns(a.derivative(var), [x.derivative(var) for x in cols_a], exact=True)
+        _assert_columns(a.derivative(var), [x.derivative(var) for x in cols_a])
 
 
 @pytest.mark.parametrize("fn", FUNCTIONS)
@@ -344,6 +345,26 @@ def test_batched_compose_matches_columns(fn):
     lo, hi = _BASES.get(fn, (-1.5, 1.5))
     a, cols = _batch(3, 5, rng.uniform(lo, hi, 5), rng)
     _assert_columns(a.compose(fn), [x.compose(fn) for x in cols])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.integers(1, 7).flatmap(_fuzzed_expressions),
+       values=st.lists(st.floats(0.1, 0.9), min_size=7, max_size=7))
+def test_component_jets_of_a_point_equal_its_batch_column(case, values):
+    # the grammar fuzz: every function of FUNCTIONS, and fractional powers
+    m, source = case
+    try:
+        chart = chart_from_strings("fuzz", _VARIABLES[:m], (source,) * (m + 1), [(0.0, 1.0)] * m)
+    except ExpressionError:
+        return
+    points = np.array([values[:m], [1.0 - v for v in values[:m]], [v / 2 for v in values[:m]]])
+    single = [_evaluated(chart.component_jets, tuple(p)) for p in points.tolist()]
+    batch = _evaluated(chart.component_jets, tuple(points.T.copy()))
+    # the batch fails where one of its points does, and else holds their bits
+    assert isinstance(batch, type) == any(isinstance(jets, type) for jets in single), source
+    assert isinstance(batch, type) or all(
+        b.coeffs[:, c].tobytes() == jet.coeffs.tobytes()
+        for c, jets in enumerate(single) for b, jet in zip(batch, jets)), source
 
 
 @pytest.mark.parametrize("fn, value", [("log", -1.0), ("sqrt", 0.0), ("asin", 1.5),

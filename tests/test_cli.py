@@ -187,6 +187,18 @@ def test_verify_non_finite_rows_fail_their_points(capsys, tmp_path):
         f"row fields are not finite at {tuple(p)}" for p in samples]
 
 
+def test_verify_names_the_base_value_of_an_overflowing_series(capsys, tmp_path):
+    # exp(u) overflows at u = 800 alone: its batch pass fails, and the
+    # point's row carries the one-point error, which names the base value
+    samples = [[0.1 * k, 0.2] for k in range(10)] + [[800.0, 0.3]]
+    path = write_config(tmp_path, name="overflow", components=["u", "v", "exp(u)*v"],
+                        samples=samples)
+    code, payload, _ = run_json(capsys, "verify", "--config", path)
+    res = payload["results"]
+    assert (code, res["failed_points"]) == (0, 1)
+    assert [p["error"] for p in res["points"]] == [None] * 10 + ["exp(800.0) is not finite"]
+
+
 def test_verify_past_the_jet_table_bound_is_numeric_failure(tmp_path):
     # order-5 jet tables key multi-indices in base 6, and 6^25 overflows a
     # machine integer: the run stops before any table is built

@@ -26,6 +26,7 @@ from gausslab.exprjet import (
     repeated_subtrees,
     shift_variables,
 )
+from gausslab.geometry import _sum
 
 from conftest import central_partial
 from test_cli import _NUMBERS, _balanced
@@ -316,13 +317,6 @@ def _tensor_jet(shape, rng, m=3, order=3, points=None):
 def _assert_relative(got, want, rtol=1e-14):
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
-
-
-def _sum(terms):
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total
 
 
 @pytest.mark.parametrize("points", [None, 5])
@@ -650,11 +644,12 @@ def _dense_horner(jet, series_of):
     return result
 
 
-def _evaluated(ast, ctx):
-    """The jet of `ast`, or the class of the error its evaluation raises."""
+def _evaluated(evaluate, *args):
+    """What `evaluate(*args)` gives (the jet of an AST, or the component
+    jets of a chart), or the class of the error it raises."""
     try:
         with np.errstate(all="ignore"):
-            return eval_jet(ast, ctx)
+            return evaluate(*args)
     except (ValueError, ArithmeticError) as exc:  # DomainError is a ValueError
         return type(exc)
 
@@ -688,12 +683,12 @@ def test_support_is_sound_and_products_equal_the_dense_kernel(case, batched, val
         return
     point = tuple(np.array([v, 1.0 - v, v / 2]) if batched else v for v in values[:m])
     ctx = EvalContext(point, order=5)
-    got = _evaluated(ast, ctx)
+    got = _evaluated(eval_jet, ast, ctx)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exprjet, "_pair_sum", _dense_pair_sum)
         patch.setattr(JetValue, "_horner", _dense_horner)
         patch.setattr(exprjet, "_on_variable", lambda fn, i, ctx: ctx.seed(i).compose(fn))
-        want = _evaluated(ast, ctx)
+        want = _evaluated(eval_jet, ast, ctx)
     # every coefficient outside the rows of the support is exactly zero
     if not isinstance(got, type):
         assert not got.coeffs[~_rows_of(m, 5, got.support)].any(), source
