@@ -461,7 +461,7 @@ class _TableCache:
 
 
 # The tables share one budget. The tables one residual reads at dimension
-# 12, the largest in the catalog, take 11.3 MiB together, so a sweep over
+# 12, the largest in the catalog, take 10.1 MiB together, so a sweep over
 # dimensions keeps about one high dimension's tables, not those of every
 # dimension it met, and the tables of all the dimensions up to 8 fit at once.
 _TABLES = _TableCache(14 * 2 ** 20)
@@ -533,15 +533,33 @@ def _pair_slots(m: int, order: int, va: int, vb: int, size: int):
 
 
 @_TABLES
-def _deriv_tables(m: int, order: int, var: int):
-    """Maps an order-k jet to the order-(k-1) jet of its `var` partial: the
-    source coefficient and factor of each lowered coefficient, in order. The
-    order-(k-1) layout is a prefix of the order-k one, and raising the `var`
-    exponent shifts a key by (order + 1)^(m - 1 - var)."""
+def _deriv_tables(m: int, order: int):
+    """Maps an order-k jet to the order-(k-1) jets of its partials: the
+    source coefficient and factor of each lowered coefficient (row) and
+    variable (column); the first rows serve any lower order, as its layout
+    is a prefix. Raising the v exponent shifts a key by (order+1)^(m-1-v)."""
     table, keys, _, _ = _exponents(m, order)
     lowered = math.comb(m + order - 1, m)
-    src = _rows(m, order, keys[:lowered] + (order + 1) ** (m - 1 - var))
-    return src, (table[:lowered, var] + 1).astype(np.float64)
+    shift = (order + 1) ** np.arange(m - 1, -1, -1, dtype=np.intp)
+    return _rows(m, order, keys[:lowered, None] + shift), (table[:lowered] + 1).astype(np.float64)
+
+
+@_TABLES
+def _second_tables(m: int, order: int):
+    """The same for the second partials d_i d_j, i <= j in np.triu_indices
+    order, of an order-k jet at order k - 2: d_j lands on the row alpha +
+    e_j, then d_i on alpha + e_i + e_j, and the two factors multiply."""
+    src, fac = _deriv_tables(m, order)
+    n, (i, j) = math.comb(m + order - 2, m), np.triu_indices(m)
+    inner = src[:n, j]
+    return src[inner, i], fac[inner, i] * fac[:n, j]
+
+
+def _gathered(c: np.ndarray, src: np.ndarray, fac: np.ndarray) -> np.ndarray:
+    """The rows src of the coefficients c, times their factors fac."""
+    out = c[src]
+    out *= fac.reshape(fac.shape + (1,) * (out.ndim - fac.ndim))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -685,18 +703,23 @@ class JetValue:
     derivatives, truncation, indexing, composition and powers keep it.
     Products skip the coefficient pairs with a factor outside the support
     (Griewank & Walther, ch. 13, on sparsity in the independent variables).
+
+    `lowest` is a degree below which every coefficient is exactly zero (0
+    claims nothing); `contract` skips those rows and gives its product the
+    sum of the two, and every other operation resets it to 0.
     """
 
-    __slots__ = ("m", "order", "coeffs", "rank", "support")
+    __slots__ = ("m", "order", "coeffs", "rank", "support", "lowest")
     __array_ufunc__ = None  # ndarray <op> jet defers to the jet's operator
 
     def __init__(self, m: int, order: int, coeffs: np.ndarray, rank: int = 0,
-                 support: int = -1):
+                 support: int = -1, lowest: int = 0):
         self.m = m
         self.order = order
         self.coeffs = coeffs
         self.rank = rank
         self.support = support
+        self.lowest = lowest
 
     # construction ----------------------------------------------------------
 
@@ -800,18 +823,20 @@ class JetValue:
             raise ValueError("cannot differentiate an order-0 jet")
         if not 0 <= var < self.m:
             raise ValueError("variable index out of range")
-        src, fac = _deriv_tables(self.m, self.order, var)
-        c = self.coeffs[src]
-        return JetValue(self.m, self.order - 1,
-                        c * fac.reshape(fac.shape + (1,) * (c.ndim - 1)), self.rank,
-                        self.support)
+        src, fac = _deriv_tables(self.m, self.order)
+        return JetValue(self.m, self.order - 1, _gathered(self.coeffs, src[:, var], fac[:, var]),
+                        self.rank, self.support)
 
-    def gradient(self) -> "JetValue":
-        """Jet of all first partials, one order lower and one rank higher:
-        gradient()[i] is derivative(i)."""
-        return JetValue(self.m, self.order - 1,
-                        np.stack([self.derivative(i).coeffs for i in range(self.m)], axis=1),
-                        self.rank + 1)
+    def gradient(self, order: int | None = None) -> "JetValue":
+        """Jet of all first partials at `order` (by default one below this
+        jet's), one rank higher: gradient()[i] is derivative(i), and
+        gradient(k)[i] its truncation to k, gathered in one pass."""
+        k = self.order - 1 if order is None else order
+        if not 0 <= k < self.order:
+            raise ValueError(f"no gradient at order {k} of an order-{self.order} jet")
+        src, fac = _deriv_tables(self.m, self.order)
+        n = math.comb(self.m + k, self.m)
+        return JetValue(self.m, k, _gathered(self.coeffs, src[:n], fac[:n]), self.rank + 1)
 
     # arithmetic ---------------------------------------------------------------
 
@@ -1005,7 +1030,9 @@ def contract(spec: str, a: JetValue, b) -> JetValue:
     that each block is one matrix product per point. The products fill one
     buffer, and one bincount adds every term into its output entry, block
     after block, so that each output entry sums its pairs in table order. A
-    constant B is one block with a single partner."""
+    constant B is one block with a single partner. The blocks below A's
+    `lowest` degree, and those whose partners all lie below B's, multiply
+    exactly zero rows and are skipped; the rest are the full product's."""
     sa, sb, out, free_a, free_b, summed = _spec_axes(spec)
     jet = isinstance(b, JetValue)
     k, x, y = a._truncated(b) if jet else (a.order, a.coeffs, np.asarray(b, dtype=float))
@@ -1022,21 +1049,23 @@ def contract(spec: str, a: JetValue, b) -> JetValue:
     Y = _laid_out(y, yb, [yt + sb.index(c) for c in summed] + ([0] if jet else [])
                   + [yt + sb.index(c) for c in free_b], (ns, n if jet else 1, nb))
     blocks, slots = _contract_slots(a.m, k, jet, points, na, nb)
-    terms = np.empty(len(slots))
+    low, stop = (a.lowest, max(k + 1 - b.lowest, 0)) if jet else (0, 1)
+    counts = [points * rows * na * partners * nb for _, rows, partners in blocks]
+    start, end = sum(counts[:low]), sum(counts[:stop])
+    terms = np.empty(max(end - start, 0))
     at = 0
-    for first, rows, partners in blocks:
-        stop = at + points * rows * na * partners * nb
+    for (first, rows, partners), count in zip(blocks[low:stop], counts[low:stop]):
         np.matmul(X[:, first:first + rows].reshape(len(X), rows * na, ns),
                   Y[:, :, :partners].reshape(len(Y), ns, partners * nb),
-                  out=terms[at:stop].reshape(points, rows * na, partners * nb))
-        at = stop
+                  out=terms[at:at + count].reshape(points, rows * na, partners * nb))
+        at += count
     tail = (points,) if xb or yb else ()
-    total = np.bincount(slots, weights=terms, minlength=n * na * nb * points).reshape(
+    total = np.bincount(slots[start:end], weights=terms, minlength=n * na * nb * points).reshape(
         (n,) + tuple(size[c] for c in free_a + free_b) + tail)
     if free_a + free_b != out:
         axes = [0] + [1 + (free_a + free_b).index(c) for c in out] + [len(out) + 1] * len(tail)
         total = np.ascontiguousarray(total.transpose(axes))
-    return JetValue(a.m, k, total, len(out))
+    return JetValue(a.m, k, total, len(out), -1, a.lowest + (b.lowest if jet else 0))
 
 
 @_TABLES
@@ -1156,8 +1185,8 @@ def antiderivative_jet(djet: JetValue, var: int, value: float) -> JetValue:
     if not 0 <= var < djet.m:
         raise ValueError("variable index out of range")
     m, k = djet.m, djet.order + 1
-    src, fac = _deriv_tables(m, k, var)
+    src, fac = _deriv_tables(m, k)
     out = np.zeros(math.comb(m + k, m))
     out[0] = value
-    out[src] = djet.coeffs / fac
+    out[src[:, var]] = djet.coeffs / fac[:, var]
     return JetValue(m, k, out)

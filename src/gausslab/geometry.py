@@ -17,10 +17,11 @@ e - T^T g^(-1) T e (and off the position on a sphere).
 
 Every tensor is one `JetValue` with tensor axes (see `exprjet`), and each of
 g = T T^T, the Neumann series for g^(-1), Gamma, h, A = g^(-1) h, tr A, |A|^2,
-the projected normal and grad f is one `contract` over those axes. One
-Laplacian serves functions and vector fields; it and the other algebra on
-values add their terms in one order (`_sum`), so a point alone and in a
-batch of any size gets the same bits.
+the projected normal and grad f is one `contract` over those axes; h reads
+the packed second partials d_i d_j X, i <= j, and the Neumann products skip
+their zero blocks. One Laplacian serves functions and vector fields; it and
+the other algebra on values add their terms in one order (`_sum`), so a
+point alone and in a batch of any size gets the same bits.
 
 Index conventions: i, j, k, l label chart variables (0..m-1); a, b label
 ambient coordinates. Tensor axes follow the index order written: the frame
@@ -43,6 +44,8 @@ from .exprjet import (
     EvalContext,
     JetValue,
     _any,
+    _gathered,
+    _second_tables,
     contract,
     eval_jet,
     parse_expression,
@@ -144,12 +147,6 @@ class ImmersionChart:
     @property
     def ambient_dim(self) -> int:
         return self.dim + (1 if self.ambient == "euclidean" else 2)
-
-    def __getstate__(self):
-        # sub-trees are known by object id, so a copy finds them anew
-        state = dict(self.__dict__)
-        state.pop("_repeated_subtrees", None)
-        return state
 
     @cached_property
     def _repeated_subtrees(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -269,27 +266,27 @@ def _sum(terms: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _lower_triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices below the diagonal of an m x m matrix, read-only
-    since every caller shares them."""
-    i, j = np.tril_indices(m, -1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
-
-
-def _mirror_upper(t: JetValue) -> JetValue:
-    """A symmetric rank-2 jet with its lower triangle copied from the upper
-    one, so that it is symmetric to the last bit."""
-    i, j = _lower_triangle(len(t))
-    t.coeffs[:, i, j] = t.coeffs[:, j, i]
-    return t
+def _symmetric_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per entry (i, j) of an m x m matrix: the row and column (min, max) of
+    the upper-triangle entry that mirrors it, and that entry's place among
+    the pairs i <= j in np.triu_indices order. Read-only, as they are shared;
+    a matrix read through them is symmetric to the last bit."""
+    lo, hi = np.minimum.outer(range(m), range(m)), np.maximum.outer(range(m), range(m))
+    tables = lo, hi, lo * (2 * m - lo - 1) // 2 + hi
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def _inverse(g: JetValue, g0_inv: np.ndarray) -> JetValue:
     """Truncated Neumann series around the numeric inverse of the value part
     (over a batch g0_inv has shape (m, m, N)). M = I - g0^(-1) g has zero
-    constant part, so M^(order+1) truncates away."""
+    constant part, set exactly (not the roundoff of I - g0^(-1) g0), so M^k
+    starts at degree k, below which each product reads nothing (`lowest`),
+    and M^(order+1) truncates away."""
     M = np.eye(len(g)) - contract("lj,il->ij", g, g0_inv)
+    M.coeffs[0] = 0.0
+    M.lowest = 1
     S = M + np.eye(len(g))
     P = M
     for _ in range(g.order - 1):
@@ -355,11 +352,14 @@ def fundamental_data(chart: ImmersionChart, point: Sequence,
     component jets at `order`, tangents at `order - 1`, the metric and its
     inverse at `order - 2`, the Christoffel symbols at order 1.
 
-    Raises DomainError when a component jet or the metric is not finite,
+    Raises GeometryError for an order below 3, before any jet work;
+    DomainError when a component jet or the metric is not finite,
     SingularImmersionError when g fails the positive-definiteness or
     conditioning check, SphereConstraintError when a sphere-ambient chart is
     off the unit sphere by more than 1e-10.
     """
+    if order < 3:
+        raise GeometryError(f"fundamental data need jets of order 3 or more, not {order}")
     pt, _ = _as_point(point)
     # overflow is reported as DomainError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -374,7 +374,9 @@ def fundamental_data(chart: ImmersionChart, point: Sequence,
                     f"|X|^2 = {radius_sq!r} at {pt} (must be 1 within {_SPHERE_TOL})")
         T = X.gradient()
         low = T.truncate(order - 2)
-        metric = _mirror_upper(contract("ia,ja->ij", low, low))
+        g = contract("ia,ja->ij", low, low)
+        lo, hi, _ = _symmetric_index(chart.dim)
+        metric = JetValue(g.m, g.order, g.coeffs[:, lo, hi], 2)
         g0 = metric.value
     if not np.isfinite(g0).all():
         raise DomainError(f"metric is not finite at {pt}")
@@ -390,7 +392,7 @@ def fundamental_data(chart: ImmersionChart, point: Sequence,
     ginv = _inverse(metric, _points_last(np.linalg.inv(g0), 2))
     # the Laplacians read only the values and first derivatives of Gamma
     c_order = min(1, order - 3)
-    dg = metric.gradient().truncate(c_order).coeffs  # [l, i, j] = d_l g_ij
+    dg = metric.gradient(c_order).coeffs  # [l, i, j] = d_l g_ij
     swapped = np.moveaxis(dg, 3, 1)  # [l, i, j] = d_i g_jl
     # first-kind symbols [l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
     first = JetValue(chart.dim, c_order, swapped + swapped.swapaxes(2, 3) - dg, 3)
@@ -430,10 +432,19 @@ def _shape_data(chart: ImmersionChart, point, orientation: int,
         normal = -normal
     elif orientation != 1:
         raise GeometryError("orientation must be +1 or -1")
-    h = _mirror_upper(contract("jia,a->ij", fd.frame.gradient(), normal))  # <d_j d_i X, n>
-    A = contract("il,lj->ij", fd.inverse_metric, h)
+    A = contract("il,lj->ij", fd.inverse_metric, _second_form(fd, normal))
     f = JetValue(A.m, A.order, np.einsum("zii...->z...", A.coeffs)) * (1.0 / len(A))
     return ShapeData(normal, A, f, contract("ij,ji->", A, A))
+
+
+def _second_form(fd: FundamentalData, normal: JetValue) -> JetValue:
+    """h_ij = <d_i d_j X, n> at the order of the normal: the second partials
+    of the position for i <= j, gathered in one pass and contracted with n,
+    then unpacked to both triangles, so that h is exactly symmetric."""
+    X = fd.position
+    second = JetValue(X.m, X.order - 2, _gathered(X.coeffs, *_second_tables(X.m, X.order)), 2)
+    packed = contract("pa,a->p", second, normal)
+    return JetValue(packed.m, packed.order, packed.coeffs[:, _symmetric_index(packed.m)[2]], 2)
 
 
 def _normal_direction(fd: FundamentalData, on_sphere: bool) -> JetValue:
@@ -475,7 +486,7 @@ def rough_laplacian(fd: FundamentalData, F: JetValue):
     term. Each product broadcasts over k and the point axis of a batch:
     the result has shape (), (m,), (N,) or (m, N).
     """
-    W = F.truncate(2).gradient()
+    W = F.gradient(1)
     if F.rank:
         W = W + contract("kjr,r->jk", fd.christoffels, F)
     Gam, Wv = fd.christoffels.value, W.value  # Gam[k, i, j] = Gamma^k_ij

@@ -240,10 +240,10 @@ def test_tables_equal_the_brute_force_reference(m):
         assert [tuple(row) for row in _exponents(m, order)[0].tolist()] == exps
         for got, want in zip(_mul_tables(m, order), zip(*pairs)):
             _assert_identical(got, list(want), np.intp)
+        src, fac = _deriv_tables(m, order)
         for var in range(m if order else 0):
-            src, fac = _deriv_tables(m, order, var)
-            _assert_identical(src, derivs[var][0], np.intp)
-            _assert_identical(fac, derivs[var][1], np.float64)
+            _assert_identical(src[:, var], derivs[var][0], np.intp)
+            _assert_identical(fac[:, var], derivs[var][1], np.float64)
 
 
 def test_order5_tables_at_dimension_12():
@@ -428,8 +428,8 @@ def test_contraction_is_within_the_sum_bound_of_the_per_pass_kernel(points):
 
 # every spec geometry.py contracts, and a length for each of its letters
 _GEOMETRY_SPECS = ["ia,ja->ij", "lj,il->ij", "il,lj->ij", "ij,j->i", "ia,a->i",
-                   "ia,i->a", "kl,lij->kij", "a,a->", "jia,a->ij", "ij,ji->"]
-_AXIS_SIZES = {"i": 3, "j": 2, "k": 2, "l": 3, "a": 4}
+                   "ia,i->a", "kl,lij->kij", "a,a->", "pa,a->p", "ij,ji->"]
+_AXIS_SIZES = {"i": 3, "j": 2, "k": 2, "l": 3, "a": 4, "p": 3}
 
 
 @pytest.mark.parametrize("order, m", [(3, m) for m in range(1, 13)]
@@ -448,6 +448,33 @@ def test_contraction_kernel_against_the_per_pass_reference(order, m, points):
         # a constant second operand, one value per point over a batch
         tail = (points,) if points else ()
         _assert_within_sum_bound(spec, A, rng.uniform(-1.0, 1.0, shape_b + tail))
+
+
+@pytest.mark.parametrize("m, order", [(1, 3), (3, 3), (4, 5), (12, 3)])
+@pytest.mark.parametrize("points", [None, 3])
+def test_contraction_skips_the_zero_rows_below_the_lowest_degrees_bit_for_bit(m, order, points):
+    # rows below a jet's lowest degree are not read: where they are exactly
+    # zero, skipping them leaves every sum of the full product as it was
+    rng = np.random.default_rng(10 * m + order)
+    below = [math.comb(m + d - 1, m) if d else 0 for d in range(order + 2)]
+    for low_a, low_b in [(1, 1), (2, 1), (1, 2), (3, 0), (0, 2), (order, 1), (order + 1, 0)]:
+        A = _tensor_jet((3, 2), rng, m=m, order=order, points=points)
+        B = _tensor_jet((2, 3), rng, m=m, order=order, points=points)
+        A.coeffs[:below[low_a]] = 0.0
+        B.coeffs[:below[low_b]] = 0.0
+        for spec in ("il,lj->ij", "ij,ji->", "il,lj->ji"):
+            full = contract(spec, A, B)
+            A.lowest, B.lowest = low_a, low_b
+            skipped = contract(spec, A, B)
+            A.lowest = B.lowest = 0
+            assert skipped.lowest == low_a + low_b
+            assert skipped.coeffs.shape == full.coeffs.shape
+            assert skipped.coeffs.tobytes() == full.coeffs.tobytes()
+        # a constant operand is one block, which no lowest degree cuts
+        v = rng.uniform(-1.0, 1.0, (2, points) if points else (2,))
+        A.lowest = low_a
+        assert contract("il,l->i", A, v).coeffs.tobytes() == contract(
+            "il,l->i", JetValue(m, order, A.coeffs, 2), v).coeffs.tobytes()
 
 
 def test_batched_contraction_matches_its_columns():
@@ -500,6 +527,22 @@ def test_gradient_stacks_the_partial_derivatives():
     assert grad.rank == 1 and grad.order == 3
     for var in range(3):
         assert np.array_equal(grad[var].coeffs, jet.derivative(var).coeffs)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+@pytest.mark.parametrize("points", [None, 3])
+def test_gradient_at_each_order_is_the_truncated_derivatives_bit_for_bit(m, points):
+    rng = np.random.default_rng(m)
+    for shape in ((), (2,)):
+        jet = _tensor_jet(shape, rng, m=m, order=5, points=points)
+        for k in range(jet.order):
+            grad = jet.gradient(k)
+            want = np.stack([jet.derivative(i).truncate(k).coeffs for i in range(m)], axis=1)
+            assert grad.order == k and grad.rank == len(shape) + 1
+            assert grad.coeffs.shape == want.shape and grad.coeffs.tobytes() == want.tobytes()
+        assert jet.gradient().coeffs.tobytes() == jet.gradient(4).coeffs.tobytes()
+        with pytest.raises(ValueError, match="no gradient at order 5"):
+            jet.gradient(5)
 
 
 # ---------------------------------------------------------------------------

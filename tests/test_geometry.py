@@ -1,7 +1,6 @@
 """First/second fundamental data and curvature operators on charts."""
 
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from gausslab.geometry import (
     SamplingSpec,
     SingularImmersionError,
     SphereConstraintError,
+    _second_form,
     chart_from_strings,
     fundamental_data,
     generalized_cylinder,
@@ -97,6 +97,18 @@ def test_orientation_flip_negates_shape_but_not_metric(a, b, c, d, e):
     assert np.all(np.linalg.eigvalsh(gmat) > 0)
     assert minus.shape_norm_sq.value == pytest.approx(
         plus.shape_norm_sq.value, rel=1e-10)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_fundamental_data_below_order_3_is_a_geometry_error(order, monkeypatch):
+    chart = chart_from_strings("plane", ("u", "v"), ("u", "v", "u*v"), ((-1, 1), (-1, 1)))
+
+    def no_jets(*args):
+        raise AssertionError("jet work before the order check")
+
+    monkeypatch.setattr(chart, "component_jets", no_jets)
+    with pytest.raises(GeometryError, match=f"order 3 or more, not {order}"):
+        fundamental_data(chart, (0.1, 0.2), order=order)
 
 
 def test_singular_immersion_rejected():
@@ -241,7 +253,7 @@ def test_sampling_validation_and_cap():
     assert len(big.sample_points()) <= 10_000
 
 
-@pytest.mark.parametrize("dim", range(2, 8))
+@pytest.mark.parametrize("dim", range(2, 13))
 def test_inverse_metric_times_metric_is_the_identity_jet(dim):
     # graph of a seeded cubic: g^(-1) g = I in every Taylor coefficient
     rng = np.random.default_rng(dim)
@@ -255,6 +267,34 @@ def test_inverse_metric_times_metric_is_the_identity_jet(dim):
     identity[0] = np.eye(dim)
     assert product.order == 3
     assert np.max(np.abs(product.coeffs - identity)) < 1e-12
+
+
+def _h_cases():
+    """A graph and a cone at a point and over a batch of three points, and a
+    sphere link of dimension 12 at a point."""
+    rng = np.random.default_rng(22)
+    cone = build_cone_chart(sphere_link_chart(5, sphere_link_solver(5).a_sq_exact))
+    cases = []
+    for chart, point in ((graph_chart("u*u*v + sin(u) - v^3/3"), (0.2, -0.3)),
+                         (cone, (1.1,) + tuple(rng.uniform(-0.3, 0.3, cone.dim - 1)))):
+        cases.append((chart, point))
+        cases.append((chart, tuple(x + rng.uniform(-0.05, 0.05, 3) for x in point)))
+    cases.append((sphere_link_chart(12, 0.5), tuple(0.2 * (-1) ** i for i in range(12))))
+    return cases
+
+
+@pytest.mark.parametrize("chart, point", _h_cases(), ids=[
+    "graph", "graph-batch", "cone-over-S5", "cone-over-S5-batch", "sphere-link-12"])
+def test_second_fundamental_form_is_symmetric_and_matches_the_frame_gradient(chart, point):
+    fd = fundamental_data(chart, point)
+    shape = shape_data_euclidean if chart.ambient == "euclidean" else shape_data_spherical
+    normal = shape(chart, point, 1, fd).normal
+    h = _second_form(fd, normal)
+    assert h.rank == 2 and h.order == normal.order
+    assert np.array_equal(h.coeffs, h.coeffs.swapaxes(1, 2))
+    # against the contraction of the whole second-derivative tensor
+    old = contract("jia,a->ij", fd.frame.gradient(), normal)
+    assert np.max(np.abs(h.coeffs - old.coeffs)) <= 1e-15 * np.max(np.abs(old.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +321,6 @@ def test_component_jets_equal_each_component_alone(chart, batched):
         jets = chart.component_jets(point, order)
         for comp, jet in zip(chart.components, jets):
             assert np.array_equal(jet.coeffs, eval_jet(comp, EvalContext(point, order)).coeffs)
-        # the same again, and from a copy sent to another process: a second
-        # call reads nothing the first one left
-        for again in (chart.component_jets(point, order),
-                      pickle.loads(pickle.dumps(chart)).component_jets(point, order)):
-            assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(jets, again))
+        # the same again: a second call reads nothing the first one left
+        again = chart.component_jets(point, order)
+        assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(jets, again))

@@ -4,6 +4,8 @@ orientation parity, and every catalog cone with m <= 7 pointwise, with the
 link system's verdict against the cone's; and the bound on the jet-table
 caches over a sweep to dimension 12."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -216,7 +218,17 @@ def test_cone_component_jets_make_no_dense_product(monkeypatch, name, link):
     assert masks and (-1, -1) not in masks
 
 
-def test_table_caches_hold_one_residual_after_a_sweep_over_dimensions():
+class _CountingEntries(OrderedDict):
+    """The table cache's entries, counting every insertion."""
+
+    inserted = 0
+
+    def __setitem__(self, key, value):
+        self.inserted += 1
+        super().__setitem__(key, value)
+
+
+def test_table_caches_hold_one_residual_after_a_sweep_over_dimensions(monkeypatch):
     # the jet tables of m = 3..12 share one byte budget: after a sweep the
     # cache is within it, and it holds every table one m = 12 residual
     # reads, so that a second such residual builds none
@@ -227,7 +239,10 @@ def test_table_caches_hold_one_residual_after_a_sweep_over_dimensions():
         assert _TABLES.bytes <= _TABLES.budget
         assert _TABLES.bytes == sum(size for _, size in _TABLES.entries.values())
     kept = set(_TABLES.entries)
+    entries = _CountingEntries(_TABLES.entries)
+    entries.inserted = 0
+    monkeypatch.setattr(_TABLES, "entries", entries)
     link_residual_system(link, points=point)
-    assert set(_TABLES.entries) == kept
+    assert entries.inserted == 0 and set(_TABLES.entries) == kept
     # and few of the lower dimensions' tables are left
     assert {key[1] for key in kept if key[0] == "_mul_tables"} <= {11, 12}
