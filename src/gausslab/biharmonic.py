@@ -36,6 +36,7 @@ from .geometry import (
     ImmersionChart,
     ShapeData,
     _apply,
+    _check_orientation,
     _points_first,
     fundamental_data,
     gradient_of_mean_curvature,
@@ -224,6 +225,7 @@ def _sweep(chart: ImmersionChart, points: Sequence | None, orientation: int,
     """Rows over the sample (the chart's default grid when `points` is None),
     the rows that evaluated, the failed count, and whether too many points
     failed to decide."""
+    _check_orientation(orientation)
     if points is None:
         points = chart.sample_points(default_count=default_count)
     if not points:

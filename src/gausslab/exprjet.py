@@ -25,6 +25,7 @@ sin cos tan cot exp log sqrt asin acos atan sinh cosh tanh.
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter, OrderedDict
 from functools import lru_cache, wraps
 from typing import Callable, NamedTuple, Sequence, Union
@@ -460,10 +461,11 @@ class _TableCache:
         return cached
 
 
-# The tables share one budget. The tables one residual reads at dimension
-# 12, the largest in the catalog, take 10.1 MiB together, so a sweep over
-# dimensions keeps about one high dimension's tables, not those of every
-# dimension it met, and the tables of all the dimensions up to 8 fit at once.
+# The tables share one budget. The tables one residual reads take 10.1 MiB
+# together at dimension 12, the largest in the catalog (14.7 MiB at 13, 20.8
+# MiB at 14), so a sweep over dimensions keeps about one high dimension's
+# tables, not those of every dimension it met, and the tables of all the
+# dimensions up to 8 fit at once.
 _TABLES = _TableCache(14 * 2 ** 20)
 
 
@@ -990,12 +992,32 @@ def _pair_sum(m: int, order: int, x: np.ndarray, y: np.ndarray, va: int, vb: int
                        minlength=n * size).reshape((n,) + terms.shape[1:])
 
 
-def _laid_out(c: np.ndarray, batched: bool, axes: list, shape: tuple) -> np.ndarray:
-    """A contiguous copy of the array c with its point axis first (of size 1
-    where it has none) and then its axes `axes`, reshaped to `shape` after
-    the point axis."""
+# The large temporaries of `contract`, one buffer per role and thread, each
+# as large as the largest request it has met: reused from call to call, they
+# spare the allocator the maps and page faults of fresh ones.
+_WORKSPACES = threading.local()
+
+
+def _workspace(role: str, size: int) -> np.ndarray:
+    """The first `size` floats of this thread's buffer for `role`, grown to
+    at least that size. Its contents are whatever the last call left."""
+    buf = getattr(_WORKSPACES, role, None)
+    if buf is None or len(buf) < size:
+        buf = np.empty(size)
+        setattr(_WORKSPACES, role, buf)
+    return buf[:size]
+
+
+def _laid_out(c: np.ndarray, batched: bool, axes: list, shape: tuple, role: str) -> np.ndarray:
+    """The array c with its point axis first (of size 1 where it has none)
+    and then its axes `axes`, reshaped to `shape` after the point axis: c
+    itself where it is laid out so, else a copy in the workspace `role`."""
     moved = c.transpose([c.ndim - 1] + axes if batched else axes)
-    return np.ascontiguousarray(moved).reshape((c.shape[-1] if batched else 1,) + shape)
+    if not moved.flags.c_contiguous:
+        out = _workspace(role, moved.size).reshape(moved.shape)
+        np.copyto(out, moved)
+        moved = out
+    return moved.reshape((c.shape[-1] if batched else 1,) + shape)
 
 
 @lru_cache(maxsize=64)
@@ -1032,7 +1054,12 @@ def contract(spec: str, a: JetValue, b) -> JetValue:
     after block, so that each output entry sums its pairs in table order. A
     constant B is one block with a single partner. The blocks below A's
     `lowest` degree, and those whose partners all lie below B's, multiply
-    exactly zero rows and are skipped; the rest are the full product's."""
+    exactly zero rows and are skipped; the rest are the full product's.
+
+    The products' buffer and the operands' laid-out copies (an operand
+    already laid out so is read in place) live in workspaces this thread
+    keeps from call to call (`_workspace`); every entry read is written
+    first in the same call, and the returned jet is a fresh array."""
     sa, sb, out, free_a, free_b, summed = _spec_axes(spec)
     jet = isinstance(b, JetValue)
     k, x, y = a._truncated(b) if jet else (a.order, a.coeffs, np.asarray(b, dtype=float))
@@ -1045,14 +1072,14 @@ def contract(spec: str, a: JetValue, b) -> JetValue:
     nb = math.prod(size[c] for c in free_b)
     ns = math.prod(size[c] for c in summed)
     n = len(x)
-    X = _laid_out(x, xb, [0] + [1 + sa.index(c) for c in free_a + summed], (n, na, ns))
+    X = _laid_out(x, xb, [0] + [1 + sa.index(c) for c in free_a + summed], (n, na, ns), "a")
     Y = _laid_out(y, yb, [yt + sb.index(c) for c in summed] + ([0] if jet else [])
-                  + [yt + sb.index(c) for c in free_b], (ns, n if jet else 1, nb))
+                  + [yt + sb.index(c) for c in free_b], (ns, n if jet else 1, nb), "b")
     blocks, slots = _contract_slots(a.m, k, jet, points, na, nb)
     low, stop = (a.lowest, max(k + 1 - b.lowest, 0)) if jet else (0, 1)
     counts = [points * rows * na * partners * nb for _, rows, partners in blocks]
     start, end = sum(counts[:low]), sum(counts[:stop])
-    terms = np.empty(max(end - start, 0))
+    terms = _workspace("terms", max(end - start, 0))
     at = 0
     for (first, rows, partners), count in zip(blocks[low:stop], counts[low:stop]):
         np.matmul(X[:, first:first + rows].reshape(len(X), rows * na, ns),

@@ -9,19 +9,22 @@ differencing.
 
 Each quantity is carried only to the jet order the residual reads (a Taylor
 order budget; Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).
-From component jets at order p (5 by default): tangents at p - 1, metric,
-inverse metric and unit normal at p - 2, Christoffel symbols at order 1,
-second fundamental form, shape operator and f at p - 2. The unit normal is
-the numeric normal e at the base point projected off the tangent frame,
-e - T^T g^(-1) T e (and off the position on a sphere).
+From component jets at order p (5 by default): tangents, metric, inverse
+metric, unit normal, second fundamental form and f at p - 2, Christoffel
+symbols at order 1, and the shape operator A and |A|^2 at order 0, as the
+residual reads only their values. The unit normal is the numeric normal e
+at the base point, the last column of a complete QR of the frame's
+transpose, projected off the tangent frame, e - T^T g^(-1) T e (and off the
+position on a sphere).
 
 Every tensor is one `JetValue` with tensor axes (see `exprjet`), and each of
-g = T T^T, the Neumann series for g^(-1), Gamma, h, A = g^(-1) h, tr A, |A|^2,
-the projected normal and grad f is one `contract` over those axes; h reads
-the packed second partials d_i d_j X, i <= j, and the Neumann products skip
-their zero blocks. One Laplacian serves functions and vector fields; it and
-the other algebra on values add their terms in one order (`_sum`), so a
-point alone and in a batch of any size gets the same bits.
+g = T T^T, the Neumann series for g^(-1), Gamma, h, the projected normal and
+grad f is one `contract` over those axes; so is f = (1/m) g^il h_li, one
+trace contraction that builds no A. h reads the packed second partials
+d_i d_j X, i <= j, and the Neumann products skip their zero blocks. One
+Laplacian serves functions and vector fields; it, A, |A|^2 and the other
+algebra on values add their terms in one order (`_sum`), so a point alone
+and in a batch of any size gets the same bits.
 
 Index conventions: i, j, k, l label chart variables (0..m-1); a, b label
 ambient coordinates. Tensor axes follow the index order written: the frame
@@ -328,10 +331,10 @@ class ShapeData(NamedTuple):
     """Second-order data: unit normal, shape operator, signed mean
     curvature, |A|^2 (jets, at one point or over a batch)."""
 
-    normal: JetValue  # [a]
-    shape_operator: JetValue  # [i, j] = A^i_j
-    mean_curvature: JetValue
-    shape_norm_sq: JetValue
+    normal: JetValue  # [a], at the order of g^(-1)
+    shape_operator: JetValue  # [i, j] = A^i_j, order 0: the value alone
+    mean_curvature: JetValue  # f = (1/m) tr A, at the order of g^(-1)
+    shape_norm_sq: JetValue  # |A|^2 = tr A^2, order 0
 
     @property
     def dim(self) -> int:
@@ -349,8 +352,8 @@ def fundamental_data(chart: ImmersionChart, point: Sequence,
     through one jet pass (the gates then test every point of the batch).
 
     Each quantity is carried only to the jet order the residual reads:
-    component jets at `order`, tangents at `order - 1`, the metric and its
-    inverse at `order - 2`, the Christoffel symbols at order 1.
+    component jets at `order`, the tangents, the metric and its inverse at
+    `order - 2`, the Christoffel symbols at order 1.
 
     Raises GeometryError for an order below 3, before any jet work;
     DomainError when a component jet or the metric is not finite,
@@ -372,9 +375,8 @@ def fundamental_data(chart: ImmersionChart, point: Sequence,
             if _any(abs(radius_sq - 1.0) > _SPHERE_TOL):
                 raise SphereConstraintError(
                     f"|X|^2 = {radius_sq!r} at {pt} (must be 1 within {_SPHERE_TOL})")
-        T = X.gradient()
-        low = T.truncate(order - 2)
-        g = contract("ia,ja->ij", low, low)
+        T = X.gradient(order - 2)
+        g = contract("ia,ja->ij", T, T)
         lo, hi, _ = _symmetric_index(chart.dim)
         metric = JetValue(g.m, g.order, g.coeffs[:, lo, hi], 2)
         g0 = metric.value
@@ -421,6 +423,7 @@ def _shape_data(chart: ImmersionChart, point, orientation: int,
                 fd: FundamentalData | None, ambient: str) -> ShapeData:
     if chart.ambient != ambient:
         raise GeometryError(f"chart is not {ambient}-ambient")
+    _check_orientation(orientation)
     if fd is None:
         fd = fundamental_data(chart, point)
     w = _normal_direction(fd, on_sphere=ambient == "sphere")
@@ -430,11 +433,20 @@ def _shape_data(chart: ImmersionChart, point, orientation: int,
     normal = w * (1.0 / norm_sq.compose("sqrt"))
     if orientation == -1:
         normal = -normal
-    elif orientation != 1:
+    ginv, h = fd.inverse_metric, _second_form(fd, normal)
+    m = chart.dim
+    f = contract("il,li->", ginv, h) * (1.0 / m)
+    # A0^i_j = g0^il h0_lj over l, and |A|^2 = A0^i_j A0^j_i over i, then j
+    A0 = _sum(ginv.value.swapaxes(0, 1)[:, :, None] * h.value[:, None])
+    norm_sq_A = _sum(_sum(A0 * A0.swapaxes(0, 1)))
+    return ShapeData(normal, JetValue(m, 0, A0[None], 2), f,
+                     JetValue(m, 0, np.asarray(norm_sq_A)[None]))
+
+
+def _check_orientation(orientation: int) -> None:
+    """Raise GeometryError unless `orientation` is +1 or -1."""
+    if orientation not in (1, -1):
         raise GeometryError("orientation must be +1 or -1")
-    A = contract("il,lj->ij", fd.inverse_metric, _second_form(fd, normal))
-    f = JetValue(A.m, A.order, np.einsum("zii...->z...", A.coeffs)) * (1.0 / len(A))
-    return ShapeData(normal, A, f, contract("ij,ji->", A, A))
 
 
 def _second_form(fd: FundamentalData, normal: JetValue) -> JetValue:
@@ -450,14 +462,13 @@ def _second_form(fd: FundamentalData, normal: JetValue) -> JetValue:
 def _normal_direction(fd: FundamentalData, on_sphere: bool) -> JetValue:
     """A normal field w at the order of g^(-1): the numeric unit normal e at
     the base point, projected off the tangents (and off X on a sphere)."""
-    k = fd.inverse_metric.order
-    T = fd.frame.truncate(k)
-    R0 = fd.frame.value
+    T, k = fd.frame, fd.inverse_metric.order  # the frame is at the order of g^(-1)
+    R0 = T.value
     if on_sphere:
         R0 = np.concatenate([fd.position.value[None], R0])
     R0 = _points_first(R0, 2)
-    try:
-        e = np.linalg.svd(R0)[2][..., -1, :]
+    try:  # the last column of a complete Q is orthogonal to the rows of R0
+        e = np.linalg.qr(R0.swapaxes(-1, -2), mode="complete")[0][..., -1]
     except np.linalg.LinAlgError as exc:
         raise SingularImmersionError(f"no normal at {fd.point}: {exc}") from exc
     # the orientation of the Hodge dual of the frame

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gausslab.biharmonic as biharmonic
+import gausslab.exprjet as exprjet
+import gausslab.geometry as geometry
 from gausslab.biharmonic import (
     INCONCLUSIVE,
     PointResidual,
@@ -377,6 +380,61 @@ def test_batched_compose_raises_where_one_point_leaves_the_domain(fn, value):
     with pytest.raises(DomainError):
         cols[1].compose(fn)
     cols[0].compose(fn)
+
+
+# ---------------------------------------------------------------------------
+# (e) the workspaces `contract` keeps from call to call
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=[c.name for c in CHARTS])
+def test_rows_read_nothing_a_workspace_held_before(chart, monkeypatch):
+    # every workspace is filled with NaN before and after each contraction:
+    # a pass that read one before writing it, or a jet left in one, would
+    # give another row
+    points = _points(chart, 7, seed=chart.dim)
+    size = _batch_size(chart.dim, 5)
+    want = repr(_sweep(chart, points, 1)), repr(_sweep(chart, points, size))
+    contract = geometry.contract
+
+    def poisoned(*args):
+        for buf in vars(exprjet._WORKSPACES).values():
+            buf.fill(np.nan)
+        out = contract(*args)
+        for buf in vars(exprjet._WORKSPACES).values():
+            assert not np.shares_memory(out.coeffs, buf)
+            buf.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(geometry, "contract", poisoned)
+    assert (repr(_sweep(chart, points, 1)), repr(_sweep(chart, points, size))) == want
+
+
+def test_threads_at_once_get_the_serial_rows():
+    # each thread holds workspaces of its own: link systems in three threads
+    # at once, on samples of different sizes and with the interpreter
+    # switching threads often, give the rows each gives alone
+    chart = clifford_link_chart(1, 3, 0.25)
+    samples = [_points(chart, count, seed=count) for count in (30, 45, 17)]
+    serial = [repr(link_residual_system(chart, points=p).points) for p in samples]
+    start, rows = threading.Barrier(len(samples), timeout=60), [[] for _ in samples]
+
+    def run(k):
+        start.wait()
+        for _ in range(3):
+            rows[k].append(repr(link_residual_system(chart, points=samples[k]).points))
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(samples))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert rows == [[want] * 3 for want in serial]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from gausslab.geometry import (
     chart_from_strings,
     fundamental_data,
     gradient_of_mean_curvature,
+    shape_data_euclidean,
     shape_data_spherical,
 )
 from gausslab.hypercone import (
@@ -256,6 +257,31 @@ def test_empty_sample_is_rejected(check, chart):
 def test_link_system_requires_sphere_ambient():
     with pytest.raises(GeometryError, match="sphere"):
         link_residual_system(unit_sphere_chart())
+
+
+@pytest.mark.parametrize("check, chart", [
+    (hypersurface_residual, unit_sphere_chart()),
+    (link_residual_system, sphere_link_chart(3, 0.5)),
+], ids=["hypersurface", "link"])
+@pytest.mark.parametrize("orientation", [0, 2, -2])
+def test_invalid_orientation_raises_before_any_jet_pass(check, chart, orientation, monkeypatch):
+    # it failed every point, and the sweep halved each batch down to lone
+    # points before it returned Inconclusive
+    import gausslab.biharmonic as biharmonic
+    import gausslab.geometry as geometry
+
+    calls = []
+    for module in (biharmonic, geometry):
+        counted = module.fundamental_data
+        monkeypatch.setattr(module, "fundamental_data",
+                            lambda *args, counted=counted, **kw: calls.append(args)
+                            or counted(*args, **kw))
+    with pytest.raises(GeometryError, match="orientation must be"):
+        check(chart, orientation=orientation)
+    shape = shape_data_euclidean if chart.ambient == "euclidean" else shape_data_spherical
+    with pytest.raises(GeometryError, match="orientation must be"):
+        shape(chart, (0.3,) * chart.dim, orientation)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

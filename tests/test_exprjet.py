@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import gausslab.exprjet as exprjet
 from gausslab.exprjet import (
     DomainError,
     FUNCTIONS,
@@ -426,9 +427,10 @@ def test_contraction_is_within_the_sum_bound_of_the_per_pass_kernel(points):
     _assert_within_sum_bound("iab,abj->ij", A, B)
 
 
-# every spec geometry.py contracts, and a length for each of its letters
+# every spec geometry.py contracts (and "ij,ji->", which |A|^2 was), and a
+# length for each of its letters
 _GEOMETRY_SPECS = ["ia,ja->ij", "lj,il->ij", "il,lj->ij", "ij,j->i", "ia,a->i",
-                   "ia,i->a", "kl,lij->kij", "a,a->", "pa,a->p", "ij,ji->"]
+                   "ia,i->a", "kl,lij->kij", "a,a->", "pa,a->p", "ij,ji->", "il,li->"]
 _AXIS_SIZES = {"i": 3, "j": 2, "k": 2, "l": 3, "a": 4, "p": 3}
 
 
@@ -475,6 +477,30 @@ def test_contraction_skips_the_zero_rows_below_the_lowest_degrees_bit_for_bit(m,
         A.lowest = low_a
         assert contract("il,l->i", A, v).coeffs.tobytes() == contract(
             "il,l->i", JetValue(m, order, A.coeffs, 2), v).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("points", [None, 3])
+def test_contractions_reuse_their_workspaces_and_return_none_of_them(points):
+    # each spec twice at the same shapes: the second call finds every buffer
+    # it needs and allocates none, and neither result is a view of one
+    rng = np.random.default_rng(31)
+    for spec in _GEOMETRY_SPECS:
+        shape_a, shape_b = (tuple(_AXIS_SIZES[c] for c in s)
+                            for s in spec.split("->")[0].split(","))
+        A = _tensor_jet(shape_a, rng, m=4, order=3, points=points)
+        B = _tensor_jet(shape_b, rng, m=4, order=3, points=points)
+        first = contract(spec, A, B)
+        held = dict(vars(exprjet._WORKSPACES))
+        second = contract(spec, A, B)
+        now = vars(exprjet._WORKSPACES)
+        assert now.keys() == held.keys() and all(now[r] is buf for r, buf in held.items())
+        assert "terms" in held
+        assert first.coeffs.tobytes() == second.coeffs.tobytes()
+        for buf in held.values():
+            assert not np.shares_memory(first.coeffs, buf)
+            assert not np.shares_memory(second.coeffs, buf)
+    # the operands of these specs need a laid-out copy, so both roles are held
+    assert {"a", "b"} <= set(held)
 
 
 def test_batched_contraction_matches_its_columns():

@@ -132,16 +132,18 @@ def test_metric_gates_name_the_cause(components, point, cause):
         fundamental_data(chart, point)
 
 
-def test_failed_normal_svd_is_a_singular_immersion(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+def test_failed_normal_qr_is_a_singular_immersion(monkeypatch):
+    message = "Incorrect argument found while performing QR factorization"
 
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
-    with pytest.raises(SingularImmersionError, match="SVD did not converge"):
+    def failed(*args, **kwargs):
+        raise np.linalg.LinAlgError(message)
+
+    monkeypatch.setattr(np.linalg, "qr", failed)
+    with pytest.raises(SingularImmersionError, match=message):
         shape_data_euclidean(unit_sphere_chart(), (0.7, 0.4))
     circle = chart_from_strings("circle", ("u",), ("cos(u)", "sin(u)", "0"),
                                 ((0.0, TWO_PI),), ambient="sphere")
-    with pytest.raises(SingularImmersionError, match="SVD did not converge"):
+    with pytest.raises(SingularImmersionError, match=message):
         shape_data_spherical(circle, (0.3,))
 
 
@@ -293,8 +295,36 @@ def test_second_fundamental_form_is_symmetric_and_matches_the_frame_gradient(cha
     assert h.rank == 2 and h.order == normal.order
     assert np.array_equal(h.coeffs, h.coeffs.swapaxes(1, 2))
     # against the contraction of the whole second-derivative tensor
-    old = contract("jia,a->ij", fd.frame.gradient(), normal)
+    old = contract("jia,a->ij", fd.position.gradient().gradient(), normal)
     assert np.max(np.abs(h.coeffs - old.coeffs)) <= 1e-15 * np.max(np.abs(old.coeffs))
+
+
+def _shape_cases():
+    """The cases of `_h_cases` and the sphere link of dimension 12 over a
+    batch of three points."""
+    rng = np.random.default_rng(23)
+    point = tuple(0.2 * (-1) ** i + rng.uniform(-0.05, 0.05, 3) for i in range(12))
+    return _h_cases() + [(sphere_link_chart(12, 0.5), point)]
+
+
+@pytest.mark.parametrize("chart, point", _shape_cases(), ids=[
+    "graph", "graph-batch", "cone-over-S5", "cone-over-S5-batch", "sphere-link-12",
+    "sphere-link-12-batch"])
+def test_mean_curvature_and_shape_operator_match_the_full_product(chart, point):
+    # f comes from one trace contraction and A, |A|^2 from the values alone;
+    # against them, the whole jet A = g^(-1) h, its trace and its |A|^2
+    fd = fundamental_data(chart, point)
+    shape = shape_data_euclidean if chart.ambient == "euclidean" else shape_data_spherical
+    sd = shape(chart, point, 1, fd)
+    A = contract("il,lj->ij", fd.inverse_metric, _second_form(fd, sd.normal))
+    m, scale = chart.dim, np.max(np.abs(A.coeffs))
+    f = sd.mean_curvature
+    assert f.order == A.order and sd.shape_operator.order == sd.shape_norm_sq.order == 0
+    trace = sum(A.coeffs[:, i, i] for i in range(m)) / m
+    assert np.max(np.abs(f.coeffs - trace)) <= 1e-15 * scale
+    assert np.max(np.abs(sd.shape_operator.value - A.value)) <= 1e-15 * scale
+    norm_sq = contract("ij,ji->", A, A).value
+    assert np.max(np.abs(sd.shape_norm_sq.value - norm_sq)) <= 1e-15 * scale ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def test_fundamental_data_jet_orders(chart, point):
     assert fd.metric[0][0].order == 3
     assert fd.inverse_metric[0][0].order == 3
     assert fd.christoffels[0][0][0].order == 1
-    assert fd.frame[0][0].order == 4
+    assert fd.frame[0][0].order == 3
     sd = _shape(chart, point)
     assert sd.normal[0].order == 3 and sd.mean_curvature.order == 3
 
