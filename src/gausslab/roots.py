@@ -6,7 +6,9 @@ One pseudo-division (Collins, "Subresultants and reduced polynomial remainder
 sequences", J. ACM 14, 1967) builds the gcd, the square-free part, the
 deflation of a root and the Sturm chain: each step scales by |lc| of the
 divisor and each result is divided by its positive content, so every result
-is a positive multiple of the Euclidean one and keeps its signs.
+is a positive multiple of the Euclidean one and keeps its signs. A quadratic
+with a nonzero discriminant is its own square-free part, and counts and
+isolates its roots without a chain.
 
 Counting uses the half-open convention: count_real_roots_in(p, a, b) is the
 number of distinct real roots in (a, b]. Roots landing exactly on an endpoint
@@ -24,9 +26,16 @@ by the width alone that holds the root. A float estimate, from a copy of q
 scaled by a power of two and sharpened by exact Newton steps where a float
 cannot tell the cells apart, names that cell; two signs of q against its sign
 just right of the left end (the sign of q' there when that end is itself a
-root) certify it, and a miss gallops over cell indices, then bisects. A single
-guarded Newton step polishes the float estimate; Fractions are built only for
-the returned intervals.
+root) certify it, and a miss gallops over cell indices, then bisects.
+
+So the output is the cell of one dyadic level over the search range (the
+Cauchy bound or the finite range ends), whatever isolation found, unless two
+roots share that cell. A quadratic names each root's cell of that level in
+closed form, from one integer square root of the discriminant, certifies it
+by the same two signs and skips the chain, the bisection and the refinement;
+where both of its roots share a cell it bisects like any other polynomial. A
+single guarded Newton step polishes the float estimate; Fractions are built
+only for the returned intervals.
 """
 
 from __future__ import annotations
@@ -152,9 +161,15 @@ def _pdiv(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tupl
     return _primitive(quo), _primitive(r[max(len(a) - len(b) + 1, 0):])
 
 
+def _discriminant(cs: tuple[int, ...]) -> int:
+    """b^2 - 4ac of the quadratic (a, b, c)."""
+    a, b, c = cs
+    return b * b - 4 * a * c
+
+
 def _square_free(cs: tuple[int, ...]) -> tuple[int, ...]:
     """Positive multiple of cs / gcd(cs, cs'), primitive."""
-    if len(cs) <= 2:
+    if len(cs) <= 2 or len(cs) == 3 and _discriminant(cs):
         return cs
     g, r = cs, _derivative(cs)
     while r:
@@ -258,9 +273,24 @@ def count_real_roots_in(p: Polynomial, a, b) -> int:
     q, b_is_root = _open_part(p, a, b)
     if len(q) <= 1:
         return int(b_is_root)
+    if len(q) == 3:
+        return _quadratic_count(q, a, b) + b_is_root
     chain = _sturm(q)
     return (_variations(chain, *_projective(a))
             - _variations(chain, *_projective(b)) + b_is_root)
+
+
+def _quadratic_count(q: tuple[int, ...], a, b) -> int:
+    """Roots in (a, b] of the square-free quadratic q, which vanishes at
+    neither end: one where q changes sign from a to b; else two where both
+    ends lie outside the roots (q has the sign of its leading coefficient
+    there) on either side of the vertex -b/2a, and none otherwise."""
+    if _discriminant(q) < 0:
+        return 0
+    sa, sb = _sign_at(q, *_projective(a)), _sign_at(q, *_projective(b))
+    if sa != sb:
+        return 1
+    return 2 if (sa > 0) == (q[0] > 0) and a < Fraction(-q[1], 2 * q[0]) < b else 0
 
 
 class RootInterval(NamedTuple):
@@ -372,19 +402,24 @@ def _numerator(t: float, e: int, d: int) -> int:
     return (tn * d << e) // td if e >= 0 else tn * d // (td << -e)
 
 
+def _level(w: int, d: int) -> int:
+    """The least K with w / (d 2^K) <= _WIDTH."""
+    return (-(-w * _WIDTH.denominator // (_WIDTH.numerator * d)) - 1).bit_length()
+
+
 def _refine(q: tuple[int, ...], dq: tuple[int, ...], x: int, y: int, d: int, s: int,
             scaled: tuple[int, list[float], list[float]]) -> tuple[int, int, int]:
     """The interval (x, y] / d of width at most _WIDTH that bisecting the
     isolating interval (x/d, y/d], right of x/d of which q has sign s, ends
-    in. Bisection keeps y - x and doubles d, so after K halvings, K fixed by
-    the width alone, it is one of the 2^K cells (x 2^K + j w, x 2^K + (j+1) w]
-    / (d 2^K), w = y - x: the cell j with q of sign s at its left end (or
-    j = 0) and not at its right end (or j = 2^K - 1). A float estimate of
-    the root, sharpened by exact Newton steps where a float cannot tell the
-    cells apart, names j; two sign tests certify it, and a miss gallops from
-    it over cell indices and then bisects."""
+    in. Bisection keeps y - x and doubles d, so after K = `_level` halvings,
+    K fixed by the width alone, it is one of the 2^K cells (x 2^K + j w,
+    x 2^K + (j+1) w] / (d 2^K), w = y - x: the cell j with q of sign s at its
+    left end (or j = 0) and not at its right end (or j = 2^K - 1). A float
+    estimate of the root, sharpened by exact Newton steps where a float
+    cannot tell the cells apart, names j; two sign tests certify it, and a
+    miss gallops from it over cell indices and then bisects."""
     w = y - x
-    k = (-(-w * _WIDTH.denominator // (_WIDTH.numerator * d)) - 1).bit_length()
+    k = _level(w, d)
     if not k:
         return x, y, d
     e, u, du = scaled
@@ -420,30 +455,50 @@ def _refine(q: tuple[int, ...], dq: tuple[int, ...], x: int, y: int, d: int, s: 
     return x, x + w, d
 
 
-def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF) -> list[RootInterval]:
-    """Isolating intervals for every distinct real root of p in (a, b], each
-    the interval of width at most _WIDTH that bisecting its isolating
-    interval ends in (found by `_refine` from an estimate and two sign
-    tests), and polished with one guarded Newton step."""
-    if p.is_zero or p.degree == 0:
+def _quadratic_cells(q: tuple[int, ...], dq: tuple[int, ...], x: int, y: int,
+                     d: int) -> list[tuple[int, int, int, int]] | None:
+    """The refined cells (x', x' + w, d', s) of the roots in (x/d, y/d] of
+    the square-free quadratic q, s the sign of q just right of x'/d', or
+    None where both roots lie in one cell. Bisecting (x/d, y/d] keeps
+    w = y - x, so a root whose cell of level K = `_level(w, d)` holds no
+    other root ends in that cell, (x', x' + w] / d' with x' = x 2^K + j w
+    and d' = d 2^K: j = ceil(z) - 1 for the root t at z = (t d' - x 2^K) / w,
+    and a root with j outside [0, 2^K) lies outside the range. With
+    t = (-b -+ sqrt(D)) / 2a, D the discriminant, z is (P -+ sqrt(Q)) / M for
+    integers P, Q and M > 0, the smaller root first, and ceil(z) - 1 is
+    (ceil(P -+ sqrt(Q)) - 1) // M, exact by one integer square root. Two
+    sign tests per cell certify it: q has the sign s just right of its left
+    end and not at its right end; a cell that fails them returns None."""
+    a, b, _ = q
+    disc = _discriminant(q)
+    if disc < 0:
         return []
-    a = _as_endpoint(a)
-    b = _as_endpoint(b)
-    q, b_is_root = _open_part(p, a, b)
-    results = [RootInterval(b, b, float(b))] if b_is_root else []
-    if len(q) <= 1:
-        return results
-    bound = _cauchy_bound(q)
-    lo = a if a != NEG_INF else -bound
-    hi = b if b != POS_INF else bound
-    if not lo < hi:
-        return results
-    chain = _sturm(q)
+    w = y - x
+    k = _level(w, d)
+    x, d = x << k, d << k
+    sa = 1 if a > 0 else -1
+    p, m, sq = sa * (-b * d - 2 * a * x), 2 * abs(a) * w, disc * d * d
+    r = math.isqrt(sq)
+    j0, j1 = (p - r - 1) // m, (p + r + (r * r != sq) - 1) // m
+    if j0 == j1 and 0 <= j0 < 1 << k:
+        return None
+    cells = []
+    # q has the sign of a left of the smaller root and the other right of it
+    for j, s in ((j0, sa), (j1, -sa)):
+        if 0 <= j < 1 << k:
+            left = x + j * w
+            if (_sign_at(q, left, d) or _sign_at(dq, left, d)) != s \
+                    or _sign_at(q, left + w, d) == s:
+                return None
+            cells.append((left, left + w, d, s))
+    return cells
 
-    # an endpoint x/d is kept as the integers (x, d), with d the common
-    # denominator of lo and hi times a power of two; bisecting doubles d
-    d = math.lcm(lo.denominator, hi.denominator)
-    x, y = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+
+def _bisect(q: tuple[int, ...], x: int, y: int, d: int) -> list[tuple[int, int, int]]:
+    """Isolating intervals (x', y', d') of the roots of q in (x/d, y/d], by
+    Sturm counts: an interval holding more than one root is halved, and
+    y' - x' = y - x always."""
+    chain = _sturm(q)
     stack = [(x, y, d, _variations(chain, x, d), _variations(chain, y, d))]
     isolated: list[tuple[int, int, int]] = []
     while stack:
@@ -458,7 +513,46 @@ def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF) -> list[RootInterval
         vm = _variations(chain, mid, d)
         stack.append((x, mid, d, vx, vm))
         stack.append((mid, y, d, vm, vy))
+    return isolated
+
+
+def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF) -> list[RootInterval]:
+    """Isolating intervals for every distinct real root of p in (a, b], each
+    the interval of width at most _WIDTH that bisecting from the Cauchy
+    bound (or the finite range ends) ends in, and polished with one guarded
+    Newton step. A quadratic names each root's cell in closed form
+    (`_quadratic_cells`); other polynomials, and a quadratic whose roots
+    share a cell, are isolated by Sturm counts and refined by `_refine`."""
+    if p.is_zero or p.degree == 0:
+        return []
+    a = _as_endpoint(a)
+    b = _as_endpoint(b)
+    q, b_is_root = _open_part(p, a, b)
+    results = []
+    if b_is_root:
+        try:
+            results.append(RootInterval(b, b, float(b)))
+        except OverflowError:
+            raise OverflowError(_PAST_FLOATS) from None
+    if len(q) <= 1:
+        return results
+    lo = a if a != NEG_INF else -_cauchy_bound(q)
+    hi = b if b != POS_INF else _cauchy_bound(q)
+    if not lo < hi:
+        return results
+    # an endpoint x/d is kept as the integers (x, d), with d the common
+    # denominator of lo and hi times a power of two; bisecting doubles d
+    d = math.lcm(lo.denominator, hi.denominator)
+    x, y = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
     dq = _derivative(q)
+    cells = _quadratic_cells(q, dq, x, y, d) if len(q) == 3 else None
+    scaled = None
+    if cells is None:
+        # (x/d, y/d] holds one simple root, so q keeps the sign it has just
+        # right of x/d up to that root (the sign of q' if x/d is a root too)
+        cells = [(x, y, d, _sign_at(q, x, d) or _sign_at(dq, x, d))
+                 for x, y, d in _bisect(q, x, y, d)]
+        scaled = _scaled(q)
     # the Newton step reads q scaled to the leading coefficient of p, which
     # p divided by a monic gcd keeps, so the float polish does not depend on
     # the integer scale of q
@@ -468,14 +562,11 @@ def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF) -> list[RootInterval
         dq_f = [c * num / den for c in dq]
     except OverflowError:  # a coefficient past the float range: no polish
         q_f = dq_f = None
-    scaled = _scaled(q)
-    for x, y, d in isolated:
-        # (x/d, y/d] holds one simple root, so q keeps the sign it has just
-        # right of x/d up to that root (the sign of q' if x/d is a root too)
-        s = _sign_at(q, x, d) or _sign_at(dq, x, d)
+    for x, y, d, s in cells:
         if _root_past_floats(q, x, y, d, s):
             raise OverflowError(_PAST_FLOATS)
-        x, y, d = _refine(q, dq, x, y, d, s, scaled)
+        if scaled is not None:
+            x, y, d = _refine(q, dq, x, y, d, s, scaled)
         try:
             est = (x + y) / (2 * d)  # int / int rounds correctly, as float(Fraction)
         except OverflowError:

@@ -649,6 +649,14 @@ def test_roots_past_the_float_range_say_so(capsys, coeffs):
     assert "outside the float range" in err and "Traceback" not in err
 
 
+def test_a_range_end_root_past_the_float_range_says_so(capsys):
+    # the root 10^400 is the range's right end, reported as the degenerate
+    # interval [b, b], whose value is no float
+    code, out, err = run(capsys, "roots", "--coeffs", "-1e400,1", "--range", "0,1e400")
+    assert (code, out) == (4, "")
+    assert err == "numerical failure: a root lies outside the float range (|x| > 1.8e308)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("--coeffs", "1e5000,1"),
     ("--coeffs", "1e-5000,1"),

@@ -1,9 +1,10 @@
 """Exact Sturm-chain root isolation."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gausslab import roots as roots_module
 from gausslab.roots import (
@@ -457,12 +458,15 @@ def wrong_estimates():
     }
 
 
+# cubics, as quadratics name their cells in closed form and never reach the
+# estimate
 @pytest.mark.parametrize("case", ["left end", "right end", "cell left", "cell right"])
 @pytest.mark.parametrize("p, a, b", [
-    (poly(-2, 0, 1), NEG_INF, POS_INF),
+    (mul(poly(-2, 0, 1), poly(-3, 1)), NEG_INF, POS_INF),
     (poly(-6, 11, -6, 1), 0, Fraction(5, 2)),  # roots 1 and 2 close cells
     (dyadic_and_quadratic([(3, 3), (-5, 2)], [(1, 1, 3)]), Fraction(-3, 2), 4),
-    (poly(-10 ** 40, 0, 1), NEG_INF, POS_INF),  # roots +-1e20: exact Newton steps
+    # roots +-1e20: exact Newton steps
+    (mul(poly(-10 ** 40, 0, 1), poly(-1, 1)), NEG_INF, POS_INF),
 ])
 def test_a_wrong_estimate_gallops_to_the_same_cell(monkeypatch, case, p, a, b):
     monkeypatch.setattr(roots_module, "_estimate", wrong_estimates()[case])
@@ -474,16 +478,18 @@ def test_a_nan_float_layer_still_certifies(monkeypatch):
     # cell search and the Newton step's guard still hold
     monkeypatch.setattr(roots_module, "_float_at", lambda cs, x: float("nan"))
     assert_certified(poly(-6, 11, -6, 1), 0, Fraction(5, 2))
-    assert_certified(poly(-10 ** 40, 0, 1))
+    assert_certified(mul(poly(-10 ** 40, 0, 1), poly(-1, 1)))
 
 
 @pytest.mark.parametrize("coeffs, values", [
     ((-10 ** 616, 0, 1), [-1e308, 1e308]),
     ((-10 ** 300, 0, 0, 1), [1e100]),
+    ((-10 ** 616, 0, 0, 1), [2.1544346900318836e+205]),  # 10^(616/3)
 ])
 def test_huge_roots_are_refined_in_a_few_exact_evaluations(monkeypatch, coeffs, values):
     # halving took 4,187 and 1,045 sign tests; every exact Horner sum counts
-    # here, the sign tests and the exact Newton steps alike
+    # here, the sign tests and the exact Newton steps alike. The quadratic
+    # names its cells in closed form; the cubics take the exact Newton steps
     calls = []
     value_at = roots_module._value_at
     monkeypatch.setattr(roots_module, "_value_at",
@@ -491,3 +497,91 @@ def test_huge_roots_are_refined_in_a_few_exact_evaluations(monkeypatch, coeffs, 
     roots = isolate_and_refine(poly(*coeffs))
     assert [r.value for r in roots] == values
     assert len(calls) <= 20 * len(roots)
+
+
+# ---------------------------------------------------------------------------
+# quadratics: each root's cell in closed form, against the bisection path
+
+
+def isolate_or_error(p, a, b):
+    try:
+        return isolate_and_refine(p, a, b)
+    except OverflowError as exc:
+        return str(exc)
+
+
+@st.composite
+def quadratic_cases(draw):
+    """(p, a, b): integer quadratics with coefficients up to 10^400, or
+    c (x - r1)(x - r2) with r1 dyadic, so that roots fall on cell edges, and
+    r2 - r1 dyadic or a power of ten, down to roots closer than a cell; over
+    the whole line, a half line, a rational range (dyadic around r1, or
+    not), or a range with a root on one end."""
+    if draw(st.integers(0, 2)) == 0:
+        big = st.integers(-10 ** 400, 10 ** 400)
+        p, ends = poly(draw(big), draw(big), draw(big.filter(bool))), None
+    else:
+        r1 = Fraction(draw(st.integers(-64, 64)), 2 ** draw(st.integers(0, 44)))
+        r2 = r1 + draw(st.builds(Fraction, st.integers(1, 64), st.integers(0, 44).map(lambda k: 2 ** k))
+                       | st.builds(Fraction, st.integers(1, 9), st.integers(0, 12).map(lambda k: 10 ** k))
+                       | st.builds(Fraction, st.integers(1, 9), st.integers(13, 18).map(lambda k: 10 ** k)))
+        c = draw(st.sampled_from((1, -1, 3, -7)))
+        p, ends = poly(c * r1 * r2, -c * (r1 + r2), c), (r1, r2)
+    span = Fraction(draw(st.integers(1, 256)), draw(st.sampled_from((1, 2, 3, 8, 64))))
+    kind = draw(st.sampled_from(("whole", "left", "right", "range", "range", "root at a",
+                                 "root at b")))
+    if kind == "whole":
+        return p, NEG_INF, POS_INF
+    if kind == "root at a" and ends:
+        return p, ends[0], draw(st.just(POS_INF) | st.just(ends[0] + span))
+    if kind == "root at b" and ends:
+        return p, draw(st.just(NEG_INF) | st.just(ends[1] - span)), ends[1]
+    if kind == "range" and ends and draw(st.booleans()):
+        a = ends[0] - Fraction(draw(st.integers(1, 64)), 2 ** draw(st.integers(0, 6)))
+    else:
+        a = Fraction(draw(st.integers(-64, 64)), draw(st.sampled_from((1, 2, 3, 4, 8, 10))))
+    return p, NEG_INF if kind == "left" else a, POS_INF if kind == "right" else a + span
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadratic_cases())
+@example((mul(poly(Fraction(-1, 3), 1), poly(Fraction(-1, 3) - Fraction(1, 10 ** 14), 1)),
+          NEG_INF, POS_INF))                                      # roots in one cell
+@example((mul(poly(Fraction(-1, 2), 1), poly(Fraction(-3, 4), 1)), 0, 1))  # on cell edges
+@example((mul(poly(-1, 1), poly(2, 1)), 1, POS_INF))             # a root on a range end
+@example((poly(-10 ** 800, 0, 1), NEG_INF, POS_INF))             # roots past the floats
+def test_quadratic_cells_match_the_bisection_path(case):
+    # the closed form declines exactly where both roots lie in one cell of
+    # the final level, where bisection goes on past it to narrower cells
+    p, a, b = case
+    cells, declined = roots_module._quadratic_cells, []
+
+    def recording(*args):
+        found = cells(*args)
+        declined.append(found is None)
+        return found
+
+    with mock.patch.object(roots_module, "_quadratic_cells", recording):
+        got = isolate_or_error(p, a, b)
+    with mock.patch.object(roots_module, "_quadratic_cells", lambda *args: None):
+        want = isolate_or_error(p, a, b)
+    assert repr(got) == repr(want)
+    if isinstance(want, list):
+        shared = any(WIDTH / 2 >= r.hi - r.lo > 0 for r in want)
+        assert any(declined) == shared
+
+
+def test_quadratic_solvers_build_no_sturm_chain(monkeypatch, capsys):
+    from gausslab import cli, hypercone
+
+    chains = []
+    sturm = roots_module._sturm
+    monkeypatch.setattr(roots_module, "_sturm", lambda cs: chains.append(cs) or sturm(cs))
+    for m1 in range(1, 12):
+        assert hypercone.clifford_link_solver(12, m1)
+    assert cli.main(["solve", "takagi", "--n", "17"]) == 0
+    # type 4 with multiplicities (15, 2): the lambda-quadratic of n = 17
+    assert cli.main(["solve", "isoparametric", "--l", "4", "--m1", "15", "--m2", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count('"cot_sq_theta"') == 2 and out.count('"variable": "lambda"') == 2
+    assert chains == []
