@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .roots import Polynomial, isolate_and_refine
+from .roots import Polynomial, _sign_at, isolate_and_refine
 
 # The solvers and the R^3 certificate are exact and need no numpy. The
 # chart, cone-data and quadrature builders import numpy and the jet modules
@@ -150,10 +150,11 @@ def clifford_link_solver(m: int, m1: int) -> list[CliffordRoot]:
     if not 1 <= m1 <= m - 1:
         raise ValueError("need 1 <= m1 <= m-1")
     m2 = m - m1
-    # quadratic in x = r1^2
-    poly = Polynomial.from_coeffs([m1, -(4 * m - 6 + m1 - m2), 4 * m - 6])
+    # quadratic in x = r1^2, integer coefficients highest degree first
+    coeffs = (4 * m - 6, -(4 * m - 6 + m1 - m2), m1)
+    poly = Polynomial.from_coeffs(coeffs[::-1])
     minimal_x = Fraction(m1, m1 + m2)
-    minimal_is_root = poly.eval_exact(minimal_x) == 0
+    minimal_is_root = _sign_at(coeffs, m1, m1 + m2) == 0
     intervals = isolate_and_refine(poly, 0, 1)
     if not intervals:
         raise ValueError(f"no real solutions in (0, 1) for m={m}, m1={m1}")

@@ -233,27 +233,31 @@ def _variations(chain: Sequence[tuple[int, ...]], p: int, d: int) -> int:
 
 
 def _projective(x) -> tuple[int, int]:
-    """Integers (p, d) with x = p/d; +-inf is (+-1, 0)."""
-    if x == POS_INF:
+    """Integers (p, d) with x = p/d for an endpoint of `_as_endpoint`;
+    +-inf is (+-1, 0)."""
+    if x is POS_INF:
         return 1, 0
-    if x == NEG_INF:
+    if x is NEG_INF:
         return -1, 0
     return x.numerator, x.denominator
 
 
 def _as_endpoint(x):
-    if x == POS_INF or x == NEG_INF:
-        return x
+    """x as a Fraction, and a float +-inf as POS_INF or NEG_INF itself, so
+    that an endpoint is tested for +-inf by identity, not by comparing a
+    Fraction with a float."""
+    if isinstance(x, float) and math.isinf(x):
+        return POS_INF if x > 0 else NEG_INF
     return _to_fraction(x)
 
 
 def _open_part(p: Polynomial, a, b) -> tuple[tuple[int, ...], bool]:
     """Square-free part of p with roots at the finite endpoints a and b
-    divided out, and whether b was such a root."""
+    (of `_as_endpoint`) divided out, and whether b was such a root."""
     q = _square_free(_int_coeffs(p))
-    if a != NEG_INF and _sign_at(q, a.numerator, a.denominator) == 0:
+    if a is not NEG_INF and _sign_at(q, a.numerator, a.denominator) == 0:
         q = _pdiv(q, (a.denominator, -a.numerator))[0]  # a is not in (a, b]
-    b_is_root = b != POS_INF and _sign_at(q, b.numerator, b.denominator) == 0
+    b_is_root = b is not POS_INF and _sign_at(q, b.numerator, b.denominator) == 0
     if b_is_root:
         # b belongs to (a, b]; the caller re-adds it
         q = _pdiv(q, (b.denominator, -b.numerator))[0]
@@ -536,8 +540,8 @@ def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF) -> list[RootInterval
             raise OverflowError(_PAST_FLOATS) from None
     if len(q) <= 1:
         return results
-    lo = a if a != NEG_INF else -_cauchy_bound(q)
-    hi = b if b != POS_INF else _cauchy_bound(q)
+    lo = a if a is not NEG_INF else -_cauchy_bound(q)
+    hi = b if b is not POS_INF else _cauchy_bound(q)
     if not lo < hi:
         return results
     # an endpoint x/d is kept as the integers (x, d), with d the common

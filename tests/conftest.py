@@ -1,13 +1,27 @@
 """Shared helpers: finite-difference probes and quick chart builders."""
 
+from collections import OrderedDict
+
 import numpy as np
+import pytest
 from hypothesis import settings
 
+from gausslab.exprjet import _TABLES
 from gausslab.geometry import SamplingSpec, chart_from_strings
 
 # `pytest --hypothesis-profile=ci` runs the same examples on every push;
 # local runs keep the default random profile
 settings.register_profile("ci", derandomize=True, deadline=None)
+
+
+@pytest.fixture
+def empty_tables(monkeypatch):
+    """exprjet's table cache, empty for one test, so that the test builds
+    every table and plan it reaches; the cache's entries return after it."""
+    monkeypatch.setattr(_TABLES, "entries", OrderedDict())
+    monkeypatch.setattr(_TABLES, "users", {})
+    monkeypatch.setattr(_TABLES, "bytes", 0)
+    return _TABLES
 
 
 def central_partial(fn, point, i, h=1e-5):

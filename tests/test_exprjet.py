@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gausslab.exprjet import (
     EvalContext,
     ExpressionError,
     JetValue,
+    _TABLES,
     _deriv_tables,
     _exponents,
     _mul_tables,
@@ -651,9 +653,9 @@ def test_filtered_tables_are_the_dense_table_filtered_by_support(m):
         assert _mul_tables(m, order, -1, -1) is dense
 
 
-def test_products_of_full_support_read_the_dense_table(monkeypatch):
-    import gausslab.exprjet as exprjet
-
+def test_products_of_full_support_read_the_dense_table(monkeypatch, empty_tables):
+    # from an empty cache, so that each product builds its plan from the
+    # tables of its masks
     calls = []
     tables = exprjet._mul_tables
     monkeypatch.setattr(exprjet, "_mul_tables", lambda *args: calls.append(args) or tables(*args))
@@ -769,3 +771,131 @@ def test_support_is_sound_and_products_equal_the_dense_kernel(case, batched, val
         event(f"compared, support {bin(got.support).count('1')} of {m}")
         assert not isinstance(got, type), source
         assert np.array_equal(got.coeffs, want.coeffs), source
+
+
+# ---------------------------------------------------------------------------
+# plans: a call shape's layouts are derived once, kept under the table budget
+
+
+class _Insertions(OrderedDict):
+    """The table cache's entries, keeping the key of each insertion made
+    once `inserted` is a list."""
+
+    inserted = None
+
+    def __setitem__(self, key, value):
+        if self.inserted is not None:
+            self.inserted.append(key)
+        super().__setitem__(key, value)
+
+
+def _recorded_insertions(monkeypatch) -> list:
+    """The keys the table cache inserts from now on; its entries, plan users
+    and byte count return to their state before this at the test's end."""
+    entries = _Insertions(_TABLES.entries)
+    entries.inserted = []
+    monkeypatch.setattr(_TABLES, "entries", entries)
+    monkeypatch.setattr(_TABLES, "users", {t: list(u) for t, u in _TABLES.users.items()})
+    monkeypatch.setattr(_TABLES, "bytes", _TABLES.bytes)
+    return entries.inserted
+
+
+def _catalog_shaped_chart(kind, dim):
+    """A curvature cylinder (dimension 2), or a cone over a round sphere or
+    a Clifford product of link dimension dim - 1."""
+    from gausslab.hypercone import (build_cone_chart, clifford_link_chart,
+                                    polynomial_curvature_cylinder, sphere_link_chart)
+
+    if kind == "cylinder":
+        return polynomial_curvature_cylinder((1.0, 1.0, 1.0))
+    m = dim - 1
+    link = (sphere_link_chart(m, 0.36) if kind == "sphere cone"
+            else clifford_link_chart(m // 2, m - m // 2, 0.3))
+    return build_cone_chart(link)
+
+
+def _interior_points(chart, count):
+    return [tuple(lo + (hi - lo) * (0.3 + 0.1 * k + 0.03 * i)
+                  for i, (lo, hi) in enumerate(chart.domain)) for k in range(count)]
+
+
+def _batch_shaped(key) -> bool:
+    """Whether a cache key names a plan or slot table of a 2-point batch: a
+    contraction with an operand past its spec's rank, a product of operands
+    with a point axis last, or the slot table of 2 points."""
+    if key[0] == "contract":
+        spec, jet, xshape, yshape = key[1], key[4], key[5], key[6]
+        sa, sb = spec.split("->")[0].split(",")
+        return len(xshape) > 1 + len(sa) or len(yshape) > jet + len(sb)
+    if key[0] == "_pair_sum":
+        return len(key[5]) > 1 and 2 in (key[5][-1], key[6][-1])
+    return key[0] == "_contract_slots" and key[4] == 2
+
+
+@pytest.mark.parametrize("kind, dim", [("cylinder", 2)] + [
+    (kind, dim) for dim in range(3, 8) for kind in ("sphere cone", "clifford cone")])
+def test_a_warm_lone_residual_builds_nothing(monkeypatch, kind, dim):
+    from gausslab.biharmonic import hypersurface_residual
+
+    chart = _catalog_shaped_chart(kind, dim)
+    first, second, third = _interior_points(chart, 3)
+    hypersurface_residual(chart, points=[first])
+    inserted = _recorded_insertions(monkeypatch)
+    hypersurface_residual(chart, points=[second])
+    assert inserted == []
+    # a batch builds the plans of its own shapes and the slot tables of its
+    # point count, and no other table
+    hypersurface_residual(chart, points=[second, third])
+    assert inserted and all(_batch_shaped(key) for key in inserted)
+
+
+@pytest.mark.parametrize("budget", [0, _TABLES.budget])
+def test_plans_survive_eviction(monkeypatch, budget):
+    # from an empty cache; under a budget of 0 it keeps only its newest
+    # entry, so nearly every table and plan is built for the call that reads
+    # it: the rows are those of a warm cache, and no plan outlives its tables
+    from gausslab.biharmonic import hypersurface_residual
+
+    charts = [_catalog_shaped_chart(*case) for case in
+              (("cylinder", 2), ("sphere cone", 4), ("clifford cone", 5))]
+    want = []
+    for chart in charts:
+        points = _interior_points(chart, 3)
+        want += [repr(hypersurface_residual(chart, points=points[:1]).points),
+                 repr(hypersurface_residual(chart, points=points).points)]
+    monkeypatch.setattr(_TABLES, "budget", budget)
+    monkeypatch.setattr(_TABLES, "entries", OrderedDict())
+    monkeypatch.setattr(_TABLES, "users", {})
+    monkeypatch.setattr(_TABLES, "bytes", 0)
+    got = []
+    for chart in charts:
+        points = _interior_points(chart, 3)
+        for sample in (points[:1], points):
+            got.append(repr(hypersurface_residual(chart, points=sample).points))
+            assert _TABLES.bytes == sum(size for _, size in _TABLES.entries.values())
+            assert _TABLES.bytes <= budget or len(_TABLES.entries) == 1
+            assert set(_TABLES.users) <= set(_TABLES.entries)
+    assert got == want
+
+
+@pytest.mark.parametrize("points", [None, 3])
+def test_each_block_range_has_a_plan_of_its_own(empty_tables, points):
+    # one spec at one pair of shapes, with lowest degrees that skip fewer
+    # blocks from call to call: each call reads the plan of its own range
+    # and gives the bits of a plan built for it alone (rows below a lowest
+    # degree are not zero here, so a plan of another range shows)
+    rng = np.random.default_rng(44)
+    A = _tensor_jet((3, 2), rng, m=3, order=4, points=points)
+    B = _tensor_jet((2, 3), rng, m=3, order=4, points=points)
+    ranges = [(3, 1), (2, 2), (2, 0), (1, 1), (0, 3), (0, 0)]
+
+    def product(low_a, low_b):
+        A.lowest, B.lowest = low_a, low_b
+        return contract("il,lj->ij", A, B).coeffs.tobytes()
+
+    warm = [product(*lows) for lows in ranges]
+    for lows, bits in zip(ranges, warm):
+        empty_tables.entries.clear()
+        empty_tables.users.clear()
+        empty_tables.bytes = 0
+        assert product(*lows) == bits, lows

@@ -1,5 +1,6 @@
 """Exact Sturm-chain root isolation."""
 
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -273,6 +274,24 @@ def test_clifford_quadratics_match_the_reference(monkeypatch):
     for p, a, b in calls:
         assert p.degree == 2
         assert_certified(p, a, b)
+
+
+def test_a_clifford_solve_compares_no_fraction_with_an_endpoint(monkeypatch):
+    # once `_as_endpoint` has normalised them, endpoints are tested for
+    # +-inf by identity, and x = m1/m is tested as a root by an integer sign:
+    # none of these functions reaches Fraction.__eq__, about 1 us a call
+    from gausslab import hypercone
+
+    callers = []
+    eq = Fraction.__eq__
+    monkeypatch.setattr(Fraction, "__eq__", lambda a, b: callers.append(
+        sys._getframe(1).f_code.co_name) or eq(a, b))
+    for m1 in range(1, 12):
+        assert hypercone.clifford_link_solver(12, m1)
+    assert any(r.minimal for r in hypercone.clifford_link_solver(3, 1))  # x = m1/m is a root
+    assert callers  # the spy sees the comparisons made elsewhere
+    assert not {"_as_endpoint", "_projective", "_open_part", "isolate_and_refine",
+                "clifford_link_solver", "eval_exact"} & set(callers)
 
 
 @settings(max_examples=40, deadline=None)
