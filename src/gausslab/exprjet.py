@@ -429,25 +429,23 @@ def _own_fields(cls: type) -> tuple[str, ...]:
 
 
 class _TableCache:
-    """The tables and plans of the jet products under one byte budget:
-    while their bytes exceed `budget`, the least recently used entry is
-    evicted (never the newest itself, but evicting a table evicts every
-    plan built on it).
+    """A decorator that keeps the tables its functions build, by function
+    and arguments (omitted ones read as their defaults), and drops the least
+    recently used while their bytes exceed `budget` (the newest is always
+    kept). `keep` puts the plan of a call shape in the same order under a
+    key its caller makes, and `find` reads a table or plan back with one
+    lookup. A plan holds no table's arrays, only the keys and ranges it
+    reads them by, so it counts no bytes and outlives any table it reads.
 
-    As a decorator it keeps the tables its functions build, keyed by
-    function and arguments (omitted ones read as their defaults). `plan`
-    builds and keeps the plan of a call shape under a key its caller makes,
-    and `find` reads it back with one lookup. A plan counts the bytes of
-    the arrays it builds; the arrays of the tables it read, which it holds
-    or views, count with those tables. A plan whose tables did not all stay
-    through its build serves its one call and is not kept."""
+    Threads share the cache: insertions and evictions take a lock, and a
+    lookup, which takes none, returns what it found even where another
+    thread evicts it meanwhile."""
 
     def __init__(self, budget: int):
         self.budget = budget
         self.bytes = 0
         self.entries: OrderedDict = OrderedDict()  # key -> (table or plan, bytes)
-        self.users: dict = {}  # table key -> keys of the plans built on it
-        self.reading: list | None = None  # the table keys a plan build reads
+        self.lock = threading.Lock()
 
     def __call__(self, build):
         name, defaults, arity = build.__name__, build.__defaults__ or (), build.__code__.co_argcount
@@ -457,60 +455,44 @@ class _TableCache:
             if len(args) < arity:
                 args += defaults[len(args) + len(defaults) - arity:]
             key = (name, *args)
-            if self.reading is not None:
-                self.reading.append(key)
-            entry = self.entries.get(key)
-            if entry is not None:
-                self.entries.move_to_end(key)
-                return entry[0]
-            value = build(*args)
-            self._keep(key, value, sum(getattr(v, "nbytes", 0) for v in (
-                value if isinstance(value, tuple) else (value,))))
+            value = self.find(key)
+            if value is None:
+                value = build(*args)
+                self.keep(key, value, sum(getattr(v, "nbytes", 0) for v in (
+                    value if isinstance(value, tuple) else (value,))))
             return value
         return cached
 
     def find(self, key):
-        """The plan kept under `key`, or None."""
+        """The table or plan kept under `key`, or None."""
         entry = self.entries.get(key)
-        if entry is not None:
-            self.entries.move_to_end(key)
-            return entry[0]
-        return None
-
-    def plan(self, key, build, *args):
-        """The plan build(*args), kept under `key`; `build` returns it and
-        the bytes of the arrays it built itself."""
-        outer, self.reading = self.reading, []
+        if entry is None:
+            return None
         try:
-            value, size = build(*args)
-            read = self.reading
-        finally:
-            self.reading = outer
-        if all(table in self.entries for table in read):
-            for table in read:
-                users = self.users.setdefault(table, [])
-                if key not in users:
-                    users.append(key)
-            self._keep(key, value, size)
+            self.entries.move_to_end(key)
+        except KeyError:  # evicted by another thread since
+            pass
+        return entry[0]
+
+    def keep(self, key, value, size: int = 0):
+        """Keeps `value`, of `size` bytes, under `key` (in place of what
+        another thread may have kept there meanwhile), and returns it."""
+        with self.lock:
+            old = self.entries.pop(key, None)
+            self.bytes += size - (old[1] if old else 0)
+            self.entries[key] = (value, size)
+            while self.bytes > self.budget and len(self.entries) > 1:
+                self.bytes -= self.entries.popitem(last=False)[1][1]
         return value
 
-    def _keep(self, key, value, size: int) -> None:
-        self.entries[key] = (value, size)
-        self.bytes += size
-        while self.bytes > self.budget and len(self.entries) > 1:
-            old, (_, freed) = self.entries.popitem(last=False)
-            self.bytes -= freed
-            for user in self.users.pop(old, ()):
-                entry = self.entries.pop(user, None)
-                if entry is not None:
-                    self.bytes -= entry[1]
 
-
-# The tables and plans share one budget. The tables one residual reads take
-# 10.1 MiB together at dimension 12, the largest in the catalog (14.7 MiB at
-# 13, 20.8 MiB at 14), so a sweep over dimensions keeps about one high
-# dimension's tables, not those of every dimension it met, and the tables of
-# all the dimensions up to 8 fit at once.
+# The tables share one budget. The tables one residual reads take 10.1 MiB
+# together at dimension 12, the largest in the catalog (14.7 MiB at 13, 20.8
+# MiB at 14), so a sweep over dimensions keeps about one high dimension's
+# tables, not those of every dimension it met, and the tables of all the
+# dimensions up to 8 fit at once. A plan counts no bytes: the plans of the
+# gallery's 84 contraction shapes take about 180 KiB of small tuples, and
+# they go as least recently used entries when the tables overflow.
 _TABLES = _TableCache(14 * 2 ** 20)
 
 
@@ -550,7 +532,7 @@ def _mul_tables(m: int, order: int, va: int = -1, vb: int = -1):
     `order`, with i in the rows of the variable mask `va` and j in those of
     `vb` (the multi-indices with no exponent outside the mask), i-major, and
     the row lo of each product. A mask of -1 holds every variable, so the
-    default is the dense table; a product plan sets the bits past the m
+    default is the dense table; `_pair_sum` sets the bits past the m
     variables, so that a mask of all of them keys it too."""
     table, keys, _, _ = _exponents(m, order)
     degree = table.sum(axis=1)
@@ -568,6 +550,15 @@ def _in_support(table: np.ndarray, support: int) -> np.ndarray:
     variables of the mask `support`."""
     outside = [i for i in range(table.shape[1]) if not support >> i & 1]
     return ~table[:, outside].any(axis=1)
+
+
+@_TABLES
+def _pair_slots(m: int, order: int, va: int, vb: int, size: int):
+    """The output entry of every term of an entrywise product on the pairs
+    of `_mul_tables(m, order, va, vb)` with `size` entries per coefficient:
+    by pair, then entry, with the output laid out (coefficient, entry)."""
+    lo = _mul_tables(m, order, va, vb)[2]
+    return (lo[:, None] * size + np.arange(size)).ravel()
 
 
 @_TABLES
@@ -1014,36 +1005,18 @@ def _pair_sum(m: int, order: int, x: np.ndarray, y: np.ndarray, va: int, vb: int
     them with one bincount over the flattened tensor and point entries. Each
     output slot sums its pairs in table order, so every entry, and every
     point of a batch, is summed exactly as a one-point scalar product would
-    be; the pairs the masks leave out have an exactly zero factor. The
-    tables, slots and shapes of a call come from the plan of its masks and
-    shapes (`_pair_plan`), so a call runs only its numpy calls."""
-    key = ("_pair_sum", m, order, va, vb, x.shape, y.shape)
-    li, lj, slots, length, shape, same = (_TABLES.find(key) or _TABLES.plan(
-        key, _pair_plan, m, order, va, vb, x.shape, y.shape))
-    p, q = x.take(li, axis=0), y.take(lj, axis=0)
-    terms = np.multiply(p, q, out=p) if same else p * q
-    if shape is None:
-        return np.bincount(slots, weights=terms, minlength=length)
-    return np.bincount(slots, weights=terms.ravel(), minlength=length).reshape(shape)
-
-
-def _pair_plan(m: int, order: int, va: int, vb: int, xshape: tuple, yshape: tuple):
-    """The plan of a `_pair_sum` call: the pair tables li and lj of the
-    masks; the output slot of every term, which is the product row lo of
-    its pair where the operands have no entry axes, else one slot per pair
-    and tensor or point entry, the output laid out (coefficient, entry);
-    the output length and shape (None for lo's); and whether the gathered
-    operands have one shape, so that their product can be taken in place.
-    With the bytes of the slots it builds (lo is the table's own)."""
+    be; the pairs the masks leave out have an exactly zero factor."""
     every = ~((1 << m) - 1)  # a mask that holds all m variables reads -1
-    li, lj, lo = _mul_tables(m, order, va | every, vb | every)
-    n, entry = xshape[0], np.broadcast_shapes(xshape[1:], yshape[1:])
-    same = xshape[1:] == yshape[1:]
-    if not entry:
-        return (li, lj, lo, n, None, same), 0
-    size = math.prod(entry)
-    slots = (lo[:, None] * size + np.arange(size)).ravel()
-    return (li, lj, slots, n * size, (n,) + entry, same), slots.nbytes
+    va, vb = va | every, vb | every
+    li, lj, lo = _mul_tables(m, order, va, vb)
+    p, q = x.take(li, axis=0), y.take(lj, axis=0)
+    terms = np.multiply(p, q, out=p) if p.shape == q.shape else p * q
+    n = len(x)
+    if terms.ndim == 1:
+        return np.bincount(lo, weights=terms, minlength=n)
+    size = terms.size // len(lo)
+    return np.bincount(_pair_slots(m, order, va, vb, size), weights=terms.ravel(),
+                       minlength=n * size).reshape((n,) + terms.shape[1:])
 
 
 # The large temporaries of `contract`, one buffer per role and thread, each
@@ -1112,22 +1085,24 @@ def contract(spec: str, a: JetValue, b) -> JetValue:
 
     Every axis list, shape, block and slot range of a call follows from the
     spec, the operands' shapes and that block range, so a call reads them
-    from its plan (`_contract_plan`) and runs only its numpy calls. The
-    products' buffer and the operands' laid-out copies (an operand already
-    laid out so is read in place) live in workspaces this thread keeps from
-    call to call (`_workspace`); every entry read is written first in the
-    same call, and the returned jet is a fresh array."""
+    from its plan (`_contract_plan`), its slots from their table by the
+    range the plan names, and runs only its numpy calls. The products'
+    buffer and the operands' laid-out copies (an operand already laid out
+    so is read in place) live in workspaces this thread keeps from call to
+    call (`_workspace`); every entry read is written first in the same
+    call, and the returned jet is a fresh array."""
     jet = isinstance(b, JetValue)
     k, x, y = a._truncated(b) if jet else (a.order, a.coeffs, np.asarray(b, dtype=float))
     low, stop = (a.lowest, max(k + 1 - b.lowest, 0)) if jet else (0, 1)
     key = ("contract", spec, a.m, k, jet, x.shape, y.shape, low, stop)
-    x_axes, x_shape, y_axes, y_shape, blocks, count, slots, length, out, axes, rank = (
-        _TABLES.find(key) or _TABLES.plan(key, _contract_plan, *key[1:]))
+    x_axes, x_shape, y_axes, y_shape, blocks, count, table, used, length, out, axes, rank = (
+        _TABLES.find(key) or _TABLES.keep(key, _contract_plan(*key[1:])))
     X = _laid_out(x, x_axes, x_shape, "a")
     Y = _laid_out(y, y_axes, y_shape, "b")
     terms = _workspace("terms", count)
     for rows, partners, at, shape in blocks:
         np.matmul(X[rows], Y[partners], out=terms[at].reshape(shape))
+    slots = _contract_slots(*table)[1][used]
     total = np.bincount(slots, weights=terms, minlength=length).reshape(out)
     if axes is not None:
         total = np.ascontiguousarray(total.transpose(axes))
@@ -1143,11 +1118,13 @@ def _contract_plan(spec: str, m: int, k: int, jet: bool, xshape: tuple, yshape: 
     of both operands, (point, coefficient and free-a, summed) and (point,
     summed, coefficient and free-b); per block from `low` to `stop`, the
     index of its rows in A and of their partners in B, its slice of the
-    products' buffer and the shape of its products; the buffer's length,
-    the output entry of every product (a view of `_contract_slots`), the
-    output length and shape, the axes that order the output as the spec
-    does (None where it is so ordered) and the output rank. It builds no
-    array."""
+    products' buffer and the shape of its products; the buffer's length;
+    the arguments of the `_contract_slots` table and the range of its slots
+    that holds the output entry of every product; the output length and
+    shape, the axes that order the output as the spec does (None where it
+    is so ordered) and the output rank. It holds no array, so that the
+    slots count once, with their table, and the table can be evicted and
+    rebuilt under a plan that stays."""
     sa, sb, out, free_a, free_b, summed = _spec_axes(spec)
     yt = 1 if jet else 0  # the first tensor axis of y
     xb, yb = len(xshape) > 1 + len(sa), len(yshape) > yt + len(sb)
@@ -1161,7 +1138,8 @@ def _contract_plan(spec: str, m: int, k: int, jet: bool, xshape: tuple, yshape: 
     x_axes = (0, *(1 + sa.index(c) for c in free_a + summed))
     y_axes = (*(yt + sb.index(c) for c in summed), *((0,) if jet else ()),
               *(yt + sb.index(c) for c in free_b))
-    blocks, slots = _contract_slots(m, k, jet, points, na, nb)
+    table = (m, k, jet, points, na, nb)
+    blocks = _contract_slots(*table)[0]
     counts = [points * rows * na * partners * nb for _, rows, partners in blocks]
     start, end = sum(counts[:low]), sum(counts[:stop])
     steps, at = [], 0
@@ -1176,9 +1154,9 @@ def _contract_plan(spec: str, m: int, k: int, jet: bool, xshape: tuple, yshape: 
         axes = (0, *(1 + (free_a + free_b).index(c) for c in out), *(len(out) + 1,) * len(tail))
     plan = (((len(xshape) - 1,) if xb else ()) + x_axes, (xp, n * na, ns),
             ((len(yshape) - 1,) if yb else ()) + y_axes, (yp, ns, (n if jet else 1) * nb),
-            tuple(steps), max(end - start, 0), slots[start:end], n * na * nb * points,
+            tuple(steps), max(end - start, 0), table, slice(start, end), n * na * nb * points,
             (n,) + tuple(size[c] for c in free_a + free_b) + tail, axes, len(out))
-    return plan, 0
+    return plan
 
 
 @_TABLES

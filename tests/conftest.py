@@ -19,7 +19,6 @@ def empty_tables(monkeypatch):
     """exprjet's table cache, empty for one test, so that the test builds
     every table and plan it reaches; the cache's entries return after it."""
     monkeypatch.setattr(_TABLES, "entries", OrderedDict())
-    monkeypatch.setattr(_TABLES, "users", {})
     monkeypatch.setattr(_TABLES, "bytes", 0)
     return _TABLES
 

@@ -409,13 +409,10 @@ def test_rows_read_nothing_a_workspace_held_before(chart, monkeypatch):
     assert (repr(_sweep(chart, points, 1)), repr(_sweep(chart, points, size))) == want
 
 
-def test_threads_at_once_get_the_serial_rows():
-    # each thread holds workspaces of its own: link systems in three threads
-    # at once, on samples of different sizes and with the interpreter
-    # switching threads often, give the rows each gives alone
-    chart = clifford_link_chart(1, 3, 0.25)
-    samples = [_points(chart, count, seed=count) for count in (30, 45, 17)]
-    serial = [repr(link_residual_system(chart, points=p).points) for p in samples]
+def _rows_in_threads(chart, samples) -> list:
+    """The rows of a link system on each sample, three times over, in one
+    thread per sample, all started at once and with the interpreter
+    switching threads often."""
     start, rows = threading.Barrier(len(samples), timeout=60), [[] for _ in samples]
 
     def run(k):
@@ -434,7 +431,33 @@ def test_threads_at_once_get_the_serial_rows():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert rows == [[want] * 3 for want in serial]
+    return rows
+
+
+def test_threads_at_once_get_the_serial_rows():
+    # each thread holds workspaces of its own: link systems in three threads
+    # at once, on samples of different sizes, give the rows each gives alone
+    chart = clifford_link_chart(1, 3, 0.25)
+    samples = [_points(chart, count, seed=count) for count in (30, 45, 17)]
+    serial = [repr(link_residual_system(chart, points=p).points) for p in samples]
+    assert _rows_in_threads(chart, samples) == [[want] * 3 for want in serial]
+
+
+@pytest.mark.parametrize("budget", [0, None])
+def test_threads_at_once_on_a_cold_cache_get_the_serial_rows(monkeypatch, empty_tables, budget):
+    # the threads build the tables and plans of their shapes at the same
+    # time, from an empty cache, under the normal budget or one that keeps
+    # only the newest entry: each still gets its serial rows, and the cache
+    # counts the bytes of what it holds
+    chart = clifford_link_chart(1, 3, 0.25)
+    samples = [_points(chart, count, seed=count) for count in (30, 45, 17)]
+    serial = [repr(link_residual_system(chart, points=p).points) for p in samples]
+    empty_tables.entries.clear()
+    empty_tables.bytes = 0
+    if budget is not None:
+        monkeypatch.setattr(empty_tables, "budget", budget)
+    assert _rows_in_threads(chart, samples) == [[want] * 3 for want in serial]
+    assert empty_tables.bytes == sum(size for _, size in empty_tables.entries.values())
 
 
 # ---------------------------------------------------------------------------

@@ -653,9 +653,9 @@ def test_filtered_tables_are_the_dense_table_filtered_by_support(m):
         assert _mul_tables(m, order, -1, -1) is dense
 
 
-def test_products_of_full_support_read_the_dense_table(monkeypatch, empty_tables):
-    # from an empty cache, so that each product builds its plan from the
-    # tables of its masks
+def test_products_of_full_support_read_the_dense_table(monkeypatch):
+    import gausslab.exprjet as exprjet
+
     calls = []
     tables = exprjet._mul_tables
     monkeypatch.setattr(exprjet, "_mul_tables", lambda *args: calls.append(args) or tables(*args))
@@ -790,12 +790,11 @@ class _Insertions(OrderedDict):
 
 
 def _recorded_insertions(monkeypatch) -> list:
-    """The keys the table cache inserts from now on; its entries, plan users
-    and byte count return to their state before this at the test's end."""
+    """The keys the table cache inserts from now on; its entries and byte
+    count return to their state before this at the test's end."""
     entries = _Insertions(_TABLES.entries)
     entries.inserted = []
     monkeypatch.setattr(_TABLES, "entries", entries)
-    monkeypatch.setattr(_TABLES, "users", {t: list(u) for t, u in _TABLES.users.items()})
     monkeypatch.setattr(_TABLES, "bytes", _TABLES.bytes)
     return entries.inserted
 
@@ -821,14 +820,14 @@ def _interior_points(chart, count):
 
 def _batch_shaped(key) -> bool:
     """Whether a cache key names a plan or slot table of a 2-point batch: a
-    contraction with an operand past its spec's rank, a product of operands
-    with a point axis last, or the slot table of 2 points."""
+    contraction with an operand past its spec's rank, the contraction slots
+    of 2 points, or product slots of an even count of entries."""
     if key[0] == "contract":
         spec, jet, xshape, yshape = key[1], key[4], key[5], key[6]
         sa, sb = spec.split("->")[0].split(",")
         return len(xshape) > 1 + len(sa) or len(yshape) > jet + len(sb)
-    if key[0] == "_pair_sum":
-        return len(key[5]) > 1 and 2 in (key[5][-1], key[6][-1])
+    if key[0] == "_pair_slots":
+        return key[5] % 2 == 0
     return key[0] == "_contract_slots" and key[4] == 2
 
 
@@ -844,7 +843,7 @@ def test_a_warm_lone_residual_builds_nothing(monkeypatch, kind, dim):
     hypersurface_residual(chart, points=[second])
     assert inserted == []
     # a batch builds the plans of its own shapes and the slot tables of its
-    # point count, and no other table
+    # points, and no other table
     hypersurface_residual(chart, points=[second, third])
     assert inserted and all(_batch_shaped(key) for key in inserted)
 
@@ -853,7 +852,8 @@ def test_a_warm_lone_residual_builds_nothing(monkeypatch, kind, dim):
 def test_plans_survive_eviction(monkeypatch, budget):
     # from an empty cache; under a budget of 0 it keeps only its newest
     # entry, so nearly every table and plan is built for the call that reads
-    # it: the rows are those of a warm cache, and no plan outlives its tables
+    # it, and a plan's slot table is rebuilt under it: the rows are those of
+    # a warm cache, and the plans hold no array the byte count misses
     from gausslab.biharmonic import hypersurface_residual
 
     charts = [_catalog_shaped_chart(*case) for case in
@@ -865,7 +865,6 @@ def test_plans_survive_eviction(monkeypatch, budget):
                  repr(hypersurface_residual(chart, points=points).points)]
     monkeypatch.setattr(_TABLES, "budget", budget)
     monkeypatch.setattr(_TABLES, "entries", OrderedDict())
-    monkeypatch.setattr(_TABLES, "users", {})
     monkeypatch.setattr(_TABLES, "bytes", 0)
     got = []
     for chart in charts:
@@ -874,7 +873,8 @@ def test_plans_survive_eviction(monkeypatch, budget):
             got.append(repr(hypersurface_residual(chart, points=sample).points))
             assert _TABLES.bytes == sum(size for _, size in _TABLES.entries.values())
             assert _TABLES.bytes <= budget or len(_TABLES.entries) == 1
-            assert set(_TABLES.users) <= set(_TABLES.entries)
+            assert not any(isinstance(v, np.ndarray) for key, (plan, _) in _TABLES.entries.items()
+                           if key[0] == "contract" for v in plan)
     assert got == want
 
 
@@ -896,6 +896,5 @@ def test_each_block_range_has_a_plan_of_its_own(empty_tables, points):
     warm = [product(*lows) for lows in ranges]
     for lows, bits in zip(ranges, warm):
         empty_tables.entries.clear()
-        empty_tables.users.clear()
         empty_tables.bytes = 0
         assert product(*lows) == bits, lows

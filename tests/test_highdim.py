@@ -205,11 +205,9 @@ def test_wrong_radius_sphere_fails_both_reductions(m):
 
 
 @pytest.mark.parametrize("name, link", CATALOG, ids=[name for name, _ in CATALOG])
-def test_cone_component_jets_make_no_dense_product(monkeypatch, empty_tables, name, link):
+def test_cone_component_jets_make_no_dense_product(monkeypatch, name, link):
     # the cone charts are products of one-variable factors, so every product
-    # of their component jets has a factor of narrower support than the chart;
-    # from an empty cache, so that each product builds its plan from the
-    # tables of its masks
+    # of their component jets has a factor of narrower support than the chart
     import gausslab.exprjet as exprjet
 
     masks = []
