@@ -24,10 +24,12 @@ sin cos tan cot exp log sqrt asin acos atan sinh cosh tanh.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import threading
-from collections import Counter, OrderedDict
-from functools import lru_cache, wraps
+from collections import OrderedDict
+from functools import partial, wraps
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -44,11 +46,11 @@ __all__ = [
     "ExprAst",
     "parse_expression",
     "shift_variables",
-    "repeated_subtrees",
     "JetValue",
     "contract",
     "EvalContext",
     "eval_jet",
+    "JetProgram",
     "FUNCTIONS",
 ]
 
@@ -108,12 +110,9 @@ class Call(NamedTuple):
 ExprAst = Union[Num, Var, Neg, BinOp, Pow, Call]
 
 
-_SUBTREE_FIELDS = ("operand", "left", "right", "base", "arg")
-
-
 def _subtrees(node: ExprAst) -> list[ExprAst]:
-    """The direct sub-trees of a node."""
-    return [getattr(node, name) for name in _SUBTREE_FIELDS if hasattr(node, name)]
+    """The direct sub-trees of a node: its fields that are nodes."""
+    return [v for v in node if isinstance(v, tuple)]
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +180,9 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 # Bound on the parser's nesting and on the AST depth: deeper input would
-# exhaust the recursion of parsing and evaluation. The deepest chart shipped
-# with the package has depth 10.
+# exhaust the recursion of parsing and of compiling a `JetProgram`
+# (evaluation runs the compiled program, with no recursion). The deepest
+# chart shipped with the package has depth 10.
 _MAX_DEPTH = 100
 
 
@@ -381,47 +381,6 @@ def shift_variables(node: ExprAst, offset: int, names: tuple[str, ...]) -> ExprA
     if isinstance(node, Call):
         return Call(node.fn, shift_variables(node.arg, offset, names))
     raise TypeError(node)
-
-
-def repeated_subtrees(roots: Sequence[ExprAst]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The sub-trees of the expressions `roots` that an evaluation reaches
-    more than once, each as the number of times and the ids of its equal
-    copies. A sub-tree is reached once per root it is and once per place
-    it holds in each unequal parent; a sub-tree met only inside one repeated
-    sub-tree is reached once, through it. A number is known by its hex form,
-    so 0.0 and -0.0 are two sub-trees."""
-    classes: dict = {}  # a class of equal sub-trees by its key
-    below: list[tuple[int, ...]] = []  # per class, the classes of its sub-trees
-    met: list[ExprAst] = []  # every node, and its class at the same place
-    met_class: list[int] = []
-    reached = Counter(_classify(root, classes, below, met, met_class) for root in roots)
-    for subs in below:
-        reached.update(subs)
-    copies: dict[int, list[int]] = {}
-    for node, c in zip(met, met_class):
-        if reached[c] > 1:
-            copies.setdefault(c, []).append(id(node))
-    return tuple((reached[c], tuple(ids)) for c, ids in copies.items())
-
-
-def _classify(node: ExprAst, classes: dict, below: list, met: list, met_class: list) -> int:
-    """The class of `node` among equal sub-trees, known by its type, the
-    classes of its sub-trees and its own fields."""
-    subs = tuple(_classify(sub, classes, below, met, met_class) for sub in _subtrees(node))
-    own = (getattr(node, name) for name in _own_fields(type(node)))
-    key = (type(node), subs, *(v.hex() if isinstance(v, float) else v for v in own))
-    c = classes.setdefault(key, len(below))
-    if c == len(below):
-        below.append(subs)
-    met.append(node)
-    met_class.append(c)
-    return c
-
-
-@lru_cache(maxsize=None)
-def _own_fields(cls: type) -> tuple[str, ...]:
-    """The fields of a node type that hold no sub-tree."""
-    return tuple(name for name in cls._fields if name not in _SUBTREE_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -1196,76 +1155,112 @@ class EvalContext(NamedTuple):
     point: tuple
     order: int = 5
 
-    @property
-    def dim(self) -> int:
-        return len(self.point)
 
-    def seed(self, index: int) -> JetValue:
-        return JetValue.variable(index, self.point[index], self.dim, self.order)
-
-
-def eval_jet(node: ExprAst, ctx: EvalContext, memo: dict | None = None) -> JetValue:
-    """Evaluate an AST to the jet of the expression at ctx.point. `memo`
-    maps the ids of the copies of each sub-tree that is reached more than
-    once (`repeated_subtrees`) to one list [uses left] per sub-tree: the
-    first use evaluates the sub-tree and keeps its jet there, later uses
-    read it, and the last one drops it. Sharing a jet is safe as no
-    operation writes into an operand."""
-    cell = memo.get(id(node)) if memo else None
-    if cell is None:
-        return _eval_node(node, ctx, memo)
-    if len(cell) == 1:
-        cell.append(_eval_node(node, ctx, memo))
-    cell[0] -= 1
-    return cell[1] if cell[0] else cell.pop()
+def eval_jet(node: ExprAst, ctx: EvalContext) -> JetValue:
+    """Evaluate an AST to the jet of the expression at ctx.point, through a
+    `JetProgram` of its own."""
+    return JetProgram((node,), len(ctx.point))(ctx.point, ctx.order)[0]
 
 
-def _eval_node(node: ExprAst, ctx: EvalContext, memo: dict | None) -> JetValue:
+class JetProgram:
+    """The jets of expressions in m variables, compiled to a straight-line
+    program (the evaluation procedure of Griewank & Walther, Evaluating
+    Derivatives, ch. 2). Equal sub-trees, known by type, operands and own
+    fields (a float by its hex form, so 0.0 and -0.0 are two), share one
+    instruction (value numbering: Aho, Lam, Sethi & Ullman, Compilers, 2nd
+    ed., 6.1.2). Slots 0..m-1 hold the point; any other slot takes a new
+    value after its last reader. Instructions run post-order, left before
+    right, a shared sub-tree at its first use, as a recursive walk would.
+    The first call at an order binds each operation at that order. A call
+    keeps no jet; sharing one is safe, as no operation writes into an operand."""
+
+    __slots__ = ("m", "steps", "size", "outputs", "operations")
+
+    def __init__(self, roots: Sequence[ExprAst], m: int):
+        numbers: dict = {}  # the key of each class of equal sub-trees -> its value
+        steps: list = []  # per value from m on: its node and operand values
+
+        def number(node) -> int:
+            if isinstance(node, Var):
+                if node.index >= m:
+                    raise ValueError(
+                        f"variable {node.name!r} (index {node.index}) not seeded in context")
+                operands = (node.index,)
+            elif isinstance(node, Call) and isinstance(node.arg, Var) and node.arg.index < m:
+                operands = (node.arg.index,)  # fn of a coordinate, with no seed jet
+            else:
+                operands = tuple([number(sub) for sub in _subtrees(node)])
+            key = (type(node), operands, *[v.hex() if isinstance(v, float) else v
+                                           for v in node if not isinstance(v, tuple)])
+            value = numbers.get(key)
+            if value is None:
+                value = numbers[key] = m + len(steps)
+                steps.append((node, operands))
+            return value
+
+        outputs = [number(root) for root in roots]
+        last = {v: k for k, (_, operands) in enumerate(steps) for v in operands}
+        last.update(dict.fromkeys(outputs, len(steps)))
+        slot_of, free, fresh, self.steps = list(range(m)), [], itertools.count(m), []
+        for k, (node, operands) in enumerate(steps):
+            free += [slot_of[v] for v in set(operands) if v >= m and last[v] == k]
+            slot_of.append(free.pop() if free else next(fresh))
+            self.steps.append((node, slot_of[-1], tuple(slot_of[v] for v in operands)))
+        self.m, self.size, self.outputs = m, next(fresh), [slot_of[v] for v in outputs]
+        self.operations: dict = {}  # per order, one per step; racing threads bind equal ones
+
+    def __call__(self, point: Sequence, order: int) -> list[JetValue]:
+        """The jets of the roots at a point (one float per variable), or at a
+        batch of points (one array per variable)."""
+        operations = self.operations.get(order)
+        if operations is None:
+            operations = self.operations[order] = [_operation(node, operands, self.m, order)
+                                                   for node, _, operands in self.steps]
+        slots = [*point, *[None] * (self.size - len(point))]
+        for operation, (_, target, operands) in zip(operations, self.steps):
+            slots[target] = operation(*[slots[s] for s in operands])
+        return [slots[s] for s in self.outputs]
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _operation(node: ExprAst, operands: tuple, m: int, order: int) -> Callable:
+    """The jet operation of a node on the values in its operand slots, with
+    what (m, order, node) fixes bound. Products stay `*`, dispatched at each
+    call."""
     if isinstance(node, Num):
-        return JetValue.constant(node.value, ctx.dim, ctx.order)
+        return partial(JetValue.constant, node.value, m, order)
     if isinstance(node, Var):
-        if node.index >= ctx.dim:
-            raise ValueError(
-                f"variable {node.name!r} (index {node.index}) not seeded in context")
-        return ctx.seed(node.index)
+        return partial(JetValue.variable, node.index, m=m, order=order)
     if isinstance(node, Neg):
-        return -eval_jet(node.operand, ctx, memo)
+        return operator.neg
     if isinstance(node, BinOp):
-        left = eval_jet(node.left, ctx, memo)
-        right = eval_jet(node.right, ctx, memo)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left / right
+        return _BINARY[node.op]
     if isinstance(node, Pow):
-        base = eval_jet(node.base, ctx, memo)
         exp = node.exponent
         if float(exp).is_integer():
-            return base.ipow(int(exp))
-        # non-integer exponent lowers to exp/log (positive base required)
-        return (base.compose("log") * exp).compose("exp")
+            return operator.methodcaller("ipow", int(exp))
+        # a non-integer exponent lowers to exp/log (positive base required)
+        return lambda base: (base.compose("log") * exp).compose("exp")
     if isinstance(node, Call):
-        if isinstance(node.arg, Var) and node.arg.index < ctx.dim:
-            return _on_variable(node.fn, node.arg.index, ctx)
-        return eval_jet(node.arg, ctx, memo).compose(node.fn)
+        if operands[0] >= m:
+            return operator.methodcaller("compose", node.fn)
+        i = node.arg.index  # fn of a coordinate: the rows of x_i^k, k = 0..order
+        rows = _rows(m, order, np.arange(order + 1) * (order + 1) ** (m - 1 - i))
+        return partial(_on_variable, node.fn, i, m, order, tuple(rows.tolist()))
     raise TypeError(node)
 
 
-def _on_variable(fn: str, index: int, ctx: EvalContext) -> JetValue:
-    """The jet of fn(x_index): its Taylor series a_k placed on the rows of
-    the pure powers x_index^k. This is the Horner composition with w the
-    variable's unit jet, whose products each copy one coefficient."""
-    m, n = ctx.dim, ctx.order
-    value = ctx.seed(index).value  # the base value as the seed jet holds it
-    series = _series(fn, value, n)
-    coeffs = np.zeros((math.comb(m + n, m),) + np.shape(value))
-    rows = _rows(m, n, np.arange(n + 1) * (n + 1) ** (m - 1 - index))
-    for row, a in zip(rows, series):
+def _on_variable(fn: str, index: int, m: int, order: int, rows: tuple, x) -> JetValue:
+    """The jet of fn(x_index) at x_index = x: its Taylor series a_k placed on
+    `rows`, the rows of the pure powers x_index^k (the Horner composition with
+    the variable's unit jet, whose products each copy one coefficient)."""
+    value = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)  # as a seed holds it
+    coeffs = np.zeros((math.comb(m + order, m),) + np.shape(value))
+    for row, a in zip(rows, _series(fn, value, order)):
         coeffs[row] = a
-    return JetValue(m, n, coeffs, 0, 1 << index)
+    return JetValue(m, order, coeffs, 0, 1 << index)
 
 
 def antiderivative_jet(djet: JetValue, var: int, value: float) -> JetValue:

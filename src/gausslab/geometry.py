@@ -44,15 +44,13 @@ import numpy as np
 
 from .exprjet import (
     DomainError,
-    EvalContext,
+    JetProgram,
     JetValue,
     _any,
     _gathered,
     _second_tables,
     contract,
-    eval_jet,
     parse_expression,
-    repeated_subtrees,
     shift_variables,
     Var,
 )
@@ -152,27 +150,24 @@ class ImmersionChart:
         return self.dim + (1 if self.ambient == "euclidean" else 2)
 
     @cached_property
-    def _repeated_subtrees(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """`repeated_subtrees` of the expression components: found once per
-        chart, as it visits every sub-tree."""
-        return repeated_subtrees([c for c in self.components if not hasattr(c, "jet")])
+    def _program(self) -> JetProgram:
+        """The expression components, compiled once per chart."""
+        return JetProgram([c for c in self.components if not hasattr(c, "jet")], self.dim)
 
     def component_jets(self, point: Sequence, order: int = 5) -> list[JetValue]:
         """Jets of the components at a point (one float per variable), or at
-        a batch of points (one array per variable). A sub-expression that
-        occurs more than once is evaluated once per call. Components with a
-        `jet` method are evaluated point by point and stacked."""
+        a batch of points (one array per variable). The expressions run as the
+        chart's `JetProgram`, so a sub-expression that occurs more than once
+        is evaluated once per call. Components with a `jet` method are
+        evaluated point by point and stacked."""
         if len(point) != self.dim:
             raise GeometryError("point dimension does not match chart")
         pt, batched = _as_point(point)
-        ctx = EvalContext(pt, order)
-        memo: dict = {}
-        for uses, copies in self._repeated_subtrees:
-            memo.update(dict.fromkeys(copies, [uses]))  # one list per sub-tree
+        expressions = iter(self._program(pt, order))
         jets = []
         for comp in self.components:
             if not hasattr(comp, "jet"):
-                jet = eval_jet(comp, ctx, memo)
+                jet = next(expressions)
             elif not batched:
                 jet = comp.jet(pt, self.dim, order)
             else:

@@ -313,15 +313,21 @@ class _QuadratureCurveComponent(NamedTuple):
         raise GeometryError(f"curve position at s = {s!r} did not converge")
 
     def jet(self, point: tuple[float, ...], dim: int, order: int) -> JetValue:
-        from .exprjet import Call, EvalContext, antiderivative_jet, eval_jet, parse_expression
+        from .exprjet import antiderivative_jet
 
-        names = tuple(f"_x{i}" for i in range(dim))
-        terms = [f"{t!r}*{names[0]}^{i + 1}" for i, t in enumerate(self._theta_coeffs)
-                 if t != 0.0]
-        theta_src = " + ".join(terms) if terms else "0"
-        ast = Call(self.kind, parse_expression(theta_src, names))
-        djet = eval_jet(ast, EvalContext(tuple(point), max(order - 1, 0)))
+        djet = _tangent_program(self.kind, self._theta_coeffs, dim)(point, max(order - 1, 0))[0]
         return antiderivative_jet(djet, 0, self._position(point[0]))
+
+
+@functools.lru_cache(maxsize=256)  # shared by charts rebuilt with equal curvature
+def _tangent_program(kind: str, theta_coeffs: tuple[float, ...], dim: int):
+    """The `JetProgram` of `kind` (cos or sin) of theta, in the first of `dim` variables."""
+    from .exprjet import Call, JetProgram, parse_expression
+
+    names = tuple(f"_x{i}" for i in range(dim))
+    terms = [f"{t!r}*{names[0]}^{i + 1}" for i, t in enumerate(theta_coeffs) if t != 0.0]
+    theta = parse_expression(" + ".join(terms) if terms else "0", names)
+    return JetProgram((Call(kind, theta),), dim)
 
 
 def polynomial_curvature_cylinder(k_coeffs: Sequence[float]) -> ImmersionChart:

@@ -531,6 +531,8 @@ def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF) -> list[RootInterval
         return []
     a = _as_endpoint(a)
     b = _as_endpoint(b)
+    if not a < b:
+        raise ValueError("need a < b")
     q, b_is_root = _open_part(p, a, b)
     results = []
     if b_is_root:

@@ -1,7 +1,9 @@
 """Expression parsing and Taylor-jet arithmetic."""
 
+import gc
 import itertools
 import math
+import types
 from collections import OrderedDict
 
 import numpy as np
@@ -14,6 +16,7 @@ from gausslab.exprjet import (
     FUNCTIONS,
     EvalContext,
     ExpressionError,
+    JetProgram,
     JetValue,
     _TABLES,
     _deriv_tables,
@@ -26,10 +29,9 @@ from gausslab.exprjet import (
     eval_jet,
     Num,
     parse_expression,
-    repeated_subtrees,
     shift_variables,
 )
-from gausslab.geometry import _sum
+from gausslab.geometry import _sum, chart_from_strings
 
 from conftest import central_partial
 from test_cli import _NUMBERS, _balanced
@@ -614,19 +616,78 @@ def test_composition_equals_the_full_order_horner_loop(m, order, shape, points):
     assert np.array_equal(jet.coeffs, coeffs)  # the operand is not written
 
 
-def test_repeated_subtrees_counts_each_reach_once():
+def _counted(monkeypatch, owner, name):
+    """Patch `owner.name` with a wrapper that counts its calls."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(args) or fn(*args, **kw))
+    return calls
+
+
+def _reachable(obj):
+    """Every object reachable from `obj` through containers, slots and
+    bound arguments, but not through functions, classes or modules."""
+    seen, stack = {}, [obj]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.FunctionType, types.ModuleType)):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def test_a_program_evaluates_each_equal_sub_tree_once(monkeypatch):
     names = ("u", "v")
     roots = [parse_expression(src, names)
              for src in ("cos(u)*sin(v) + cos(u)", "cos(u)*sin(v)", "u*u")]
-    # the product is a root and a term; cos(u) a factor of the product (one
-    # reach however often the product occurs) and a term; u is reached from
-    # cos(u) once and twice from u*u; sin(v) and v only through the product
-    found = sorted((uses, len(ids)) for uses, ids in repeated_subtrees(roots))
-    assert found == [(2, 2), (2, 3), (3, 5)]
-    product = roots[0].left
-    assert (2, (id(product), id(roots[1]))) in repeated_subtrees(roots)
-    assert repeated_subtrees([Num(0.0), Num(-0.0)]) == ()
-    assert [uses for uses, _ in repeated_subtrees([Num(0.0), Num(0.0)])] == [2]
+    # one instruction per class: cos(u), sin(v), their product, its sum with
+    # cos(u), u and u*u, where walking each root alone would make 11
+    program = JetProgram(roots, 2)
+    assert len(program.steps) == 6
+    # past the point's two slots, three: sin(v) frees its slot at the
+    # product, cos(u) at the sum and u at u*u
+    assert program.size == 2 + 3
+    on_variable = _counted(monkeypatch, exprjet, "_on_variable")
+    seeds = _counted(monkeypatch, JetValue, "variable")
+    products = _counted(monkeypatch, JetValue, "__mul__")
+    jets = program((0.3, -0.7), 3)
+    # cos(u)*sin(v), cos(u) and u each evaluated once
+    assert (len(on_variable), len(products), len(seeds)) == (2, 2, 1)
+    monkeypatch.undo()
+    for root, jet in zip(roots, jets):
+        assert np.array_equal(jet.coeffs, eval_jet(root, EvalContext((0.3, -0.7), 3)).coeffs)
+    # a number is known by its hex form: 0.0 and -0.0 are two slots
+    zeros = JetProgram([Num(0.0), Num(-0.0)], 1)
+    assert len(zeros.steps) == 2 and len(set(zeros.outputs)) == 2
+    assert [math.copysign(1.0, jet.value) for jet in zeros((0.5,), 2)] == [1.0, -1.0]
+    same = JetProgram([Num(0.0), Num(0.0)], 1)
+    assert len(same.steps) == 1 and len(set(same.outputs)) == 1
+
+
+def test_a_chart_compiles_once_and_keeps_no_jet(monkeypatch):
+    chart = chart_from_strings("twin", ("u", "v"),
+                               ["cos(u)*sin(v)", "cos(u)*sin(v)", "sin(v)*cos(u)+cos(u)"],
+                               [(-1.0, 1.0), (-1.0, 1.0)])
+    compiles = _counted(monkeypatch, JetProgram, "__init__")
+    bindings = _counted(monkeypatch, exprjet, "_operation")
+    point = (0.25, -0.5)
+    first = chart.component_jets(point, 5)
+    # the chart compiles once, and binds its five instructions once per order
+    assert (len(compiles), len(bindings)) == (1, 5)
+    second = chart.component_jets(point, 5)
+    assert (len(compiles), len(bindings)) == (1, 5)
+    chart.component_jets(point, 2)
+    chart.component_jets(point, 2)
+    assert (len(compiles), len(bindings)) == (1, 10)
+    # the two calls share no memory, and neither shares any with what the
+    # program keeps
+    kept = _reachable(chart._program)
+    assert not any(isinstance(obj, JetValue) for obj in kept)
+    arrays = [obj for obj in kept if isinstance(obj, np.ndarray)]
+    for jet in first + second:
+        assert not any(np.shares_memory(jet.coeffs, array) for array in arrays)
+    assert not any(np.shares_memory(a.coeffs, b.coeffs) for a in first for b in second)
+    assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(first, second))
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +819,8 @@ def test_support_is_sound_and_products_equal_the_dense_kernel(case, batched, val
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exprjet, "_pair_sum", _dense_pair_sum)
         patch.setattr(JetValue, "_horner", _dense_horner)
-        patch.setattr(exprjet, "_on_variable", lambda fn, i, ctx: ctx.seed(i).compose(fn))
+        patch.setattr(exprjet, "_on_variable", lambda fn, i, m, order, rows, x:
+                      JetValue.variable(i, x, m, order).compose(fn))
         want = _evaluated(eval_jet, ast, ctx)
     # every coefficient outside the rows of the support is exactly zero
     if not isinstance(got, type):

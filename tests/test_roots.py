@@ -231,6 +231,18 @@ def test_roots_at_range_endpoints():
     assert_certified(p, Fraction(1, 2), 1)
 
 
+@pytest.mark.parametrize("a, b", [
+    (0, float("-inf")), (float("-inf"), float("-inf")), (2, 2), (3, 2),
+    (Fraction(5, 2), Fraction(3, 2)),
+])
+def test_a_range_must_have_a_below_b(a, b):
+    p = poly(-6, 11, -6, 1)  # roots 1, 2, 3
+    with pytest.raises(ValueError, match="need a < b"):
+        isolate_and_refine(p, a, b)
+    with pytest.raises(ValueError, match="need a < b"):
+        count_real_roots_in(p, a, b)
+
+
 @pytest.mark.parametrize("coeffs", [
     (-10 ** 3990, 0, 1),            # roots +-10^1995
     (-10 ** 3990, 0, 0, 1),         # root 10^1330
