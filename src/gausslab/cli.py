@@ -21,7 +21,7 @@ import math
 import sys
 import time
 from fractions import Fraction
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
 
@@ -243,60 +243,99 @@ def _is_record(obj) -> bool:
     return isinstance(obj, tuple) and hasattr(obj, "_fields")
 
 
-def _sanitize(obj):
-    """JSON-safe copy: records to dicts of their fields, fractions to
-    exact strings, non-finite floats to null, tuples to lists. Output
-    ordering is left to the sorted-keys dump."""
+# The three layouts in which `json.dumps` printed this module's output, each
+# as (newline, indent step, item separator, key separator, sorted keys): the
+# payload (sort_keys=True, indent=2), the digest's canonical form
+# (sort_keys=True, separators=(",", ":")) and a CSV list cell (the defaults)
+_PAYLOAD = ("\n", "  ", ",", ": ", True)
+_CANONICAL = ("", "", ",", ":", True)
+_CELL = ("", "", ", ", ": ", False)
+
+_string = json.encoder.encode_basestring_ascii
+
+
+def _other(obj) -> str:
+    return _string(str(obj))
+
+
+# the text of a scalar by its exact type; a subclass, or any other object,
+# takes the first entry it is an instance of: bool before int, object last
+_SCALARS = {bool: ("false", "true").__getitem__, type(None): lambda _: "null",
+            int: int.__repr__, str: _string,
+            float: lambda x: float.__repr__(x) if math.isfinite(x) else "null",
+            Fraction: _other, object: _other}
+
+
+def _write(obj, out: list, layout: tuple, nl: str) -> None:
+    """Append to `out` the text of `obj` in `layout`, in one walk: what
+    `json.dumps` prints for its JSON-safe form, in which a numpy scalar is
+    its `.item()`, a record the object of its fields, a dict the object of
+    its keys as `str` (the later of two equal ones wins), a tuple a list, a
+    non-finite float null, and a Fraction or any other object its `str`."""
     if hasattr(obj, "item") and not isinstance(obj, (list, tuple, dict)):
         obj = obj.item()  # numpy scalar
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return float(obj) if math.isfinite(obj) else None
-    if isinstance(obj, Fraction):
-        return str(obj)
     if _is_record(obj):
-        return {k: _sanitize(v) for k, v in obj._asdict().items()}
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return str(obj)
+        obj = dict(zip(obj._fields, obj))
+    elif isinstance(obj, dict):
+        obj = dict(zip(map(str, obj), obj.values()))
+    elif not isinstance(obj, (list, tuple)):
+        for kind, scalar in _SCALARS.items():
+            if isinstance(obj, kind):
+                return out.append(scalar(obj))
+    _, step, item_sep, key_sep, sort = layout
+    inner, sep, is_object = nl + step, "", isinstance(obj, dict)
+    out.append("{" if is_object else "[")
+    for value in (sorted(obj.items()) if sort else obj.items()) if is_object else obj:
+        head = sep + inner
+        if is_object:
+            head, value = f"{head}{_string(value[0])}{key_sep}", value[1]
+        scalar = _SCALARS.get(type(value))  # written here, with no call of its own
+        if scalar is None:
+            out.append(head)
+            _write(value, out, layout, inner)
+        else:
+            out.append(head + scalar(value))
+        sep = item_sep
+    out.append((nl if obj else "") + ("}" if is_object else "]"))
+
+
+def _json(obj, layout: tuple) -> str:
+    out: list = []
+    _write(obj, out, layout, layout[0])
+    return "".join(out)
 
 
 def _digest(command: str, inputs: dict) -> str:
     import hashlib  # here, not at the top: it loads OpenSSL, and CSV output needs none
 
-    canonical = json.dumps({"command": command, "inputs": _sanitize(inputs)},
-                           sort_keys=True, separators=(",", ":"))
+    canonical = _json({"command": command, "inputs": inputs}, _CANONICAL)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _csv_cell(value) -> str:
+    cls = type(value)
+    if cls is float:  # most cells, with int and str: their exact types first
+        return float.__repr__(value) if math.isfinite(value) else ""
+    if cls is int or cls is str:
+        return str(value)
     if hasattr(value, "item") and not isinstance(value, (list, tuple)):
         value = value.item()  # numpy scalar
-    if value is None:
+    if value is None or isinstance(value, float) and not math.isfinite(value):
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value)) if math.isfinite(value) else ""
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, (list, tuple)) and not _is_record(value):
-        return json.dumps(_sanitize(value))
-    return str(value)
+        return _json(value, _CELL)
+    return float.__repr__(value) if isinstance(value, float) else str(value)
 
 
 def _emit_csv(tables: dict[str, tuple[list[str], list[list]]]):
     import csv
 
     writer = csv.writer(sys.stdout)
-    first = True
-    for name, (headers, rows) in tables.items():
-        if not first:
+    for i, (name, (headers, rows)) in enumerate(tables.items()):
+        if i:
             sys.stdout.write("\r\n")
-        first = False
         writer.writerow(["table"] + headers)
         for row in rows:
             writer.writerow([name] + [_csv_cell(v) for v in row])
@@ -307,7 +346,8 @@ class _Outcome(NamedTuple):
     inputs: dict
     results: Any
     exit_code: int = EXIT_OK
-    tables: dict[str, tuple[list[str], list[list]]] | None = None
+    # the CSV tables, (headers, rows) by name, built only when printed
+    tables: Callable[[], dict[str, tuple[list[str], list[list]]]] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +365,11 @@ def _cmd_verify(args) -> _Outcome:
                                               tolerances=_tolerances(cfg))
     headers = list(cfg.variables) + ["ok", "f", "grad_f_norm", "residual_norm",
                                      "near_minimal", "error", "verdict"]
-    rows = [[*p.point, p.ok, p.f, p.grad_f_norm, p.residual_norm,
-             p.near_minimal, p.error or "", report.verdict]
-            for p in report.points]
     code = EXIT_NUMERIC if report.verdict == biharmonic.INCONCLUSIVE else EXIT_OK
-    return _Outcome("verify", {"config": raw}, report.as_dict(), code,
-                    tables={"points": (headers, rows)})
+    return _Outcome("verify", {"config": raw}, report.as_dict(), code, tables=lambda: {
+        "points": (headers, [[*p.point, p.ok, p.f, p.grad_f_norm, p.residual_norm,
+                              p.near_minimal, p.error or "", report.verdict]
+                             for p in report.points])})
 
 
 def _cmd_verify_link(args) -> _Outcome:
@@ -520,26 +559,31 @@ def _cmd_roots(args) -> _Outcome:
     return _Outcome("roots", inputs, results)
 
 
-_SPHERE_HEADERS = ["m", "a", "a_sq_exact", "shape_norm_sq", "f_value", "theta",
-                   "identity_exact"]
-_CLIFFORD_HEADERS = ["m", "m1", "m2", "r1_sq", "r2_sq", "shape_norm_sq", "k1",
-                     "theta", "minimal", "theorem_ok", "proposition_ok", "flag"]
 _CLASSIFIED_HEADERS = ["ell", "multiplicities", "variable", "value", "k1",
                        "theta", "shape_norm_sq", "minimal", "flag"]
-_TAKAGI_HEADERS = ["n", "sin_sq_2theta", "exact", "theta", "lam",
-                   "quartic_residual", "cot_sq_theta", "minimal"]
-
-
-def _rows(items, headers):
-    return [[getattr(it, h) for h in headers] for it in items]
+# the families of `report --all`, with their CSV columns, in the order of its tables
+_REPORT_HEADERS = {
+    "sphere_links": ["m", "a", "a_sq_exact", "shape_norm_sq", "f_value", "theta",
+                     "identity_exact"],
+    "clifford_links": ["m", "m1", "m2", "r1_sq", "r2_sq", "shape_norm_sq", "k1",
+                       "theta", "minimal", "theorem_ok", "proposition_ok", "flag"],
+    "isoparametric_l3": _CLASSIFIED_HEADERS,
+    "isoparametric_l4_homogeneous": _CLASSIFIED_HEADERS,
+    "isoparametric_l4_takagi": ["n", "sin_sq_2theta", "exact", "theta", "lam",
+                                "quartic_residual", "cot_sq_theta", "minimal"],
+    "isoparametric_l6": _CLASSIFIED_HEADERS,
+}
+# the largest --n-max of `report --all`: time and output grow linearly with
+# it (about 0.1 s and 0.3 MB at the cap)
+_N_MAX_CAP = 1001
 
 
 def _cmd_report(args) -> _Outcome:
     if not args.all:
         raise ConfigError("report requires --all")
     n_max = args.n_max
-    if n_max < 9:
-        raise ConfigError("--n-max must be at least 9")
+    if not 9 <= n_max <= _N_MAX_CAP:
+        raise ConfigError(f"--n-max must be at least 9 and at most {_N_MAX_CAP}")
     Spec = isoparametric.IsoparametricSpec
     classify = isoparametric.classify_type
     sphere = [hypercone.sphere_link_solver(m) for m in range(3, 13)]
@@ -551,24 +595,10 @@ def _cmd_report(args) -> _Outcome:
     l4_takagi = [s for n in range(9, n_max + 1, 2)
                  for s in isoparametric.takagi_solver(n) if not s.minimal]
     l6 = [r for mult in (1, 2) for r in classify(Spec.type6(mult)) if not r.minimal]
-    results = {
-        "sphere_links": sphere,
-        "clifford_links": clifford,
-        "isoparametric_l3": l3,
-        "isoparametric_l4_homogeneous": l4_homogeneous,
-        "isoparametric_l4_takagi": l4_takagi,
-        "isoparametric_l6": l6,
-    }
-    tables = {
-        "sphere_links": (_SPHERE_HEADERS, _rows(sphere, _SPHERE_HEADERS)),
-        "clifford_links": (_CLIFFORD_HEADERS, _rows(clifford, _CLIFFORD_HEADERS)),
-        "isoparametric_l3": (_CLASSIFIED_HEADERS, _rows(l3, _CLASSIFIED_HEADERS)),
-        "isoparametric_l4_homogeneous":
-            (_CLASSIFIED_HEADERS, _rows(l4_homogeneous, _CLASSIFIED_HEADERS)),
-        "isoparametric_l4_takagi": (_TAKAGI_HEADERS, _rows(l4_takagi, _TAKAGI_HEADERS)),
-        "isoparametric_l6": (_CLASSIFIED_HEADERS, _rows(l6, _CLASSIFIED_HEADERS)),
-    }
-    return _Outcome("report --all", {"n_max": n_max}, results, tables=tables)
+    results = dict(zip(_REPORT_HEADERS, (sphere, clifford, l3, l4_homogeneous, l4_takagi, l6)))
+    return _Outcome("report --all", {"n_max": n_max}, results, tables=lambda: {
+        name: (headers, [[getattr(it, h) for h in headers] for it in results[name]])
+        for name, headers in _REPORT_HEADERS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +673,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--n-max", dest="n_max", type=int, default=13,
-                   help="largest n for the homogeneous family rows (default 13)")
+                   help="largest n for the homogeneous family rows "
+                        f"(default 13, at most {_N_MAX_CAP})")
     p.set_defaults(handler="_cmd_report")
 
     return parser
@@ -696,16 +727,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_NUMERIC
 
     if getattr(args, "format", "json") == "csv" and outcome.tables is not None:
-        _emit_csv(outcome.tables)
+        _emit_csv(outcome.tables())
     else:
-        payload = {
-            "command": outcome.command,
-            "digest": _digest(outcome.command, outcome.inputs),
-            "inputs": _sanitize(outcome.inputs),
-            "results": _sanitize(outcome.results),
-            "version": __version__,
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
+        print(_json({"command": outcome.command,
+                     "digest": _digest(outcome.command, outcome.inputs),
+                     "inputs": outcome.inputs,
+                     "results": outcome.results,
+                     "version": __version__}, _PAYLOAD))
     elapsed = time.perf_counter() - start
     print(f"{outcome.command}: elapsed {elapsed:.3f} s", file=sys.stderr)
     return outcome.exit_code

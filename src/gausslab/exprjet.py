@@ -29,7 +29,7 @@ import math
 import operator
 import threading
 from collections import OrderedDict
-from functools import partial, wraps
+from functools import lru_cache, partial, wraps
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -1246,10 +1246,29 @@ def _operation(node: ExprAst, operands: tuple, m: int, order: int) -> Callable:
     if isinstance(node, Call):
         if operands[0] >= m:
             return operator.methodcaller("compose", node.fn)
-        i = node.arg.index  # fn of a coordinate: the rows of x_i^k, k = 0..order
-        rows = _rows(m, order, np.arange(order + 1) * (order + 1) ** (m - 1 - i))
-        return partial(_on_variable, node.fn, i, m, order, tuple(rows.tolist()))
+        return _variable_operation(node.fn, node.arg.index, m, order)
     raise TypeError(node)
+
+
+class _VariableOperation(NamedTuple):
+    """fn of the coordinate x_index, with the rows of x_index^k, k = 0..order.
+    One per (fn, index, m, order), shared by every step that binds it; it
+    reads `_on_variable` from the module at each call."""
+
+    fn: str
+    index: int
+    m: int
+    order: int
+    rows: tuple
+
+    def __call__(self, x) -> JetValue:
+        return _on_variable(*self, x)
+
+
+@lru_cache(maxsize=1024)
+def _variable_operation(fn: str, index: int, m: int, order: int) -> _VariableOperation:
+    rows = _rows(m, order, np.arange(order + 1) * (order + 1) ** (m - 1 - index))
+    return _VariableOperation(fn, index, m, order, tuple(rows.tolist()))
 
 
 def _on_variable(fn: str, index: int, m: int, order: int, rows: tuple, x) -> JetValue:

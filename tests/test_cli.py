@@ -697,6 +697,20 @@ def test_report_n_max_extends_takagi(capsys):
     assert len(payload["results"]["isoparametric_l4_takagi"]) == 8
 
 
+# time and output grow linearly with --n-max: the cap is accepted, one past
+# it is a config error before any solving
+def test_report_n_max_is_capped(capsys, monkeypatch):
+    from gausslab import cli
+
+    code, payload, _ = run_json(capsys, "report", "--all", "--n-max", str(cli._N_MAX_CAP))
+    assert code == 0
+    assert payload["results"]["isoparametric_l4_takagi"][-1]["n"] == cli._N_MAX_CAP
+    monkeypatch.setattr(cli.hypercone, "sphere_link_solver", None)
+    code, out, err = run(capsys, "report", "--all", "--n-max", str(cli._N_MAX_CAP + 1))
+    assert (code, out) == (2, "")
+    assert f"at most {cli._N_MAX_CAP}" in err
+
+
 def test_report_csv_has_one_block_per_family(capsys):
     code, out, _ = run(capsys, "report", "--all", "--format", "csv")
     assert code == 0

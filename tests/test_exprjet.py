@@ -690,6 +690,22 @@ def test_a_chart_compiles_once_and_keeps_no_jet(monkeypatch):
     assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(first, second))
 
 
+# a function of a coordinate binds one operation per (function, coordinate,
+# m, order), with the rows of the coordinate's powers: charts share it
+def test_charts_share_the_operation_of_a_coordinate_function():
+    charts = [chart_from_strings(name, ("u", "v"), components, [(-1.0, 1.0), (-1.0, 1.0)])
+              for name, components in (("a", ["u", "v", "sin(v)"]),
+                                       ("b", ["cos(u)", "v", "u*sin(v)"]))]
+    for chart in charts:
+        chart.component_jets((0.25, -0.5), 3)
+    sin_v = [[op for op in chart._program.operations[3] if getattr(op, "fn", None) == "sin"]
+             for chart in charts]
+    assert len(sin_v[0]) == len(sin_v[1]) == 1
+    assert sin_v[0][0] is sin_v[1][0]
+    assert [_exponents(2, 3)[0][row].tolist() for row in sin_v[0][0].rows] == [
+        [0, k] for k in range(4)]
+
+
 # ---------------------------------------------------------------------------
 # support masks: products skip only the pairs with an exactly zero factor
 
