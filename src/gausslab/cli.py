@@ -266,6 +266,15 @@ _SCALARS = {bool: ("false", "true").__getitem__, type(None): lambda _: "null",
             Fraction: _other, object: _other}
 
 
+@functools.cache
+def _record_keys(cls, layout: tuple) -> tuple[tuple[int, str], ...]:
+    """(field index, escaped key and key separator) of each field of the
+    record class `cls`, in the order `layout` writes them."""
+    fields = enumerate(cls._fields)
+    fields = sorted(fields, key=lambda f: f[1]) if layout[4] else fields
+    return tuple((i, _string(name) + layout[3]) for i, name in fields)
+
+
 def _write(obj, out: list, layout: tuple, nl: str) -> None:
     """Append to `out` the text of `obj` in `layout`, in one walk: what
     `json.dumps` prints for its JSON-safe form, in which a numpy scalar is
@@ -274,21 +283,24 @@ def _write(obj, out: list, layout: tuple, nl: str) -> None:
     non-finite float null, and a Fraction or any other object its `str`."""
     if hasattr(obj, "item") and not isinstance(obj, (list, tuple, dict)):
         obj = obj.item()  # numpy scalar
+    _, step, item_sep, key_sep, sort = layout
+    brackets = "{}"
     if _is_record(obj):
-        obj = dict(zip(obj._fields, obj))
+        items = [(key, obj[i]) for i, key in _record_keys(type(obj), layout)]
     elif isinstance(obj, dict):
         obj = dict(zip(map(str, obj), obj.values()))
-    elif not isinstance(obj, (list, tuple)):
+        items = [(_string(key) + key_sep, value)
+                 for key, value in (sorted(obj.items()) if sort else obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        items, brackets = [("", value) for value in obj], "[]"
+    else:
         for kind, scalar in _SCALARS.items():
             if isinstance(obj, kind):
                 return out.append(scalar(obj))
-    _, step, item_sep, key_sep, sort = layout
-    inner, sep, is_object = nl + step, "", isinstance(obj, dict)
-    out.append("{" if is_object else "[")
-    for value in (sorted(obj.items()) if sort else obj.items()) if is_object else obj:
-        head = sep + inner
-        if is_object:
-            head, value = f"{head}{_string(value[0])}{key_sep}", value[1]
+    inner, sep = nl + step, ""
+    out.append(brackets[0])
+    for key, value in items:
+        head = sep + inner + key
         scalar = _SCALARS.get(type(value))  # written here, with no call of its own
         if scalar is None:
             out.append(head)
@@ -296,7 +308,7 @@ def _write(obj, out: list, layout: tuple, nl: str) -> None:
         else:
             out.append(head + scalar(value))
         sep = item_sep
-    out.append((nl if obj else "") + ("}" if is_object else "]"))
+    out.append((nl if items else "") + brackets[1])
 
 
 def _json(obj, layout: tuple) -> str:
@@ -455,8 +467,8 @@ def _cmd_isoparametric(args) -> _Outcome:
     results = {"ell": spec.ell, "multiplicities": list(spec.multiplicities),
                "m": spec.m, "roots": found}
     if spec.ell in (3, 4, 6):
-        poly = isoparametric.condition_polynomial(spec).content_normalized()
-        results["condition_coefficients"] = [str(c) for c in poly.coeffs]
+        results["condition_coefficients"] = [
+            str(c) for c in reversed(isoparametric.condition_coefficients(spec))]
     if not found:
         results["note"] = "no real roots"
     return _Outcome("solve isoparametric", inputs, results)

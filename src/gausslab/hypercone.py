@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .roots import Polynomial, _sign_at, isolate_and_refine
+from .roots import _isolate, _sign_at
 
 # The solvers and the R^3 certificate are exact and need no numpy. The
 # chart, cone-data and quadrature builders import numpy and the jet modules
@@ -152,18 +152,15 @@ def clifford_link_solver(m: int, m1: int) -> list[CliffordRoot]:
     m2 = m - m1
     # quadratic in x = r1^2, integer coefficients highest degree first
     coeffs = (4 * m - 6, -(4 * m - 6 + m1 - m2), m1)
-    poly = Polynomial.from_coeffs(coeffs[::-1])
-    minimal_x = Fraction(m1, m1 + m2)
-    minimal_is_root = _sign_at(coeffs, m1, m1 + m2) == 0
-    intervals = isolate_and_refine(poly, 0, 1)
-    if not intervals:
+    minimal_is_root = _sign_at(coeffs, m1, m) == 0
+    cells = _isolate(coeffs, (0, 1), (1, 1))
+    if not cells:
         raise ValueError(f"no real solutions in (0, 1) for m={m}, m1={m1}")
     roots = []
-    for r in intervals:
-        x = r.value
+    for *_, x in cells:
         r2_sq = 1.0 - x
         norm_sq = clifford_shape_norm_sq(m1, m2, x)
-        minimal = minimal_is_root and abs(x - float(minimal_x)) <= 1e-9
+        minimal = minimal_is_root and abs(x - m1 / m) <= 1e-9
         theorem_ok = (m > 2 and not minimal
                       and abs(norm_sq - 3.0 * (m - 2)) <= _CONDITION_TOL * (1 + norm_sq))
         proposition_ok = m > 3

@@ -24,7 +24,7 @@ from .hypercone import (
     clifford_link_solver,
     sphere_link_solver,
 )
-from .roots import NEG_INF, POS_INF, Polynomial, count_real_roots_in, isolate_and_refine
+from .roots import Polynomial, _count, _isolate, _primitive, _sign_at
 
 __all__ = [
     "IsoparametricSpec",
@@ -33,6 +33,7 @@ __all__ = [
     "ShapeNorm",
     "shape_norm_squared",
     "condition_polynomial",
+    "condition_coefficients",
     "ClassifiedRoot",
     "classify_type",
     "TakagiSolution",
@@ -210,6 +211,30 @@ def shape_norm_squared(spec: IsoparametricSpec, theta: float) -> ShapeNorm:
     return ShapeNorm(closed, direct)
 
 
+def _condition_coeffs(spec: IsoparametricSpec) -> tuple[int, ...]:
+    """`condition_polynomial`'s integer coefficients, highest degree first."""
+    ell = spec.ell
+    m = spec.m
+    if ell == 1:
+        return 4 * m - 6, -m
+    if ell == 2:
+        m1, m2 = spec.multiplicities
+        return 4 * m - 6, -(4 * m - 6 + m1 - m2), m1
+    if ell == 3:
+        w = spec.multiplicities[0]  # 2^q
+        return 3 * w, 0, 18 - 27 * w, 0, -12 + 33 * w, 0, 2 - w
+    if ell == 4:
+        m1, m2 = spec.multiplicities[0], spec.multiplicities[1]
+        return m1, -(4 * (m1 + m2) - 6), 16 * m2
+    if spec.multiplicities[0] == 1:
+        coeffs = [1, -12, 135, -216, 135, -12, 1]
+    else:
+        coeffs = [3, -45, 465, -766, 465, -45, 3]
+    out = [0] * 13
+    out[::2] = coeffs
+    return tuple(out)
+
+
 def condition_polynomial(spec: IsoparametricSpec) -> Polynomial:
     """Integer polynomial whose admissible roots are exactly the parameter
     values with |A|^2 = 3(m-2).
@@ -218,27 +243,13 @@ def condition_polynomial(spec: IsoparametricSpec) -> Polynomial:
     even polynomials), lambda = (k1 - 1/k1)^2 (l=4). Coefficients are the
     raw instantiations; content normalization happens at root isolation.
     """
-    ell = spec.ell
-    m = spec.m
-    if ell == 1:
-        return Polynomial.from_coeffs([-m, 4 * m - 6])
-    if ell == 2:
-        m1, m2 = spec.multiplicities
-        return Polynomial.from_coeffs([m1, -(4 * m - 6 + m1 - m2), 4 * m - 6])
-    if ell == 3:
-        w = spec.multiplicities[0]  # 2^q
-        return Polynomial.from_coeffs(
-            [2 - w, 0, -12 + 33 * w, 0, 18 - 27 * w, 0, 3 * w])
-    if ell == 4:
-        m1, m2 = spec.multiplicities[0], spec.multiplicities[1]
-        return Polynomial.from_coeffs([16 * m2, -(4 * (m1 + m2) - 6), m1])
-    if spec.multiplicities[0] == 1:
-        coeffs = [1, -12, 135, -216, 135, -12, 1]
-    else:
-        coeffs = [3, -45, 465, -766, 465, -45, 3]
-    out = [0] * 13
-    out[::2] = coeffs[::-1]
-    return Polynomial.from_coeffs(out)
+    return Polynomial.from_coeffs(_condition_coeffs(spec)[::-1])
+
+
+def condition_coefficients(spec: IsoparametricSpec) -> tuple[int, ...]:
+    """`condition_polynomial(spec).content_normalized()`'s integer
+    coefficients for l = 3, 4 and 6, highest degree first."""
+    return _primitive(_condition_coeffs(spec))
 
 
 class ClassifiedRoot(NamedTuple):
@@ -253,13 +264,6 @@ class ClassifiedRoot(NamedTuple):
     shape_norm_sq: float
     minimal: bool
     flag: str
-
-
-def _even_to_half(p: Polynomial) -> Polynomial:
-    """Rewrite an even polynomial p(x) as q(y) with y = x^2."""
-    if any(c != 0 for c in p.coeffs[1::2]):
-        raise ValueError("polynomial is not even")
-    return Polynomial.from_coeffs(p.coeffs[::2])
 
 
 def classify_type(spec: IsoparametricSpec) -> list[ClassifiedRoot]:
@@ -283,11 +287,10 @@ def classify_type(spec: IsoparametricSpec) -> list[ClassifiedRoot]:
                                       r.k1, r.theta, r.shape_norm_sq,
                                       r.minimal, r.flag))
         return out
-    poly = condition_polynomial(spec).content_normalized()
+    cs = condition_coefficients(spec)
     if ell == 3:
-        half = _even_to_half(poly)
-        for r in isolate_and_refine(half, Fraction(1, 3)):
-            x = math.sqrt(r.value)
+        for *_, k1_sq in _isolate(cs[::2], (1, 3), (1, 0)):  # the even cs in k1^2
+            x = math.sqrt(k1_sq)
             theta = math.atan(1.0 / x)
             ks = principal_curvatures(3, theta)
             tr = ks.trace(spec.multiplicities)
@@ -299,20 +302,18 @@ def classify_type(spec: IsoparametricSpec) -> list[ClassifiedRoot]:
         return out
     if ell == 4:
         m1, m2 = spec.multiplicities[0], spec.multiplicities[1]
-        minimal_lam = Fraction(4 * m2, m1)
-        minimal_is_root = poly.eval_exact(minimal_lam) == 0
-        for r in isolate_and_refine(poly, 0):
-            lam = r.value
+        minimal_is_root = _sign_at(cs, 4 * m2, m1) == 0
+        for *_, lam in _isolate(cs, (0, 1), (1, 0)):
             k1 = 0.5 * (math.sqrt(lam) + math.sqrt(lam + 4.0))
             theta = math.atan(1.0 / k1)
             norm = shape_norm_squared(spec, theta)
-            minimal = minimal_is_root and abs(lam - float(minimal_lam)) <= _MINIMAL_TOL
+            minimal = minimal_is_root and abs(lam - 4 * m2 / m1) <= _MINIMAL_TOL
             out.append(ClassifiedRoot(4, spec.multiplicities, "lambda", lam, k1,
                                       theta, norm.direct, minimal,
                                       FLAG_MINIMAL if minimal else FLAG_VALID))
         return out
     # type 6: both multiplicity cases have no real roots at all; certify.
-    count = count_real_roots_in(poly, NEG_INF, POS_INF)
+    count = _count(cs, (-1, 0), (1, 0))
     if count != 0:
         raise ArithmeticError(f"type 6 condition unexpectedly has {count} roots")
     return []
@@ -343,12 +344,12 @@ def takagi_solver(n: int) -> list[TakagiSolution]:
     (sqrt(n) -+ sqrt(2))."""
     if n % 2 == 0 or n < 5:
         raise ValueError("n must be odd and >= 5")
-    poly = Polynomial.from_coeffs([2 * (n - 2), -(6 * n - 11), 4 * n - 3])
+    cs = (4 * n - 3, -(6 * n - 11), 2 * (n - 2))
     disc = 4 * n * n - 44 * n + 73
     if disc < 0:
         return []
-    inside = count_real_roots_in(poly, 0, 1)
-    total = count_real_roots_in(poly, NEG_INF, POS_INF)
+    inside = _count(cs, (0, 1), (1, 1))
+    total = _count(cs, (-1, 0), (1, 0))
     if inside != total:
         raise ArithmeticError("a root escaped (0, 1); x = sin^2(2 theta) invalid")
     isq = math.isqrt(disc)
@@ -358,8 +359,7 @@ def takagi_solver(n: int) -> list[TakagiSolution]:
             (Fraction(6 * n - 11 + s * isq, 2 * (4 * n - 3)) for s in (1, -1)))
     out = []
     vplus = (math.sqrt(n) + math.sqrt(2.0)) / (math.sqrt(n) - math.sqrt(2.0))
-    for i, r in enumerate(isolate_and_refine(poly, 0, 1)):
-        x = r.value
+    for i, (*_, x) in enumerate(_isolate(cs, (0, 1), (1, 1))):
         theta = 0.5 * math.asin(math.sqrt(x))
         lam = 4.0 * (1.0 - x) / x
         residual = (n - 2) * lam * lam - (4 * n - 6) * lam + 32.0

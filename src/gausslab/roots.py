@@ -1,10 +1,15 @@
 """Exact univariate root counting and certified isolation.
 
-`Polynomial` carries `fractions.Fraction` coefficients at the API edge; the
-exact layer inside works on integer coefficient tuples, highest degree first.
-One pseudo-division (Collins, "Subresultants and reduced polynomial remainder
-sequences", J. ACM 14, 1967) builds the gcd, the square-free part, the
-deflation of a root and the Sturm chain: each step scales by |lc| of the
+One integer core isolates (`_isolate`) and counts (`_count`) the roots of an
+integer coefficient tuple, highest degree first, over a range whose ends are
+integer pairs (p, d). The catalog solvers call it with integers; `Fraction`s
+live only at the API edge, where `isolate_and_refine` and
+`count_real_roots_in` convert a `Polynomial` and its range once and build
+Fractions only for the returned intervals.
+
+One pseudo-division (Collins, "Subresultants and reduced polynomial
+remainder sequences", J. ACM 14, 1967) builds the gcd, the square-free part,
+the deflation of a root and the Sturm chain: each step scales by |lc| of the
 divisor and each result is divided by its positive content, so every result
 is a positive multiple of the Euclidean one and keeps its signs. A quadratic
 with a nonzero discriminant is its own square-free part, and counts and
@@ -34,8 +39,7 @@ roots share that cell. A quadratic names each root's cell of that level in
 closed form, from one integer square root of the discriminant, certifies it
 by the same two signs and skips the chain, the bisection and the refinement;
 where both of its roots share a cell it bisects like any other polynomial. A
-single guarded Newton step polishes the float estimate; Fractions are built
-only for the returned intervals.
+single guarded Newton step polishes the float estimate.
 """
 
 from __future__ import annotations
@@ -60,14 +64,11 @@ Rational = Union[int, Fraction, str]
 
 
 def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    """x as a Fraction, a finite float exactly."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"not a finite rational: {x!r}")
+    if isinstance(x, (Fraction, int, str, float)):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10 ** 15) if not x.is_integer() else Fraction(int(x))
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -232,69 +233,73 @@ def _variations(chain: Sequence[tuple[int, ...]], p: int, d: int) -> int:
     return count
 
 
-def _projective(x) -> tuple[int, int]:
-    """Integers (p, d) with x = p/d for an endpoint of `_as_endpoint`;
-    +-inf is (+-1, 0)."""
-    if x is POS_INF:
-        return 1, 0
-    if x is NEG_INF:
-        return -1, 0
-    return x.numerator, x.denominator
-
-
-def _as_endpoint(x):
-    """x as a Fraction, and a float +-inf as POS_INF or NEG_INF itself, so
-    that an endpoint is tested for +-inf by identity, not by comparing a
-    Fraction with a float."""
+def _endpoint(x) -> tuple[int, int]:
+    """Integers (p, d) in lowest terms with x = p/d, d > 0, for a range end
+    x; a float +-inf is (+-1, 0)."""
     if isinstance(x, float) and math.isinf(x):
-        return POS_INF if x > 0 else NEG_INF
-    return _to_fraction(x)
+        return (1 if x > 0 else -1), 0
+    return _to_fraction(x).as_integer_ratio()
 
 
-def _open_part(p: Polynomial, a, b) -> tuple[tuple[int, ...], bool]:
-    """Square-free part of p with roots at the finite endpoints a and b
-    (of `_as_endpoint`) divided out, and whether b was such a root."""
-    q = _square_free(_int_coeffs(p))
-    if a is not NEG_INF and _sign_at(q, a.numerator, a.denominator) == 0:
-        q = _pdiv(q, (a.denominator, -a.numerator))[0]  # a is not in (a, b]
-    b_is_root = b is not POS_INF and _sign_at(q, b.numerator, b.denominator) == 0
+def _below(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Whether the end a = p/d of `_endpoint` lies left of the end b."""
+    return a[0] * b[1] < b[0] * a[1] if a[1] or b[1] else a[0] < b[0]
+
+
+def _range(a, b) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The `_endpoint`s of the range (a, b], which must have a < b."""
+    lo, hi = _endpoint(a), _endpoint(b)
+    if not _below(lo, hi):
+        raise ValueError("need a < b")
+    return lo, hi
+
+
+def _open_part(cs: tuple[int, ...], lo: tuple[int, int],
+               hi: tuple[int, int]) -> tuple[tuple[int, ...], bool]:
+    """Primitive square-free part of the integer coefficients cs with roots
+    at the finite ends lo and hi (of `_endpoint`) divided out, and whether
+    hi was such a root."""
+    q = _square_free(_primitive(cs))
+    if lo[1] and _sign_at(q, *lo) == 0:
+        q = _pdiv(q, (lo[1], -lo[0]))[0]  # lo is not in (lo, hi]
+    b_is_root = hi[1] != 0 and _sign_at(q, *hi) == 0
     if b_is_root:
-        # b belongs to (a, b]; the caller re-adds it
-        q = _pdiv(q, (b.denominator, -b.numerator))[0]
+        # hi belongs to (lo, hi]; the caller re-adds it
+        q = _pdiv(q, (hi[1], -hi[0]))[0]
     return q, b_is_root
+
+
+def _count(cs: tuple[int, ...], lo: tuple[int, int], hi: tuple[int, int]) -> int:
+    """Distinct real roots in (lo, hi] of the nonzero integer coefficients
+    cs, highest degree first; lo < hi are `_endpoint`s."""
+    q, b_is_root = _open_part(cs, lo, hi)
+    if len(q) <= 1:
+        return int(b_is_root)
+    if len(q) == 3:
+        return _quadratic_count(q, lo, hi) + b_is_root
+    chain = _sturm(q)
+    return _variations(chain, *lo) - _variations(chain, *hi) + b_is_root
 
 
 def count_real_roots_in(p: Polynomial, a, b) -> int:
     """Distinct real roots of p in the half-open interval (a, b]."""
     if p.is_zero:
         raise ValueError("root counting on the zero polynomial")
-    if p.degree == 0:
-        return 0
-    a = _as_endpoint(a)
-    b = _as_endpoint(b)
-    if not a < b:
-        raise ValueError("need a < b")
-    q, b_is_root = _open_part(p, a, b)
-    if len(q) <= 1:
-        return int(b_is_root)
-    if len(q) == 3:
-        return _quadratic_count(q, a, b) + b_is_root
-    chain = _sturm(q)
-    return (_variations(chain, *_projective(a))
-            - _variations(chain, *_projective(b)) + b_is_root)
+    return _count(_int_coeffs(p), *_range(a, b))
 
 
-def _quadratic_count(q: tuple[int, ...], a, b) -> int:
-    """Roots in (a, b] of the square-free quadratic q, which vanishes at
-    neither end: one where q changes sign from a to b; else two where both
+def _quadratic_count(q: tuple[int, ...], lo: tuple[int, int], hi: tuple[int, int]) -> int:
+    """Roots in (lo, hi] of the square-free quadratic q, which vanishes at
+    neither end: one where q changes sign from lo to hi; else two where both
     ends lie outside the roots (q has the sign of its leading coefficient
     there) on either side of the vertex -b/2a, and none otherwise."""
     if _discriminant(q) < 0:
         return 0
-    sa, sb = _sign_at(q, *_projective(a)), _sign_at(q, *_projective(b))
+    sa, sb = _sign_at(q, *lo), _sign_at(q, *hi)
     if sa != sb:
         return 1
-    return 2 if (sa > 0) == (q[0] > 0) and a < Fraction(-q[1], 2 * q[0]) < b else 0
+    vertex = (-q[1] if q[0] > 0 else q[1], 2 * abs(q[0]))
+    return 2 if (sa > 0) == (q[0] > 0) and _below(lo, vertex) and _below(vertex, hi) else 0
 
 
 class RootInterval(NamedTuple):
@@ -310,8 +315,11 @@ _WIDTH = Fraction(1, 10 ** 12)  # the width of a refined isolating interval
 _PAST_FLOATS = "a root lies outside the float range (|x| > 1.8e308)"
 
 
-def _cauchy_bound(cs: tuple[int, ...]) -> Fraction:
-    return 1 + Fraction(max(abs(c) for c in cs[1:]), abs(cs[0]))
+def _cauchy_bound(cs: tuple[int, ...]) -> tuple[int, int]:
+    """1 + max |c_i / c_0| over cs past its leading c_0, as (p, d) in lowest terms."""
+    top, lead = max(abs(c) for c in cs[1:]), abs(cs[0])
+    g = math.gcd(top, lead)
+    return (top + lead) // g, lead // g
 
 
 def _root_past_floats(q: tuple[int, ...], x: int, y: int, d: int, s: int) -> bool:
@@ -520,36 +528,35 @@ def _bisect(q: tuple[int, ...], x: int, y: int, d: int) -> list[tuple[int, int, 
     return isolated
 
 
-def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF) -> list[RootInterval]:
-    """Isolating intervals for every distinct real root of p in (a, b], each
-    the interval of width at most _WIDTH that bisecting from the Cauchy
-    bound (or the finite range ends) ends in, and polished with one guarded
-    Newton step. A quadratic names each root's cell in closed form
-    (`_quadratic_cells`); other polynomials, and a quadratic whose roots
-    share a cell, are isolated by Sturm counts and refined by `_refine`."""
-    if p.is_zero or p.degree == 0:
-        return []
-    a = _as_endpoint(a)
-    b = _as_endpoint(b)
-    if not a < b:
-        raise ValueError("need a < b")
-    q, b_is_root = _open_part(p, a, b)
+def _isolate(cs: tuple[int, ...], lo: tuple[int, int], hi: tuple[int, int],
+             lead=None) -> list[tuple[int, int, int, float]]:
+    """The cell (x, y, d), meaning (x/d, y/d], of each distinct real root in
+    (lo, hi] of the nonzero integer coefficients cs, highest degree first,
+    and its float estimate, in the order of the estimates; lo < hi are
+    `_endpoint`s, and a root at hi = p/d is (p, p, d). The other cells are
+    those of width at most _WIDTH that bisecting from the Cauchy bound (or
+    the finite range ends) ends in: a quadratic names them in closed form
+    (`_quadratic_cells`); else Sturm counts isolate and `_refine` refines.
+    A guarded Newton step polishes each estimate, on q scaled to `lead`, the
+    leading coefficient of the caller's polynomial (default cs[0])."""
+    q, b_is_root = _open_part(cs, lo, hi)
     results = []
     if b_is_root:
         try:
-            results.append(RootInterval(b, b, float(b)))
+            results.append((hi[0], hi[0], hi[1], hi[0] / hi[1]))
         except OverflowError:
             raise OverflowError(_PAST_FLOATS) from None
     if len(q) <= 1:
         return results
-    lo = a if a is not NEG_INF else -_cauchy_bound(q)
-    hi = b if b is not POS_INF else _cauchy_bound(q)
-    if not lo < hi:
+    if not lo[1] or not hi[1]:
+        bound = _cauchy_bound(q)
+        lo, hi = lo if lo[1] else (-bound[0], bound[1]), hi if hi[1] else bound
+    if not _below(lo, hi):
         return results
     # an endpoint x/d is kept as the integers (x, d), with d the common
     # denominator of lo and hi times a power of two; bisecting doubles d
-    d = math.lcm(lo.denominator, hi.denominator)
-    x, y = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    d = math.lcm(lo[1], hi[1])
+    x, y = lo[0] * (d // lo[1]), hi[0] * (d // hi[1])
     dq = _derivative(q)
     cells = _quadratic_cells(q, dq, x, y, d) if len(q) == 3 else None
     scaled = None
@@ -559,10 +566,11 @@ def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF) -> list[RootInterval
         cells = [(x, y, d, _sign_at(q, x, d) or _sign_at(dq, x, d))
                  for x, y, d in _bisect(q, x, y, d)]
         scaled = _scaled(q)
-    # the Newton step reads q scaled to the leading coefficient of p, which
-    # p divided by a monic gcd keeps, so the float polish does not depend on
-    # the integer scale of q
-    num, den = p.leading.numerator, p.leading.denominator * q[0]
+    # the Newton step reads q scaled to the caller's leading coefficient,
+    # which the caller's polynomial divided by a monic gcd keeps, so the
+    # float polish does not depend on the integer scale of q
+    lead = cs[0] if lead is None else lead
+    num, den = lead.numerator, lead.denominator * q[0]
     try:
         q_f = [c * num / den for c in q]
         dq_f = [c * num / den for c in dq]
@@ -583,6 +591,16 @@ def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF) -> list[RootInterval
             if x / d <= newton <= y / d and \
                     abs(_float_at(q_f, newton)) <= abs(_float_at(q_f, est)):
                 est = newton
-        results.append(RootInterval(Fraction(x, d), Fraction(y, d), est))
-    results.sort(key=lambda r: r.value)
+        results.append((x, y, d, est))
+    results.sort(key=lambda r: r[3])
     return results
+
+
+def isolate_and_refine(p: Polynomial, a=NEG_INF, b=POS_INF) -> list[RootInterval]:
+    """Certified isolating intervals of width at most _WIDTH, with float
+    estimates, for the distinct real roots of p in (a, b] (`_isolate`)."""
+    lo, hi = _range(a, b)
+    if p.is_zero:
+        return []
+    return [RootInterval(Fraction(x, d), Fraction(y, d), est)
+            for x, y, d, est in _isolate(_int_coeffs(p), lo, hi, p.leading)]

@@ -236,11 +236,34 @@ def test_roots_at_range_endpoints():
     (Fraction(5, 2), Fraction(3, 2)),
 ])
 def test_a_range_must_have_a_below_b(a, b):
-    p = poly(-6, 11, -6, 1)  # roots 1, 2, 3
-    with pytest.raises(ValueError, match="need a < b"):
-        isolate_and_refine(p, a, b)
-    with pytest.raises(ValueError, match="need a < b"):
-        count_real_roots_in(p, a, b)
+    for p in (poly(-6, 11, -6, 1), poly(5)):  # roots 1, 2, 3; a constant
+        with pytest.raises(ValueError, match="need a < b"):
+            isolate_and_refine(p, a, b)
+        with pytest.raises(ValueError, match="need a < b"):
+            count_real_roots_in(p, a, b)
+
+
+def test_float_coefficients_and_endpoints_are_taken_exactly():
+    assert poly(1e-16, 1).coeffs == (Fraction(1e-16), 1) != (0, 1)
+    (root,) = isolate_and_refine(poly(-1e-20, 1), 0, 1)
+    assert root.lo < Fraction(1e-20) <= root.hi
+    assert root.value == pytest.approx(1e-20, rel=1e-6)
+    (root,) = isolate_and_refine(poly(-1, 1), 0.5, 1.25)
+    assert root.lo < 1 < root.hi and root.value == 1.0
+    assert count_real_roots_in(poly(-1, 1), 0.5, 1.0) == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_coefficient_or_a_nan_end_is_named(bad):
+    with pytest.raises(ValueError, match=f"not a finite rational: {bad!r}"):
+        poly(bad, 1)
+    if bad != bad:
+        p = poly(-1, 1)
+        for a, b in ((bad, 2), (0, bad)):
+            with pytest.raises(ValueError, match="not a finite rational: nan"):
+                isolate_and_refine(p, a, b)
+            with pytest.raises(ValueError, match="not a finite rational: nan"):
+                count_real_roots_in(p, a, b)
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -275,23 +298,23 @@ def test_clifford_quadratics_match_the_reference(monkeypatch):
     from gausslab import hypercone
 
     calls = []
+    isolate = roots_module._isolate
 
-    def recording(p, a, b):
-        calls.append((p, a, b))
-        return isolate_and_refine(p, a, b)
+    def recording(cs, lo, hi, *lead):
+        calls.append((cs, lo, hi))
+        return isolate(cs, lo, hi, *lead)
 
-    monkeypatch.setattr(hypercone, "isolate_and_refine", recording)
+    monkeypatch.setattr(hypercone, "_isolate", recording)
     hypercone.clifford_link_solver(4, 1)
     assert calls
-    for p, a, b in calls:
-        assert p.degree == 2
-        assert_certified(p, a, b)
+    for cs, lo, hi in calls:
+        assert len(cs) == 3
+        assert_certified(poly(*cs[::-1]), Fraction(*lo), Fraction(*hi))
 
 
 def test_a_clifford_solve_compares_no_fraction_with_an_endpoint(monkeypatch):
-    # once `_as_endpoint` has normalised them, endpoints are tested for
-    # +-inf by identity, and x = m1/m is tested as a root by an integer sign:
-    # none of these functions reaches Fraction.__eq__, about 1 us a call
+    # the solver hands integers to the integer core, and x = m1/m is tested
+    # as a root by an integer sign: no Fraction is compared, about 1 us a call
     from gausslab import hypercone
 
     callers = []
@@ -301,9 +324,8 @@ def test_a_clifford_solve_compares_no_fraction_with_an_endpoint(monkeypatch):
     for m1 in range(1, 12):
         assert hypercone.clifford_link_solver(12, m1)
     assert any(r.minimal for r in hypercone.clifford_link_solver(3, 1))  # x = m1/m is a root
-    assert callers  # the spy sees the comparisons made elsewhere
-    assert not {"_as_endpoint", "_projective", "_open_part", "isolate_and_refine",
-                "clifford_link_solver", "eval_exact"} & set(callers)
+    assert callers == []
+    assert Fraction(1, 2) == Fraction(2, 4) and callers  # the spy sees a comparison
 
 
 @settings(max_examples=40, deadline=None)
@@ -457,14 +479,15 @@ def test_refinement_makes_a_few_sign_tests_per_root(monkeypatch, capsys):
 
     counts = count_sign_tests_past_isolation(monkeypatch)
     returned = []
+    isolate = roots_module._isolate
 
-    def counting(p, a=NEG_INF, b=POS_INF):
-        out = isolate_and_refine(p, a, b)
+    def counting(cs, lo, hi, *lead):
+        out = isolate(cs, lo, hi, *lead)
         returned.append(len(out))
         return out
 
     for module in (roots_module, hypercone, isoparametric):
-        monkeypatch.setattr(module, "isolate_and_refine", counting)
+        monkeypatch.setattr(module, "_isolate", counting)
     assert cli.main(["solve", "takagi", "--n", "17"]) == 0
     for m1 in range(1, 12):
         hypercone.clifford_link_solver(12, m1)
