@@ -8,8 +8,8 @@ With --full it also runs the link system on the rest of the catalog: every
 sphere link and valid Clifford root of `report --all` with 8 <= m <= 12 (95
 rows), at two fixed interior points each, next to wrong-radius sphere
 controls at m = 8 and m = 12. Budget: 30 s wall and 90 MB peak RSS on a
-2-core x86-64 machine, the m <= 7 rows included; measured 4.0-5.7 s and
-80 MB. Every sweep runs in this process, in batched jet passes.
+2-core x86-64 machine, the m <= 7 rows included; measured 2.1-2.8 s and
+74 MB. Every sweep runs in this process, in batched jet passes.
 
 Usage: python3 scripts/verify_cone_gallery.py [--full]
 """

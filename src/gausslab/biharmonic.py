@@ -151,7 +151,7 @@ def _sweep_rows(evaluate: Callable, rows: Callable, points: Sequence, batch: int
         return rows(chunk, value)
 
     return [row for start in range(0, len(points), batch)
-            for row in run([tuple(p) for p in points[start:start + batch]])]
+            for row in run(points[start:start + batch])]
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +223,13 @@ def _residual_rows(points, fields: dict) -> list[PointResidual]:
 def _sweep(chart: ImmersionChart, points: Sequence | None, orientation: int,
            tol: Tolerances, default_count: int):
     """Rows over the sample (the chart's default grid when `points` is None),
-    the rows that evaluated, the failed count, and whether too many points
+    read once as tuples of floats (from a list or an (n, dim) array), the
+    rows that evaluated, the failed count, and whether too many points
     failed to decide."""
     _check_orientation(orientation)
     if points is None:
         points = chart.sample_points(default_count=default_count)
+    points = [tuple(map(float, p)) for p in points]
     if not points:
         raise GeometryError("empty sample set")
     rows = _sweep_rows(lambda p: _residual_fields(chart, p, orientation, tol.near_minimal_f),

@@ -29,7 +29,7 @@ import math
 import operator
 import threading
 from collections import OrderedDict
-from functools import lru_cache, partial, wraps
+from functools import partial, wraps
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -388,61 +388,46 @@ def shift_variables(node: ExprAst, offset: int, names: tuple[str, ...]) -> ExprA
 
 
 class _TableCache:
-    """A decorator that keeps the tables its functions build, by function
-    and arguments (omitted ones read as their defaults), and drops the least
-    recently used while their bytes exceed `budget` (the newest is always
-    kept). `keep` puts the plan of a call shape in the same order under a
-    key its caller makes, and `find` reads a table or plan back with one
-    lookup. A plan holds no table's arrays, only the keys and ranges it
-    reads them by, so it counts no bytes and outlives any table it reads.
+    """The one builder of the jet layer's tables and plans: a decorator that
+    keeps what its functions build, by function and arguments. A hit is one
+    lookup; a miss builds the value, marks each of its arrays read-only (it
+    is shared), stores it and drops the oldest entries while their bytes
+    exceed `budget` (the newest is always kept). A plan holds no table's
+    arrays, only the keys and ranges it reads them by, so it counts no bytes
+    and outlives any table it reads.
 
-    Threads share the cache: insertions and evictions take a lock, and a
+    Threads share the cache: a store and its evictions take a lock, and a
     lookup, which takes none, returns what it found even where another
     thread evicts it meanwhile."""
 
     def __init__(self, budget: int):
         self.budget = budget
         self.bytes = 0
-        self.entries: OrderedDict = OrderedDict()  # key -> (table or plan, bytes)
+        self.entries: OrderedDict = OrderedDict()  # key -> (table or plan, bytes), oldest first
         self.lock = threading.Lock()
 
     def __call__(self, build):
-        name, defaults, arity = build.__name__, build.__defaults__ or (), build.__code__.co_argcount
+        name = build.__name__
 
         @wraps(build)
         def cached(*args):
-            if len(args) < arity:
-                args += defaults[len(args) + len(defaults) - arity:]
             key = (name, *args)
-            value = self.find(key)
-            if value is None:
-                value = build(*args)
-                self.keep(key, value, sum(getattr(v, "nbytes", 0) for v in (
-                    value if isinstance(value, tuple) else (value,))))
+            entry = self.entries.get(key)
+            if entry is not None:
+                return entry[0]
+            value, size = build(*args), 0
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, np.ndarray):
+                    v.flags.writeable = False
+                    size += v.nbytes
+            with self.lock:  # in place of what another thread may have stored meanwhile
+                old = self.entries.pop(key, None)
+                self.bytes += size - (old[1] if old else 0)
+                self.entries[key] = (value, size)
+                while self.bytes > self.budget and len(self.entries) > 1:
+                    self.bytes -= self.entries.popitem(last=False)[1][1]
             return value
         return cached
-
-    def find(self, key):
-        """The table or plan kept under `key`, or None."""
-        entry = self.entries.get(key)
-        if entry is None:
-            return None
-        try:
-            self.entries.move_to_end(key)
-        except KeyError:  # evicted by another thread since
-            pass
-        return entry[0]
-
-    def keep(self, key, value, size: int = 0):
-        """Keeps `value`, of `size` bytes, under `key` (in place of what
-        another thread may have kept there meanwhile), and returns it."""
-        with self.lock:
-            old = self.entries.pop(key, None)
-            self.bytes += size - (old[1] if old else 0)
-            self.entries[key] = (value, size)
-            while self.bytes > self.budget and len(self.entries) > 1:
-                self.bytes -= self.entries.popitem(last=False)[1][1]
-        return value
 
 
 # The tables share one budget. The tables one residual reads take 10.1 MiB
@@ -451,7 +436,7 @@ class _TableCache:
 # tables, not those of every dimension it met, and the tables of all the
 # dimensions up to 8 fit at once. A plan counts no bytes: the plans of the
 # gallery's 84 contraction shapes take about 180 KiB of small tuples, and
-# they go as least recently used entries when the tables overflow.
+# they go, oldest first, with the tables when the tables overflow.
 _TABLES = _TableCache(14 * 2 ** 20)
 
 
@@ -486,12 +471,12 @@ def _rows(m: int, order: int, keys) -> np.ndarray:
 
 
 @_TABLES
-def _mul_tables(m: int, order: int, va: int = -1, vb: int = -1):
+def _mul_tables(m: int, order: int, va: int, vb: int):
     """Every pair (i, j) of coefficients whose product lands at or below
     `order`, with i in the rows of the variable mask `va` and j in those of
     `vb` (the multi-indices with no exponent outside the mask), i-major, and
-    the row lo of each product. A mask of -1 holds every variable, so the
-    default is the dense table; `_pair_sum` sets the bits past the m
+    the row lo of each product. A mask of -1 holds every variable, so masks
+    of -1 give the dense table; `_pair_sum` sets the bits past the m
     variables, so that a mask of all of them keys it too."""
     table, keys, _, _ = _exponents(m, order)
     degree = table.sum(axis=1)
@@ -1053,9 +1038,8 @@ def contract(spec: str, a: JetValue, b) -> JetValue:
     jet = isinstance(b, JetValue)
     k, x, y = a._truncated(b) if jet else (a.order, a.coeffs, np.asarray(b, dtype=float))
     low, stop = (a.lowest, max(k + 1 - b.lowest, 0)) if jet else (0, 1)
-    key = ("contract", spec, a.m, k, jet, x.shape, y.shape, low, stop)
     x_axes, x_shape, y_axes, y_shape, blocks, count, table, used, length, out, axes, rank = (
-        _TABLES.find(key) or _TABLES.keep(key, _contract_plan(*key[1:])))
+        _contract_plan(spec, a.m, k, jet, x.shape, y.shape, low, stop))
     X = _laid_out(x, x_axes, x_shape, "a")
     Y = _laid_out(y, y_axes, y_shape, "b")
     terms = _workspace("terms", count)
@@ -1071,6 +1055,7 @@ def contract(spec: str, a: JetValue, b) -> JetValue:
 _ALL = slice(None)
 
 
+@_TABLES
 def _contract_plan(spec: str, m: int, k: int, jet: bool, xshape: tuple, yshape: tuple,
                    low: int, stop: int):
     """The plan of a `contract` call: the transpose axes and laid-out shape
@@ -1111,11 +1096,10 @@ def _contract_plan(spec: str, m: int, k: int, jet: bool, xshape: tuple, yshape: 
     axes = None
     if free_a + free_b != out:
         axes = (0, *(1 + (free_a + free_b).index(c) for c in out), *(len(out) + 1,) * len(tail))
-    plan = (((len(xshape) - 1,) if xb else ()) + x_axes, (xp, n * na, ns),
+    return (((len(xshape) - 1,) if xb else ()) + x_axes, (xp, n * na, ns),
             ((len(yshape) - 1,) if yb else ()) + y_axes, (yp, ns, (n if jet else 1) * nb),
             tuple(steps), max(end - start, 0), table, slice(start, end), n * na * nb * points,
             (n,) + tuple(size[c] for c in free_a + free_b) + tail, axes, len(out))
-    return plan
 
 
 @_TABLES
@@ -1127,7 +1111,7 @@ def _contract_slots(m: int, order: int, jet: bool, points: int, na: int, nb: int
     operand is one block whose rows each have one partner, themselves."""
     n = math.comb(m + order, m)
     if jet:
-        _, _, lo = _mul_tables(m, order)
+        _, _, lo = _mul_tables(m, order, -1, -1)
         firsts = [math.comb(m + d - 1, m) if d else 0 for d in range(order + 2)]
         blocks = [(firsts[d], firsts[d + 1] - firsts[d], math.comb(m + order - d, m))
                   for d in range(order + 1)]
@@ -1265,7 +1249,7 @@ class _VariableOperation(NamedTuple):
         return _on_variable(*self, x)
 
 
-@lru_cache(maxsize=1024)
+@_TABLES
 def _variable_operation(fn: str, index: int, m: int, order: int) -> _VariableOperation:
     rows = _rows(m, order, np.arange(order + 1) * (order + 1) ** (m - 1 - index))
     return _VariableOperation(fn, index, m, order, tuple(rows.tolist()))

@@ -37,7 +37,7 @@ Laplacians is the geometer's: Delta = -trace(Hess).
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -46,6 +46,7 @@ from .exprjet import (
     DomainError,
     JetProgram,
     JetValue,
+    _TABLES,
     _any,
     _gathered,
     _second_tables,
@@ -263,17 +264,14 @@ def _sum(terms: np.ndarray) -> np.ndarray:
     return sum(terms[1:], terms[0])
 
 
-@cache
+@_TABLES
 def _symmetric_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per entry (i, j) of an m x m matrix: the row and column (min, max) of
     the upper-triangle entry that mirrors it, and that entry's place among
-    the pairs i <= j in np.triu_indices order. Read-only, as they are shared;
-    a matrix read through them is symmetric to the last bit."""
+    the pairs i <= j in np.triu_indices order; a matrix read through them is
+    symmetric to the last bit."""
     lo, hi = np.minimum.outer(range(m), range(m)), np.maximum.outer(range(m), range(m))
-    tables = lo, hi, lo * (2 * m - lo - 1) // 2 + hi
-    for t in tables:
-        t.flags.writeable = False
-    return tables
+    return lo, hi, lo * (2 * m - lo - 1) // 2 + hi
 
 
 def _inverse(g: JetValue, g0_inv: np.ndarray) -> JetValue:

@@ -290,7 +290,8 @@ class _QuadratureCurveComponent(NamedTuple):
     def _integrand(self, s: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        theta = sum(t * s ** (i + 1) for i, t in enumerate(self._theta_coeffs))
+        theta = sum((t * s ** (i + 1) for i, t in enumerate(self._theta_coeffs)),
+                    np.zeros_like(s))
         return np.cos(theta) if self.kind == "cos" else np.sin(theta)
 
     def _position(self, s: float) -> float:

@@ -250,8 +250,23 @@ def test_minimal_link_reports_harmonic():
     (link_residual_system, sphere_link_chart(3, 0.5)),
 ], ids=["hypersurface", "link"])
 def test_empty_sample_is_rejected(check, chart):
-    with pytest.raises(GeometryError, match="empty sample set"):
-        check(chart, points=[])
+    for points in ([], np.empty((0, chart.dim))):
+        with pytest.raises(GeometryError, match="empty sample set"):
+            check(chart, points=points)
+
+
+@pytest.mark.parametrize("check, chart", [
+    (hypersurface_residual, unit_sphere_chart()),
+    (link_residual_system, sphere_link_chart(3, 0.5)),
+], ids=["hypersurface", "link"])
+def test_an_array_sample_reads_as_its_points(check, chart):
+    # an (n, dim) array, or a list of its rows, gives the rows of the same
+    # points as float tuples, the points included
+    points = [tuple(lo + (hi - lo) * (0.3 + 0.2 * k + 0.05 * i)
+                    for i, (lo, hi) in enumerate(chart.domain)) for k in range(3)]
+    want = check(chart, points=points).points
+    assert repr(check(chart, points=np.array(points)).points) == repr(want)
+    assert repr(check(chart, points=list(np.array(points))).points) == repr(want)
 
 
 def test_link_system_requires_sphere_ambient():

@@ -1,6 +1,8 @@
 """Expression parsing and Taylor-jet arithmetic."""
 
+import ast
 import gc
+import inspect
 import itertools
 import math
 import types
@@ -243,7 +245,7 @@ def test_tables_equal_the_brute_force_reference(m):
     for order in range(6):
         exps, pairs, derivs = _reference_tables(m, order)
         assert [tuple(row) for row in _exponents(m, order)[0].tolist()] == exps
-        for got, want in zip(_mul_tables(m, order), zip(*pairs)):
+        for got, want in zip(_mul_tables(m, order, -1, -1), zip(*pairs)):
             _assert_identical(got, list(want), np.intp)
         src, fac = _deriv_tables(m, order)
         for var in range(m if order else 0):
@@ -253,7 +255,7 @@ def test_tables_equal_the_brute_force_reference(m):
 
 def test_order5_tables_at_dimension_12():
     exps = _exponents(12, 5)[0]
-    li, lj, lo = _mul_tables(12, 5)
+    li, lj, lo = _mul_tables(12, 5, -1, -1)
     assert len(li) == math.comb(29, 5) == 118755
     assert np.array_equal(exps[lo], exps[li] + exps[lj])
 
@@ -265,7 +267,7 @@ def test_tables_past_the_key_bound_raise_overflow():
     with pytest.raises(OverflowError, match="dimension 63 at order 1"):
         _exponents(63, 1)
     with pytest.raises(OverflowError, match="dimension 25 at order 5"):
-        _mul_tables(25, 5)
+        _mul_tables(25, 5, -1, -1)
 
 
 def test_jetvalue_constant_and_variable():
@@ -369,7 +371,7 @@ def _per_pass_contract(spec, a, b):
     count = next((c.shape[axis] for c, axis in cuts if axis is not None), 1)
     product = (f"Z{sa.replace(first, '')}...,{'Z' if jet else ''}{sb.replace(first, '')}..."
                f"->Z{out}{rest}...")
-    li, lj, lo = _mul_tables(a.m, k)
+    li, lj, lo = _mul_tables(a.m, k, -1, -1)
     lead = 1 + len(out)
     total = None
     for index in range(count):
@@ -408,7 +410,7 @@ def _assert_within_sum_bound(spec, a, b):
     operands, out = spec.split("->")
     summed = {c for c in operands if c not in out and c != ","}
     sizes = dict(zip(operands.split(",")[0], a.coeffs.shape[1:]))
-    pairs = np.bincount(_mul_tables(a.m, got.order)[2]).max() if isinstance(b, JetValue) else 1
+    pairs = np.bincount(_mul_tables(a.m, got.order, -1, -1)[2]).max() if isinstance(b, JetValue) else 1
     n = int(pairs * math.prod(sizes[c] for c in summed))
     eps = np.finfo(float).eps
     gamma = n * eps / (1 - n * eps)
@@ -720,7 +722,7 @@ def _rows_of(m, order, support):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_filtered_tables_are_the_dense_table_filtered_by_support(m):
     for order in range(6):
-        dense = _mul_tables(m, order)
+        dense = _mul_tables(m, order, -1, -1)
         rows = [_rows_of(m, order, v) for v in range(1 << m)]
         for va, vb in itertools.product(range(1 << m), repeat=2):
             keep = rows[va][dense[0]] & rows[vb][dense[1]]
@@ -762,7 +764,7 @@ def test_support_follows_the_operations():
 def _dense_pair_sum(m, order, x, y, *masks):
     """The product kernel without support masks: every pair of the dense
     table, summed in table order."""
-    li, lj, lo = _mul_tables(m, order)
+    li, lj, lo = _mul_tables(m, order, -1, -1)
     terms = x.take(li, axis=0) * y.take(lj, axis=0)
     n = len(x)
     if terms.ndim == 1:
@@ -900,7 +902,7 @@ def _batch_shaped(key) -> bool:
     """Whether a cache key names a plan or slot table of a 2-point batch: a
     contraction with an operand past its spec's rank, the contraction slots
     of 2 points, or product slots of an even count of entries."""
-    if key[0] == "contract":
+    if key[0] == "_contract_plan":
         spec, jet, xshape, yshape = key[1], key[4], key[5], key[6]
         sa, sb = spec.split("->")[0].split(",")
         return len(xshape) > 1 + len(sa) or len(yshape) > jet + len(sb)
@@ -952,8 +954,37 @@ def test_plans_survive_eviction(monkeypatch, budget):
             assert _TABLES.bytes == sum(size for _, size in _TABLES.entries.values())
             assert _TABLES.bytes <= budget or len(_TABLES.entries) == 1
             assert not any(isinstance(v, np.ndarray) for key, (plan, _) in _TABLES.entries.items()
-                           if key[0] == "contract" for v in plan)
+                           if key[0] == "_contract_plan" for v in plan)
     assert got == want
+
+
+def test_one_builder_caches_every_table_and_plan_read_only(empty_tables):
+    # every table and plan of a lone residual and a 2-point batch, at chart
+    # dimensions 2 to 7, is kept by the one builder: its arrays read-only,
+    # its bytes counted, its key the builder's whole argument list
+    import gausslab.geometry as geometry
+    from gausslab.biharmonic import hypersurface_residual
+
+    for kind, dim in [("cylinder", 2)] + [(kind, dim) for dim in range(3, 8)
+                                          for kind in ("sphere cone", "clifford cone")]:
+        chart = _catalog_shaped_chart(kind, dim)
+        first, second, third = _interior_points(chart, 3)
+        hypersurface_residual(chart, points=[first])
+        hypersurface_residual(chart, points=[second, third])
+    entries = empty_tables.entries
+    arrays = [v for value, _ in entries.values()
+              for v in (value if isinstance(value, tuple) else (value,)) if isinstance(v, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    assert empty_tables.bytes == sum(size for _, size in entries.values())
+    assert all(len(key) == 5 for key in entries if key[0] == "_mul_tables")
+    assert {"_contract_plan", "_variable_operation", "_symmetric_index"} <= {key[0] for key in entries}
+    # and no other cache in either module
+    for module in (exprjet, geometry):
+        tree = ast.parse(inspect.getsource(module))
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names} | {node.attr for node in ast.walk(tree)
+                                             if isinstance(node, ast.Attribute)}
+        assert not names & {"cache", "lru_cache"}, module.__name__
 
 
 @pytest.mark.parametrize("points", [None, 3])

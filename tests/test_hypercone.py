@@ -240,6 +240,16 @@ def test_constant_curvature_directrix_position_is_the_circle():
         assert abs(y - (1 - math.cos(2 * s)) / 2) <= 1e-13
 
 
+def test_zero_curvature_cylinder_is_the_plane_whatever_its_coefficients():
+    # with no coefficient the tangent angle is the zero sum, an array per
+    # quadrature panel like any other, so the position converges as for (0.0,)
+    empty, zero = polynomial_curvature_cylinder(()), polynomial_curvature_cylinder((0.0,))
+    point = (0.1, 0.2)
+    assert [j.value for j in empty.component_jets(point, order=1)] == [0.1, 0.0, 0.2]
+    rows = [hypersurface_residual(chart, points=[point]).points for chart in (empty, zero)]
+    assert rows[0][0].ok and repr(rows[0]) == repr(rows[1])
+
+
 def test_cylinder_check_runs_without_scipy():
     script = (
         "import sys\n"

@@ -28,7 +28,8 @@ import math
 import numpy as np
 import pytest
 
-from gausslab.biharmonic import hypersurface_residual, link_residual_system
+from gausslab.biharmonic import NOT_BIHARMONIC, hypersurface_residual, link_residual_system
+from gausslab.geometry import chart_from_strings, shape_data_spherical
 from gausslab.hypercone import (
     build_cone_chart,
     clifford_link_chart,
@@ -36,6 +37,12 @@ from gausslab.hypercone import (
     polynomial_curvature_cylinder,
     sphere_link_chart,
     sphere_link_solver,
+)
+from gausslab.isoparametric import (
+    IsoparametricSpec,
+    classify_type,
+    principal_curvatures,
+    shape_norm_squared,
 )
 
 EPS = np.finfo(float).eps
@@ -200,6 +207,49 @@ def test_oracle_error_sums_grow_by_no_more_than_half(units):
         got = sum(u[i] for u in units.values() if u[i] is not None)
         before = sum(u[i] for u in RECORDED.values() if u[i] is not None)
         assert got <= 1.5 * before, (name, got, before)
+
+
+# ---------------------------------------------------------------------------
+# an explicit orbit chart against the isoparametric closed forms
+
+
+def cartan_chart(t):
+    """Cartan's (1,1,1) family in S^4: R diag(d1, d2, d3) R^T with
+    d_j = sqrt(2/3) cos(t - 2 pi j / 3) and R = R_z(a) R_y(b) R_z(c), a
+    traceless symmetric matrix of unit norm, written in the orthonormal basis
+    (e11 - e22)/sqrt(2), (e11 + e22 - 2 e33)/sqrt(6) and (e_ij + e_ji)/sqrt(2),
+    i < j. The ZYZ angles are a chart of SO(3) away from b = 0 and pi."""
+    R = (("cos(a)*cos(b)*cos(c) - sin(a)*sin(c)", "-cos(a)*cos(b)*sin(c) - sin(a)*cos(c)",
+          "cos(a)*sin(b)"),
+         ("sin(a)*cos(b)*cos(c) + cos(a)*sin(c)", "-sin(a)*cos(b)*sin(c) + cos(a)*cos(c)",
+          "sin(a)*sin(b)"),
+         ("-sin(b)*cos(c)", "sin(b)*sin(c)", "cos(b)"))
+    d = [math.sqrt(2 / 3) * math.cos(t - 2 * math.pi * j / 3) for j in (1, 2, 3)]
+    M = [[" + ".join(f"{d[k]!r}*({R[i][k]})*({R[j][k]})" for k in range(3))
+          for j in range(3)] for i in range(3)]
+    components = (f"(({M[0][0]}) - ({M[1][1]}))/sqrt(2)",
+                  f"(({M[0][0]}) + ({M[1][1]}) - 2*({M[2][2]}))/sqrt(6)",
+                  *(f"sqrt(2)*({M[i][j]})" for i, j in ((0, 1), (0, 2), (1, 2))))
+    return chart_from_strings(f"cartan(t={t})", ("a", "b", "c"), components,
+                              ((0.2, 1.2), (0.4, 1.3), (0.3, 1.1)), ambient="sphere")
+
+
+@pytest.mark.parametrize("t", [0.15, 0.4, 0.7, 0.9])
+def test_cartan_family_matches_the_type_3_closed_forms(t):
+    chart, theta, spec = cartan_chart(t), math.pi / 3 - t, IsoparametricSpec.type3(0)
+    k = np.array(principal_curvatures(3, theta).values)
+    norm_sq = shape_norm_squared(spec, theta).closed
+    for point in _interior_points(chart):
+        sd = shape_data_spherical(chart, point)
+        eigenvalues = np.sort(np.linalg.eigvals(sd.shape_operator.value).real)
+        error = min(np.abs(eigenvalues - np.sort(sign * k)).max() for sign in (1, -1))
+        assert error <= 1e-12 * np.abs(k).max(), (point, eigenvalues, k)
+        assert abs(sd.shape_norm_sq.value - norm_sq) <= 1e-12 * norm_sq
+    # the condition |A|^2 = 3m - 6 has no root on the family
+    assert classify_type(spec) == []
+    report = link_residual_system(chart)
+    assert len(report.points) == 125 and report.failed_points == 0
+    assert report.verdict == NOT_BIHARMONIC
 
 
 if __name__ == "__main__":
