@@ -18,8 +18,11 @@ not chain):
     unary  := '-' unary | primary
     primary:= NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
-`pi` and `e` fold to literals at parse time. Supported functions (unary):
-sin cos tan cot exp log sqrt asin acos atan sinh cosh tanh.
+`pi` and `e` are literals. Supported functions (unary): sin cos tan cot exp
+log sqrt asin acos atan sinh cosh tanh. The parser folds each sub-tree of
+constants to a literal, with the jet operations a point runs on it (`_fold`);
+one that does not fold to a finite number stays, to fail where it is
+evaluated, but an exponent must fold.
 """
 
 from __future__ import annotations
@@ -225,8 +228,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "END":
             raise ExpressionError(f"unexpected token {tok.text!r}", tok.offset)
-        _check_depth(node, 0)
-        return node
+        _check_depth(node, 0)  # before the recursive fold
+        return _fold(node, len(self.variables))
 
     def expr(self) -> ExprAst:
         node = self.term()
@@ -250,14 +253,10 @@ class _Parser:
             exp_tok = self.peek()
             exp_node = self.unary()
             _check_depth(exp_node, exp_tok.offset)  # before the recursive fold
-            try:
-                value = _fold_constant(exp_node)
-            except (ArithmeticError, ValueError) as exc:
-                raise ExpressionError(f"bad constant exponent: {exc}",
-                                      exp_tok.offset) from exc
-            if value is None:
-                raise ExpressionError("exponent must be a constant", exp_tok.offset)
-            node = Pow(node, value)
+            exponent = _fold(exp_node, len(self.variables))
+            if not isinstance(exponent, Num):
+                raise ExpressionError("exponent must be a finite constant", exp_tok.offset)
+            node = Pow(node, exponent.value)
         return node
 
     def unary(self) -> ExprAst:
@@ -315,46 +314,31 @@ class _Parser:
             tok.offset)
 
 
-def _fold_constant(node: ExprAst) -> float | None:
-    """Value of a variable-free subtree, else None. Raises ArithmeticError or
-    ValueError where a constant subtree is not a finite real number."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return None
-    if isinstance(node, Neg):
-        v = _fold_constant(node.operand)
-        return None if v is None else -v
-    if isinstance(node, BinOp):
-        a = _fold_constant(node.left)
-        b = _fold_constant(node.right)
-        if a is None or b is None:
-            return None
-        if node.op == "+":
-            value = a + b
-        elif node.op == "-":
-            value = a - b
-        elif node.op == "*":
-            value = a * b
-        else:
-            value = a / b
-    elif isinstance(node, Pow):
-        v = _fold_constant(node.base)
-        if v is None:
-            return None
-        value = v ** node.exponent
-    elif isinstance(node, Call):
-        v = _fold_constant(node.arg)
-        if v is None:
-            return None
-        value = (math.cos(v) / math.sin(v) if node.fn == "cot"
-                 else getattr(math, node.fn)(v))
-    else:
-        raise TypeError(node)
-    # a negative base to a fractional power gives a complex number
-    if not isinstance(value, float) or not math.isfinite(value):
-        raise ValueError(f"{value!r} is not a finite real number")
-    return value
+def _fold(node: ExprAst, m: int) -> ExprAst:
+    """The AST with each sub-tree whose operands are all `Num` (bottom up)
+    replaced by the `Num` of its value: its jet at order 0 in the m
+    variables (a constant's jet has that value at every order), from the
+    operations a point's jet runs on the same constant jets, so that every
+    coefficient keeps its value and its bits, but for the sign of a zero (a
+    negated constant's higher coefficients, -0.0 unfolded, read 0.0). A
+    sub-tree whose evaluation raises, or whose value is not finite, is kept,
+    to fail where it is evaluated."""
+    subtrees = [_fold(sub, m) for sub in _subtrees(node)]
+    node = _rebuilt(node, subtrees)
+    if not subtrees or not all(isinstance(sub, Num) for sub in subtrees):
+        return node
+    try:
+        with np.errstate(all="ignore"):
+            value = JetProgram((node,), m)((0.0,) * m, 0)[0].value
+    except (ArithmeticError, ValueError):
+        return node
+    return Num(value) if math.isfinite(value) else node
+
+
+def _rebuilt(node: ExprAst, subtrees: Sequence[ExprAst]) -> ExprAst:
+    """The node with its direct sub-trees replaced, in order, by `subtrees`."""
+    subtrees = iter(subtrees)
+    return type(node)(*[next(subtrees) if isinstance(v, tuple) else v for v in node])
 
 
 def parse_expression(source: str, variables: tuple[str, ...] | list[str]) -> ExprAst:
@@ -365,22 +349,10 @@ def parse_expression(source: str, variables: tuple[str, ...] | list[str]) -> Exp
 
 def shift_variables(node: ExprAst, offset: int, names: tuple[str, ...]) -> ExprAst:
     """Reindex variables by `offset` into a new name tuple (chart rebasing)."""
-    if isinstance(node, Num):
-        return node
     if isinstance(node, Var):
         idx = node.index + offset
         return Var(idx, names[idx])
-    if isinstance(node, Neg):
-        return Neg(shift_variables(node.operand, offset, names))
-    if isinstance(node, BinOp):
-        return BinOp(node.op,
-                     shift_variables(node.left, offset, names),
-                     shift_variables(node.right, offset, names))
-    if isinstance(node, Pow):
-        return Pow(shift_variables(node.base, offset, names), node.exponent)
-    if isinstance(node, Call):
-        return Call(node.fn, shift_variables(node.arg, offset, names))
-    raise TypeError(node)
+    return _rebuilt(node, [shift_variables(sub, offset, names) for sub in _subtrees(node)])
 
 
 # ---------------------------------------------------------------------------

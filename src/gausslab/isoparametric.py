@@ -348,9 +348,9 @@ def takagi_solver(n: int) -> list[TakagiSolution]:
     disc = 4 * n * n - 44 * n + 73
     if disc < 0:
         return []
-    inside = _count(cs, (0, 1), (1, 1))
-    total = _count(cs, (-1, 0), (1, 0))
-    if inside != total:
+    # disc is odd, so positive here: two distinct real roots, both due in (0, 1]
+    cells = _isolate(cs, (0, 1), (1, 1))
+    if len(cells) < 2:
         raise ArithmeticError("a root escaped (0, 1); x = sin^2(2 theta) invalid")
     isq = math.isqrt(disc)
     exact_roots = None
@@ -359,7 +359,7 @@ def takagi_solver(n: int) -> list[TakagiSolution]:
             (Fraction(6 * n - 11 + s * isq, 2 * (4 * n - 3)) for s in (1, -1)))
     out = []
     vplus = (math.sqrt(n) + math.sqrt(2.0)) / (math.sqrt(n) - math.sqrt(2.0))
-    for i, (*_, x) in enumerate(_isolate(cs, (0, 1), (1, 1))):
+    for i, (*_, x) in enumerate(cells):
         theta = 0.5 * math.asin(math.sqrt(x))
         lam = 4.0 * (1.0 - x) / x
         residual = (n - 2) * lam * lam - (4 * n - 6) * lam + 32.0

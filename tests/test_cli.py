@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gausslab.cli import load_config, main
-from gausslab.exprjet import FUNCTIONS
+from gausslab.exprjet import FUNCTIONS, Num, _subtrees, parse_expression
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DATA = Path(__file__).resolve().parent / "data"
@@ -140,6 +140,33 @@ def test_verify_non_finite_constant_is_parse_error(capsys, tmp_path, component):
     assert out == ""
     assert err.startswith("expression error:")
     assert "Traceback" not in err
+
+
+def _nodes(node):
+    """Every sub-tree of an AST, the tree itself first."""
+    yield node
+    for sub in _subtrees(node):
+        yield from _nodes(sub)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("component, kept", [
+    ("u + 0*log(0-1)", "log(0-1)"),  # a domain error
+    ("(1e308*10)*u", "1e308*10"),     # overflows to inf
+    ("2^1e10*u", "2^1e10"),           # an integer power that overflows
+    ("u/(1-1)", "u/(1-1)"),           # division by a constant zero
+    ("cot(0)*u+v", "cot(0)"),         # a pole
+])
+def test_verify_unfoldable_constant_fails_its_points(capsys, tmp_path, component, kept):
+    # a constant that does not fold to a finite number stays in the tree, with
+    # no numpy warning at parse time, and fails the points that evaluate it
+    tree = parse_expression(kept, ("u", "v"))
+    assert not isinstance(tree, Num)
+    assert tree in _nodes(parse_expression(component, ("u", "v")))
+    path = write_config(tmp_path, name="unfoldable", components=[component, "v", "0"])
+    code, out, _ = run(capsys, "verify", "--config", path)
+    assert code == 4
+    assert json.loads(out)["results"]["verdict"] == "Inconclusive"
 
 
 @pytest.mark.parametrize("component", ["u^1e10", "u^(0-1e300)", "u^40000"])

@@ -14,18 +14,24 @@ from hypothesis import event, given, settings, strategies as st
 
 import gausslab.exprjet as exprjet
 from gausslab.exprjet import (
+    BinOp,
+    Call,
     DomainError,
     FUNCTIONS,
     EvalContext,
     ExpressionError,
     JetProgram,
     JetValue,
+    Neg,
+    Pow,
+    Var,
     _TABLES,
     _deriv_tables,
     _exponents,
     _mul_tables,
     _scale_of,
     _series,
+    _subtrees,
     antiderivative_jet,
     contract,
     eval_jet,
@@ -36,7 +42,7 @@ from gausslab.exprjet import (
 from gausslab.geometry import _sum, chart_from_strings
 
 from conftest import central_partial
-from test_cli import _NUMBERS, _balanced
+from test_cli import CONFIGS, _NUMBERS, _balanced
 
 
 def jet_of(src, names, point, order=5):
@@ -64,6 +70,30 @@ def test_every_function_folds_in_a_constant_exponent(fn):
     # `math` has no cot, so the fold must not look it up there
     want = 1.0 / math.tan(0.5) if fn == "cot" else getattr(math, fn)(0.5)
     assert parse_expression(f"x^{fn}(0.5)", ("x",)).exponent == pytest.approx(want, rel=1e-15)
+
+
+# constants as the parser reads them and as hand-made sub-trees that bypass it
+_CONSTANTS = [(f"{fn}(0.5)", Call(fn, Num(0.5))) for fn in FUNCTIONS] + [
+    ("1/3", BinOp("/", Num(1.0), Num(3.0))),
+    ("2^3", Pow(Num(2.0), 3.0)),
+    ("2^0.5", Pow(Num(2.0), 0.5)),
+    ("-(1/7)", Neg(BinOp("/", Num(1.0), Num(7.0)))),
+    ("(1/3)^(1/3)", Pow(BinOp("/", Num(1.0), Num(3.0)), 1 / 3)),
+]
+
+
+@pytest.mark.parametrize("src, tree", _CONSTANTS, ids=[src for src, _ in _CONSTANTS])
+def test_a_folded_constant_keeps_the_bits_of_its_jet(src, tree):
+    # the parser folds a constant with the jet operations a point runs on
+    # it, so the constant keeps its bits, and every coefficient of a jet
+    # that reads it its value
+    folded = parse_expression(f"({src})*u", ("u",))
+    assert isinstance(folded.left, Num) and folded.right == Var(0, "u")
+    assert folded.left.value.hex() == JetProgram((tree,), 1)((0.5,), 5)[0].value.hex()
+    unfolded = BinOp("*", tree, Var(0, "u"))
+    for point in ((0.5,), (np.array([0.5, -0.25, 1.5]),)):
+        got, want = (JetProgram((root,), 1)(point, 5)[0].coeffs for root in (folded, unfolded))
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("src,offset", [
@@ -706,6 +736,34 @@ def test_charts_share_the_operation_of_a_coordinate_function():
     assert sin_v[0][0] is sin_v[1][0]
     assert [_exponents(2, 3)[0][row].tolist() for row in sin_v[0][0].rows] == [
         [0, k] for k in range(4)]
+
+
+def _catalog_chart(label):
+    from gausslab.cli import build_chart, load_config
+    from gausslab.hypercone import (build_cone_chart, clifford_link_chart, clifford_link_solver,
+                                    sphere_link_chart, sphere_link_solver)
+
+    if label.endswith(".json"):
+        return build_chart(load_config(str(CONFIGS / label))[1])
+    if label == "clifford_link_chart(1, 3)":
+        return clifford_link_chart(1, 3, clifford_link_solver(4, 1)[0].r1_sq)
+    if label == "sphere_link_chart(12)":
+        return sphere_link_chart(12, sphere_link_solver(12).a_sq_exact)
+    m = int(label[-1])  # a cone over S^m
+    return build_cone_chart(sphere_link_chart(m, sphere_link_solver(m).a_sq_exact))
+
+
+# the radii sqrt(p/q) and sqrt(1 - r^2) of the links fold at parse time, so
+# no step of a catalog program computes a constant
+@pytest.mark.parametrize("label, steps", [
+    ("cone over S^3", 22), ("cone over S^6", 50), ("clifford_link_chart(1, 3)", 21),
+    ("sphere_link_chart(12)", 116), ("cone_S3.json", 22), ("sphere_link_S3.json", 16),
+    ("torus_link.json", 10), ("sphere_S2.json", 6)])
+def test_catalog_programs_run_no_constant_step(label, steps):
+    program = _catalog_chart(label)._program
+    assert [node for node, _, _ in program.steps
+            if _subtrees(node) and all(isinstance(sub, Num) for sub in _subtrees(node))] == []
+    assert len(program.steps) == steps
 
 
 # ---------------------------------------------------------------------------

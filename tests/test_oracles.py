@@ -252,6 +252,38 @@ def test_cartan_family_matches_the_type_3_closed_forms(t):
     assert report.verdict == NOT_BIHARMONIC
 
 
+# ---------------------------------------------------------------------------
+# a metamorphic check: scaling the ambient
+
+
+def _cubic_graph(dim, rng, scale=None):
+    """The graph of a cubic polynomial with seeded coefficients over a small
+    box, each component multiplied by `scale` where one is given."""
+    names = tuple(f"x{i + 1}" for i in range(dim))
+    poly = " + ".join(f"({rng.uniform(-0.8, 0.8)})*{x}^2 + ({rng.uniform(-0.4, 0.4)})*{x}^3"
+                      f" + ({rng.uniform(-0.8, 0.8)})*{x}*{names[(i + 1) % dim]}"
+                      for i, x in enumerate(names))
+    components = names + (poly,)
+    if scale is not None:
+        components = tuple(f"{scale}*({c})" for c in components)
+    return chart_from_strings(f"graph{dim}", names, components, [(-0.5, 0.5)] * dim)
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_scaling_the_ambient_by_two_scales_the_residual_exactly(dim):
+    # X -> 2 X takes g to 4 g, A to A / 2, f and the Laplacian to f / 2 and
+    # Delta / 4, so grad f = g^-1 df to grad f / 8 and each term of R to
+    # R / 32, and |R|_g to |R|_g / 16. Scaling by a power of two is exact in
+    # every operation, so the ratios are exact.
+    chart, scaled = (_cubic_graph(dim, np.random.default_rng(dim), scale) for scale in (None, 2))
+    points = [tuple(p) for p in np.random.default_rng(20261021).uniform(-0.3, 0.3, (3, dim))]
+    rows, scaled_rows = (hypersurface_residual(c, points=points).points for c in (chart, scaled))
+    for row, scaled_row in zip(rows, scaled_rows):
+        assert row.ok and scaled_row.ok and row.residual_norm > 0.0
+        assert scaled_row.residual == tuple(r / 32 for r in row.residual)
+        assert scaled_row.residual_norm == row.residual_norm / 16
+
+
 if __name__ == "__main__":
     for label, build in ROWS:
         units = oracle_units(build)
