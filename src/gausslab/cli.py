@@ -414,13 +414,11 @@ def _cmd_clifford_cone(args) -> _Outcome:
     try:
         found = hypercone.clifford_link_solver(args.m, args.m1)
     except ValueError as exc:
-        if "no real solutions" in str(exc):
-            return _Outcome("solve clifford-cone", {"m": args.m, "m1": args.m1},
-                            {"m": args.m, "m1": args.m1, "m2": args.m - args.m1,
-                             "roots": [], "note": str(exc)})
         raise ConfigError(str(exc)) from exc
     results = {"m": args.m, "m1": args.m1, "m2": args.m - args.m1,
                "roots": found}
+    if not found:
+        results["note"] = f"no real solutions in (0, 1) for m={args.m}, m1={args.m1}"
     return _Outcome("solve clifford-cone", {"m": args.m, "m1": args.m1}, results)
 
 
@@ -459,11 +457,8 @@ def _cmd_isoparametric(args) -> _Outcome:
             inputs[k] = getattr(args, k)
     try:
         found = isoparametric.classify_type(spec)
-    except ValueError as exc:
-        if "no real solutions" in str(exc):
-            found = []
-        else:
-            raise ConfigError(str(exc)) from exc
+    except ValueError as exc:  # the spec is valid: a closed form failed
+        raise ArithmeticError(str(exc)) from exc
     results = {"ell": spec.ell, "multiplicities": list(spec.multiplicities),
                "m": spec.m, "roots": found}
     if spec.ell in (3, 4, 6):

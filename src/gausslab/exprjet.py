@@ -19,10 +19,10 @@ not chain):
     primary:= NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 `pi` and `e` are literals. Supported functions (unary): sin cos tan cot exp
-log sqrt asin acos atan sinh cosh tanh. The parser folds each sub-tree of
-constants to a literal, with the jet operations a point runs on it (`_fold`);
-one that does not fold to a finite number stays, to fail where it is
-evaluated, but an exponent must fold.
+log sqrt asin acos atan sinh cosh tanh. The parser folds each node it
+builds from literals alone to a literal, with the jet operation a point runs
+on it (`_folded`); one that does not fold to a finite number stays, to fail
+where it is evaluated, but an exponent must fold.
 """
 
 from __future__ import annotations
@@ -182,10 +182,11 @@ def _tokenize(source: str) -> list[_Token]:
 # Parser
 
 
-# Bound on the parser's nesting and on the AST depth: deeper input would
-# exhaust the recursion of parsing and of compiling a `JetProgram`
-# (evaluation runs the compiled program, with no recursion). The deepest
-# chart shipped with the package has depth 10.
+# Bound on the parser's nesting and on the depth of the folded AST: deeper
+# input would exhaust the recursion of parsing and of compiling a
+# `JetProgram` (a node folds as the parser builds it, and evaluation runs
+# the compiled program, neither with recursion). The deepest chart shipped
+# with the package has depth 10.
 _MAX_DEPTH = 100
 
 
@@ -207,6 +208,7 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.pos = 0
         self.variables = {name: i for i, name in enumerate(variables)}
+        self.m = len(variables)
         self.nesting = 0  # unary rules in progress; every recursion passes one
 
     def peek(self) -> _Token:
@@ -228,21 +230,21 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "END":
             raise ExpressionError(f"unexpected token {tok.text!r}", tok.offset)
-        _check_depth(node, 0)  # before the recursive fold
-        return _fold(node, len(self.variables))
+        _check_depth(node, 0)
+        return node
 
     def expr(self) -> ExprAst:
         node = self.term()
         while self.peek().kind == "OP" and self.peek().text in "+-":
             op = self.advance().text
-            node = BinOp(op, node, self.term())
+            node = _folded(BinOp(op, node, self.term()), self.m)
         return node
 
     def term(self) -> ExprAst:
         node = self.factor()
         while self.peek().kind == "OP" and self.peek().text in "*/":
             op = self.advance().text
-            node = BinOp(op, node, self.factor())
+            node = _folded(BinOp(op, node, self.factor()), self.m)
         return node
 
     def factor(self) -> ExprAst:
@@ -251,12 +253,10 @@ class _Parser:
         if tok.kind == "OP" and tok.text == "^":
             self.advance()
             exp_tok = self.peek()
-            exp_node = self.unary()
-            _check_depth(exp_node, exp_tok.offset)  # before the recursive fold
-            exponent = _fold(exp_node, len(self.variables))
+            exponent = self.unary()
             if not isinstance(exponent, Num):
                 raise ExpressionError("exponent must be a finite constant", exp_tok.offset)
-            node = Pow(node, exponent.value)
+            node = _folded(Pow(node, exponent.value), self.m)
         return node
 
     def unary(self) -> ExprAst:
@@ -267,7 +267,7 @@ class _Parser:
                 f"expression nested deeper than {_MAX_DEPTH} levels", tok.offset)
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
-            node = Neg(self.unary())
+            node = _folded(Neg(self.unary()), self.m)
         else:
             node = self.primary()
         self.nesting -= 1
@@ -299,7 +299,7 @@ class _Parser:
                     raise ExpressionError(
                         f"{name} takes exactly one argument", stop.offset)
                 self.expect_op(")")
-                return Call(name, arg)
+                return _folded(Call(name, arg), self.m)
             if name in _CONSTANTS:
                 return Num(_CONSTANTS[name])
             if name in self.variables:
@@ -314,31 +314,24 @@ class _Parser:
             tok.offset)
 
 
-def _fold(node: ExprAst, m: int) -> ExprAst:
-    """The AST with each sub-tree whose operands are all `Num` (bottom up)
-    replaced by the `Num` of its value: its jet at order 0 in the m
-    variables (a constant's jet has that value at every order), from the
-    operations a point's jet runs on the same constant jets, so that every
-    coefficient keeps its value and its bits, but for the sign of a zero (a
-    negated constant's higher coefficients, -0.0 unfolded, read 0.0). A
-    sub-tree whose evaluation raises, or whose value is not finite, is kept,
-    to fail where it is evaluated."""
-    subtrees = [_fold(sub, m) for sub in _subtrees(node)]
-    node = _rebuilt(node, subtrees)
-    if not subtrees or not all(isinstance(sub, Num) for sub in subtrees):
+def _folded(node: ExprAst, m: int) -> ExprAst:
+    """The node, or the `Num` of its value where its operands are all `Num`:
+    its jet at order 0 in the m variables (a constant's jet has that value
+    at every order), from the operation a point's program runs on the same
+    constant jets, so that every coefficient keeps its value and its bits,
+    but for the sign of a zero (a negated constant's higher coefficients,
+    -0.0 unfolded, read 0.0). A node whose evaluation raises, or whose value
+    is not finite, is kept, to fail where it is evaluated."""
+    operands = _subtrees(node)
+    if not operands or not all(isinstance(sub, Num) for sub in operands):
         return node
     try:
         with np.errstate(all="ignore"):
-            value = JetProgram((node,), m)((0.0,) * m, 0)[0].value
+            value = _operation(node, (m,) * len(operands), m, 0)(
+                *[JetValue.constant(sub.value, m, 0) for sub in operands]).value
     except (ArithmeticError, ValueError):
         return node
     return Num(value) if math.isfinite(value) else node
-
-
-def _rebuilt(node: ExprAst, subtrees: Sequence[ExprAst]) -> ExprAst:
-    """The node with its direct sub-trees replaced, in order, by `subtrees`."""
-    subtrees = iter(subtrees)
-    return type(node)(*[next(subtrees) if isinstance(v, tuple) else v for v in node])
 
 
 def parse_expression(source: str, variables: tuple[str, ...] | list[str]) -> ExprAst:
@@ -352,7 +345,8 @@ def shift_variables(node: ExprAst, offset: int, names: tuple[str, ...]) -> ExprA
     if isinstance(node, Var):
         idx = node.index + offset
         return Var(idx, names[idx])
-    return _rebuilt(node, [shift_variables(sub, offset, names) for sub in _subtrees(node)])
+    subtrees = iter([shift_variables(sub, offset, names) for sub in _subtrees(node)])
+    return type(node)(*[next(subtrees) if isinstance(v, tuple) else v for v in node])
 
 
 # ---------------------------------------------------------------------------

@@ -146,18 +146,16 @@ class CliffordRoot(NamedTuple):
 def clifford_link_solver(m: int, m1: int) -> list[CliffordRoot]:
     """Product-link radii solving m1/r1^2 + m2/r2^2 = 4m - 6 with
     r1^2 + r2^2 = 1; both theorem-level and catalog-range conditions are
-    reported per root."""
+    reported per root. The list is empty where no root lies in (0, 1),
+    which among m < 60 happens only for (m, m1) = (2, 1)."""
     if not 1 <= m1 <= m - 1:
         raise ValueError("need 1 <= m1 <= m-1")
     m2 = m - m1
     # quadratic in x = r1^2, integer coefficients highest degree first
     coeffs = (4 * m - 6, -(4 * m - 6 + m1 - m2), m1)
     minimal_is_root = _sign_at(coeffs, m1, m) == 0
-    cells = _isolate(coeffs, (0, 1), (1, 1))
-    if not cells:
-        raise ValueError(f"no real solutions in (0, 1) for m={m}, m1={m1}")
     roots = []
-    for *_, x in cells:
+    for *_, x in _isolate(coeffs, (0, 1), (1, 1)):
         r2_sq = 1.0 - x
         norm_sq = clifford_shape_norm_sq(m1, m2, x)
         minimal = minimal_is_root and abs(x - m1 / m) <= 1e-9

@@ -12,8 +12,8 @@ remainder sequences", J. ACM 14, 1967) builds the gcd, the square-free part,
 the deflation of a root and the Sturm chain: each step scales by |lc| of the
 divisor and each result is divided by its positive content, so every result
 is a positive multiple of the Euclidean one and keeps its signs. A quadratic
-with a nonzero discriminant is its own square-free part, and counts and
-isolates its roots without a chain.
+with a nonzero discriminant is its own square-free part. Counting evaluates
+the Sturm chain at both ends, whatever the degree.
 
 Counting uses the half-open convention: count_real_roots_in(p, a, b) is the
 number of distinct real roots in (a, b]. Roots landing exactly on an endpoint
@@ -275,8 +275,6 @@ def _count(cs: tuple[int, ...], lo: tuple[int, int], hi: tuple[int, int]) -> int
     q, b_is_root = _open_part(cs, lo, hi)
     if len(q) <= 1:
         return int(b_is_root)
-    if len(q) == 3:
-        return _quadratic_count(q, lo, hi) + b_is_root
     chain = _sturm(q)
     return _variations(chain, *lo) - _variations(chain, *hi) + b_is_root
 
@@ -286,20 +284,6 @@ def count_real_roots_in(p: Polynomial, a, b) -> int:
     if p.is_zero:
         raise ValueError("root counting on the zero polynomial")
     return _count(_int_coeffs(p), *_range(a, b))
-
-
-def _quadratic_count(q: tuple[int, ...], lo: tuple[int, int], hi: tuple[int, int]) -> int:
-    """Roots in (lo, hi] of the square-free quadratic q, which vanishes at
-    neither end: one where q changes sign from lo to hi; else two where both
-    ends lie outside the roots (q has the sign of its leading coefficient
-    there) on either side of the vertex -b/2a, and none otherwise."""
-    if _discriminant(q) < 0:
-        return 0
-    sa, sb = _sign_at(q, *lo), _sign_at(q, *hi)
-    if sa != sb:
-        return 1
-    vertex = (-q[1] if q[0] > 0 else q[1], 2 * abs(q[0]))
-    return 2 if (sa > 0) == (q[0] > 0) and _below(lo, vertex) and _below(vertex, hi) else 0
 
 
 class RootInterval(NamedTuple):

@@ -578,6 +578,19 @@ def test_solve_isoparametric_missing_flag(capsys):
     assert code == 2
 
 
+# a valid spec whose root falls where a closed form fails: the root
+# lambda ~ 4/m1 of the l = 4 condition lies under the pole guard of
+# `shape_norm_squared`, and for a larger m1 its angle under the theta margin
+@pytest.mark.parametrize("m1, message", [
+    ("1000000000000000", "closed form pole: lambda = 0"),
+    ("1000000000000000000000", "theta must lie in (1e-09, pi/4 - 1e-09)"),
+])
+def test_solve_isoparametric_closed_form_failure_is_numerical(capsys, m1, message):
+    code, out, err = run(capsys, "solve", "isoparametric", "--l", "4", "--m1", m1, "--m2", "1")
+    assert (code, out) == (4, "")
+    assert err == f"numerical failure: {message}\n"
+
+
 def test_solve_takagi(capsys):
     code, payload, _ = run_json(capsys, "solve", "takagi", "--n", "9")
     assert code == 0
@@ -769,6 +782,12 @@ def test_report_csv_has_one_block_per_family(capsys):
      "2c5defb20f450c72f0faf33112b47eca17b894b4161632e236062a3fe9e7d565"),
     (("solve", "takagi", "--n", "9"),
      "3f0ebbeea4d3cf0fbb819708b222a3e9f0dd38b2d000440fc326910191120661"),
+    # the one rootless Clifford link, (m, m1) = (2, 1), as both commands
+    # report it
+    (("solve", "clifford-cone", "--m", "2", "--m1", "1"),
+     "492fa769b7b18bb4a482712444ad9bc0db36e5750e3d1291420ddd1b35d1e562"),
+    (("solve", "isoparametric", "--l", "2", "--m1", "1", "--m2", "1"),
+     "5845887fc192152f13b069bc3abb9c3077a3ef3ce494f6c8e211cd191954a121"),
 ])
 def test_catalog_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)

@@ -82,6 +82,19 @@ _CONSTANTS = [(f"{fn}(0.5)", Call(fn, Num(0.5))) for fn in FUNCTIONS] + [
 ]
 
 
+def test_parsing_folds_each_constant_node_with_one_operation(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("parsing compiled a JetProgram")
+
+    monkeypatch.setattr(JetProgram, "__init__", refuse)
+    operations = _counted(monkeypatch, exprjet, "_operation")
+    tree = parse_expression("(cos(u1)*sin(u2))*sqrt(1/3)", ("u1", "u2"))
+    # one operation per folded node: 1/3, then sqrt of it
+    assert len(operations) == 2
+    assert tree == BinOp("*", BinOp("*", Call("cos", Var(0, "u1")), Call("sin", Var(1, "u2"))),
+                         Num(math.sqrt(1 / 3)))
+
+
 @pytest.mark.parametrize("src, tree", _CONSTANTS, ids=[src for src, _ in _CONSTANTS])
 def test_a_folded_constant_keeps_the_bits_of_its_jet(src, tree):
     # the parser folds a constant with the jet operations a point runs on
@@ -122,11 +135,18 @@ def test_number_tokens_take_ascii_digits_only(src, offset):
     ("(" * 3000 + "u" + ")" * 3000, 100),  # parser nesting
     ("-" * 5000 + "u", 100),               # parser nesting
     ("+".join(["u"] * 20000), 0),          # AST depth of a left-deep sum
-    ("u^(" + "+".join(["1"] * 300) + ")", 2),  # a deep exponent, before folding
 ])
 def test_parse_rejects_expressions_nested_deeper_than_100(src, offset):
     with pytest.raises(ExpressionError, match=rf"deeper than 100 levels \(at offset {offset}\)"):
         parse_expression(src, ("u",))
+
+
+def test_a_deep_constant_exponent_folds_as_it_is_parsed():
+    # each sum folds as the parser builds it, so the exponent never nests
+    assert parse_expression("u^(" + "+".join(["1"] * 300) + ")", ("u",)) == \
+        Pow(Var(0, "u"), 300.0)
+    with pytest.raises(ExpressionError, match=r"exponent must be a finite constant \(at offset 2\)"):
+        parse_expression("u^(" + "+".join(["u"] * 300) + ")", ("u",))
 
 
 def test_parse_accepts_nesting_up_to_100():
