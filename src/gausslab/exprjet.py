@@ -396,11 +396,12 @@ class _TableCache:
         return cached
 
 
-# The tables share one budget. The tables one residual reads take 10.1 MiB
-# together at dimension 12, the largest in the catalog (14.7 MiB at 13, 20.8
-# MiB at 14), so a sweep over dimensions keeps about one high dimension's
-# tables, not those of every dimension it met, and the tables of all the
-# dimensions up to 8 fit at once. A plan counts no bytes: the plans of the
+# The tables share one budget. With their pair rows and slots stored as
+# int32 (`_int32`), the tables one residual reads take 6.2 MiB together at
+# dimension 12, the largest in the catalog (9.0 MiB at 13, 12.7 MiB at 14),
+# so a sweep over dimensions keeps the tables of about one residual up to
+# dimension 14, not those of every dimension it met, and the tables of all
+# the dimensions up to 8 fit at once. A plan counts no bytes: the plans of the
 # gallery's 84 contraction shapes take about 180 KiB of small tuples, and
 # they go, oldest first, with the tables when the tables overflow.
 _TABLES = _TableCache(14 * 2 ** 20)
@@ -430,6 +431,18 @@ def _exponents(m: int, order: int):
     return lex[graded], lex_keys[graded], lex_keys, np.argsort(graded)
 
 
+def _int32(index: np.ndarray) -> np.ndarray:
+    """The row or slot numbers `index` (none negative) as int32, half the
+    bytes of intp, for a table the cache holds; `take` and `bincount` cast
+    it back as they read it. Raises OverflowError, rather than wrap, where
+    an entry does not fit."""
+    bound = np.iinfo(np.int32).max
+    if index.size and index.max() > bound:
+        raise OverflowError(f"jet table entries run to {index.max()}, past the int32 "
+                            f"bound {bound}")
+    return index.astype(np.int32)
+
+
 def _rows(m: int, order: int, keys) -> np.ndarray:
     """Rows of the jet layout holding the multi-indices with these keys."""
     _, _, lex_keys, rows = _exponents(m, order)
@@ -440,10 +453,11 @@ def _rows(m: int, order: int, keys) -> np.ndarray:
 def _mul_tables(m: int, order: int, va: int, vb: int):
     """Every pair (i, j) of coefficients whose product lands at or below
     `order`, with i in the rows of the variable mask `va` and j in those of
-    `vb` (the multi-indices with no exponent outside the mask), i-major, and
-    the row lo of each product. A mask of -1 holds every variable, so masks
-    of -1 give the dense table; `_pair_sum` sets the bits past the m
-    variables, so that a mask of all of them keys it too."""
+    `vb` (the multi-indices with no exponent outside the mask), i-major, as
+    int32, and the row lo of each product, as intp, which a lone scalar
+    product hands to bincount as it is. A mask of -1 holds every variable,
+    so masks of -1 give the dense table; `_pair_sum` sets the bits past the
+    m variables, so that a mask of all of them keys it too."""
     table, keys, _, _ = _exponents(m, order)
     degree = table.sum(axis=1)
     ra, rb = np.flatnonzero(_in_support(table, va)), np.flatnonzero(_in_support(table, vb))
@@ -452,7 +466,7 @@ def _mul_tables(m: int, order: int, va: int, vb: int):
     partners = np.searchsorted(degree[rb], order - degree[ra], side="right")
     li = np.repeat(ra, partners)
     lj = rb[np.arange(len(li)) - np.repeat(np.cumsum(partners) - partners, partners)]
-    return li, lj, _rows(m, order, keys[li] + keys[lj])
+    return _int32(li), _int32(lj), _rows(m, order, keys[li] + keys[lj])
 
 
 def _in_support(table: np.ndarray, support: int) -> np.ndarray:
@@ -466,9 +480,10 @@ def _in_support(table: np.ndarray, support: int) -> np.ndarray:
 def _pair_slots(m: int, order: int, va: int, vb: int, size: int):
     """The output entry of every term of an entrywise product on the pairs
     of `_mul_tables(m, order, va, vb)` with `size` entries per coefficient:
-    by pair, then entry, with the output laid out (coefficient, entry)."""
+    by pair, then entry, with the output laid out (coefficient, entry), as
+    int32."""
     lo = _mul_tables(m, order, va, vb)[2]
-    return (lo[:, None] * size + np.arange(size)).ravel()
+    return _int32((lo[:, None] * size + np.arange(size)).ravel())
 
 
 @_TABLES
@@ -1073,8 +1088,9 @@ def _contract_slots(m: int, order: int, jet: bool, points: int, na: int, nb: int
     """The blocks of a `contract` product, each as (first row, rows,
     partners), and the output entry of every term the blocks lay out: by
     block, then by point, row, free-a entry, partner and free-b entry, with
-    the output laid out (coefficient, free-a, free-b, point). A constant
-    operand is one block whose rows each have one partner, themselves."""
+    the output laid out (coefficient, free-a, free-b, point), as int32. A
+    constant operand is one block whose rows each have one partner,
+    themselves."""
     n = math.comb(m + order, m)
     if jet:
         _, _, lo = _mul_tables(m, order, -1, -1)
@@ -1089,7 +1105,7 @@ def _contract_slots(m: int, order: int, jet: bool, points: int, na: int, nb: int
         out_rows = lo[at:at + rows * partners].reshape(rows, 1, partners, 1)
         at += rows * partners
         slot = (out_rows * (na * nb) + entry) * points
-        parts.append((slot + np.arange(points).reshape(-1, 1, 1, 1, 1)).ravel())
+        parts.append(_int32((slot + np.arange(points).reshape(-1, 1, 1, 1, 1)).ravel()))
     return tuple(blocks), np.concatenate(parts)
 
 

@@ -270,7 +270,8 @@ def classify_type(spec: IsoparametricSpec) -> list[ClassifiedRoot]:
     """All roots of the condition polynomial in the type's admissible range,
     each tagged minimal (trace of A vanishes; the Gauss map is then harmonic,
     not proper biharmonic) or valid. Types 1 and 2 delegate to the cone-link
-    solvers; type 6 certifies zero roots over all of R."""
+    solvers; type 6 certifies zero roots over all of R, as zero roots in
+    k1^2 > 0 of its even polynomial."""
     ell = spec.ell
     out: list[ClassifiedRoot] = []
     if ell == 1:
@@ -312,8 +313,10 @@ def classify_type(spec: IsoparametricSpec) -> list[ClassifiedRoot]:
                                       theta, norm.direct, minimal,
                                       FLAG_MINIMAL if minimal else FLAG_VALID))
         return out
-    # type 6: both multiplicity cases have no real roots at all; certify.
-    count = _count(cs, (-1, 0), (1, 0))
+    # type 6: both multiplicity cases have no real roots at all; certify on
+    # the even cs in x = k1^2 over (0, inf): the constant term is nonzero, so
+    # x = 0 is no root, and a real k1 exists exactly where x >= 0
+    count = _count(cs[::2], (0, 1), (1, 0))
     if count != 0:
         raise ArithmeticError(f"type 6 condition unexpectedly has {count} roots")
     return []

@@ -26,9 +26,12 @@ from gausslab.exprjet import (
     Pow,
     Var,
     _TABLES,
+    _contract_slots,
     _deriv_tables,
     _exponents,
+    _int32,
     _mul_tables,
+    _pair_slots,
     _scale_of,
     _series,
     _subtrees,
@@ -290,17 +293,32 @@ def _assert_identical(got, want, dtype):
     assert got.dtype == dtype and got.tolist() == want
 
 
+_PAIR_DTYPES = (np.int32, np.int32, np.intp)  # li, lj, lo of `_mul_tables`
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_tables_equal_the_brute_force_reference(m):
     for order in range(6):
         exps, pairs, derivs = _reference_tables(m, order)
         assert [tuple(row) for row in _exponents(m, order)[0].tolist()] == exps
-        for got, want in zip(_mul_tables(m, order, -1, -1), zip(*pairs)):
-            _assert_identical(got, list(want), np.intp)
+        for got, want, dtype in zip(_mul_tables(m, order, -1, -1), zip(*pairs), _PAIR_DTYPES):
+            _assert_identical(got, list(want), dtype)
         src, fac = _deriv_tables(m, order)
         for var in range(m if order else 0):
             _assert_identical(src[:, var], derivs[var][0], np.intp)
             _assert_identical(fac[:, var], derivs[var][1], np.float64)
+
+
+def test_slot_tables_are_int32_and_narrowing_refuses_to_wrap():
+    assert _pair_slots(3, 4, -1, -1, 5).dtype == np.int32
+    assert _contract_slots(3, 4, True, 2, 3, 1)[1].dtype == np.int32
+    assert _contract_slots(3, 4, False, 1, 2, 2)[1].dtype == np.int32
+    top = np.array([0, 2 ** 31 - 1])
+    narrowed = _int32(top)
+    assert narrowed.dtype == np.int32 and narrowed.tolist() == top.tolist()
+    with pytest.raises(OverflowError, match="int32"):
+        _int32(np.array([0, 2 ** 31]))
+    assert _int32(np.array([], dtype=np.intp)).dtype == np.int32
 
 
 def test_order5_tables_at_dimension_12():
@@ -804,8 +822,8 @@ def test_filtered_tables_are_the_dense_table_filtered_by_support(m):
         rows = [_rows_of(m, order, v) for v in range(1 << m)]
         for va, vb in itertools.product(range(1 << m), repeat=2):
             keep = rows[va][dense[0]] & rows[vb][dense[1]]
-            for got, want in zip(_mul_tables(m, order, va, vb), dense):
-                _assert_identical(got, want[keep].tolist(), np.intp)
+            for got, want, dtype in zip(_mul_tables(m, order, va, vb), dense, _PAIR_DTYPES):
+                _assert_identical(got, want[keep].tolist(), dtype)
         # masks of every variable key the dense table itself
         assert _mul_tables(m, order, -1, -1) is dense
 

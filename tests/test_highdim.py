@@ -2,7 +2,8 @@
 normal and the shape operator against an independent numeric path, the
 orientation parity, and every catalog cone with m <= 7 pointwise, with the
 link system's verdict against the cone's; and the bound on the jet-table
-caches over a sweep to dimension 12."""
+caches over a sweep to dimension 12, which hold one link residual's tables
+up to dimension 14."""
 
 from collections import OrderedDict
 
@@ -244,5 +245,24 @@ def test_table_caches_hold_one_residual_after_a_sweep_over_dimensions(monkeypatc
     monkeypatch.setattr(_TABLES, "entries", entries)
     link_residual_system(link, points=point)
     assert entries.inserted == 0 and set(_TABLES.entries) == kept
-    # and few of the lower dimensions' tables are left
-    assert {key[1] for key in kept if key[0] == "_mul_tables"} <= {11, 12}
+    # and the oldest dimensions' tables went first: those left are of a run
+    # of dimensions that ends at 12, and m = 3 is not among them
+    dims = sorted({key[1] for key in kept if key[0] == "_mul_tables"})
+    assert dims == list(range(dims[0], 13)) and dims[0] > 3
+
+
+@pytest.mark.parametrize("m", [13, 14])
+def test_a_warm_lone_link_point_builds_nothing_up_to_dimension_14(monkeypatch, m):
+    # the tables of one sphere-link residual fit the budget with 1 MiB to
+    # spare, so from an empty cache a first point evicts none of them and a
+    # second builds no table or plan
+    link = sphere_link_chart(m, sphere_link_solver(m).a_sq_exact)
+    point = [tuple(0.2 * (-1) ** i for i in range(m))]
+    entries = _CountingEntries()
+    monkeypatch.setattr(_TABLES, "entries", entries)
+    monkeypatch.setattr(_TABLES, "bytes", 0)
+    link_residual_system(link, points=point)
+    assert entries.inserted == len(entries)
+    assert _TABLES.bytes <= _TABLES.budget - 2 ** 20
+    link_residual_system(link, points=point)
+    assert entries.inserted == len(entries)

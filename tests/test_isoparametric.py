@@ -16,7 +16,7 @@ from gausslab.isoparametric import (
     shape_norm_squared,
     takagi_solver,
 )
-from gausslab.roots import NEG_INF, POS_INF, count_real_roots_in
+from gausslab.roots import NEG_INF, POS_INF, _count, count_real_roots_in
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +192,18 @@ def test_classify_type6_certifies_zero_roots():
     for mult in (1, 2):
         p = condition_polynomial(IsoparametricSpec.type6(mult))
         assert count_real_roots_in(p, NEG_INF, POS_INF) == 0
+
+
+@pytest.mark.parametrize("even", [
+    (1, 0, -5, 0, 4),  # (k^2 - 1)(k^2 - 4)
+    (1, 0, -1, 0, -2),  # (k^2 - 2)(k^2 + 1)
+    (1, 0, -8, 0, -14, 0, 48, 0, -27),  # (k^2 - 1)^2 (k^2 - 9)(k^2 + 3), a double root
+    (3, 0, -45, 0, 465, 0, -766, 0, 465, 0, -45, 0, -3),  # type 6, constant sign flipped
+])
+def test_an_even_polynomial_counts_half_its_real_roots_in_k_squared(even):
+    # type 6 certifies in x = k^2 > 0; each root x > 0 is the pair k = +-sqrt(x)
+    over_r = _count(even, (-1, 0), (1, 0))
+    assert over_r > 0 and _count(even[::2], (0, 1), (1, 0)) * 2 == over_r
 
 
 def test_classify_delegates_to_link_solvers():
